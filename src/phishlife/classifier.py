@@ -8,7 +8,6 @@ MaliciousRegistration verdict; otherwise the domain is Compromised.
 
 from __future__ import annotations
 
-import csv
 import enum
 import re
 from dataclasses import dataclass, field
@@ -17,7 +16,7 @@ from pathlib import Path
 from typing import Mapping, NamedTuple, Optional
 
 from .errors import IoFailure, PhishlifeError
-from .ingest import DomainRecord
+from .ingest import DomainRecord, open_csv
 from .squatgen import BrandCatalog, SquatIndex, match as squat_match
 from .timeutil import parse_utc
 
@@ -148,12 +147,8 @@ def load_word_list(path: str | Path) -> WordList:
 def load_registration_log(path: str | Path) -> list[RegistrationLogEntry]:
     """Load a registration log CSV (``registrable,registered_at,registrar``, header required)."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != [
-                "registrable", "registered_at", "registrar",
-            ]:
-                raise IoFailure(f"{path}: expected header registrable,registered_at,registrar")
+        with open_csv(path, ("registrable", "registered_at", "registrar"),
+                      "registration log") as reader:
             entries = [
                 RegistrationLogEntry(
                     registrable=row["registrable"].strip().lower(),
@@ -162,9 +157,7 @@ def load_registration_log(path: str | Path) -> list[RegistrationLogEntry]:
                 )
                 for row in reader
             ]
-    except OSError as exc:
-        raise IoFailure(f"cannot read registration log {path}: {exc}") from exc
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise IoFailure(f"malformed registration log {path}: {exc}") from exc
     return entries
 

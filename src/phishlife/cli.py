@@ -2,7 +2,9 @@
 
 Subcommands: ingest, classify, squatgen dump, monitor, lifecycle, report.
 All inputs come from a JSON config file; every config key can be overridden
-by a long flag of the same name. Outputs are CSV/JSON-lines files written
+by a long flag of the same name, and list keys take comma-separated flag
+values. Paths in the config file resolve against its directory, path flags
+against the working directory. Outputs are CSV/JSON-lines files written
 atomically into --out-dir, and identical inputs always produce
 byte-identical outputs.
 
@@ -20,8 +22,9 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import timedelta
+from functools import cached_property
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_origin, get_type_hints
 
 from . import classifier, dnsmon, ingest, lifecycle, squatgen
 from .errors import PhishlifeError
@@ -45,6 +48,8 @@ class EmptyOutput(PhishlifeError):
 
 @dataclass
 class PipelineConfig:
+    """Every config key; a field's type decides how its value is checked."""
+
     feeds: list[tuple[Path, str]] = field(default_factory=list)
     suffix_rules: Optional[Path] = None
     allowlist: Optional[Path] = None
@@ -70,34 +75,58 @@ class PipelineConfig:
     rrtypes: list[str] = field(default_factory=lambda: list(DEFAULT_RRTYPES))
     backoff_base_ms: float = 500.0
     backoff_cap_ms: float = 8000.0
+    # worker threads per tick; only --live queries block, so only it uses them
     concurrency: int = 64
 
 
-_PATH_KEYS = (
-    "suffix_rules", "allowlist", "brand_catalog", "word_list", "registration_log",
-    "timestamp_sources", "vantage_config", "snapshot_store", "resolver_fixture",
-    "monitor_domains",
-)
-_PARAM_KEYS = (
-    "bulk_window_hours", "max_edit_distance", "min_cluster_size", "min_word_length",
-    "reference_source", "monitor_interval_minutes", "monitor_duration_minutes",
-    "monitor_start", "brand_top_n", "squat_top_n", "rrtypes", "backoff_base_ms",
-    "backoff_cap_ms", "concurrency",
-)
+_FIELD_TYPES = get_type_hints(PipelineConfig)
 
 
 def _feed_spec(entry: object, base: Path) -> tuple[Path, str]:
-    if isinstance(entry, dict):
-        path = base / str(entry["path"])
-        fmt = str(entry.get("format", "")).strip()
-    else:
-        path = base / str(entry)
-        fmt = ""
+    if isinstance(entry, str):
+        entry = {"path": entry}
+    if not isinstance(entry, dict) or not isinstance(entry.get("path"), str):
+        raise ConfigError(f"feed entry needs a path: {json.dumps(entry)}")
+    path = base / entry["path"]
+    fmt = str(entry.get("format", "")).strip()
     if not fmt:
         fmt = "json" if path.suffix in (".json", ".jsonl") else "lines"
     if fmt not in ("lines", "json"):
         raise ConfigError(f"unknown feed format {fmt!r} for {path}")
     return path, fmt
+
+
+def _checked(key: str, value: object, kinds: type | tuple[type, ...], expected: str) -> object:
+    # JSON true and false load as bool, which Python also counts as an int
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise ConfigError(f"{key} must be {expected}, not {json.dumps(value)}")
+    return value
+
+
+def _coerce(key: str, value: object, base: Path) -> object:
+    """Check a config or flag value against its field's type; paths join ``base``."""
+    kind = _FIELD_TYPES[key]
+    if kind == list[tuple[Path, str]]:
+        return [_feed_spec(e, base) for e in _checked(key, value, list, "a list")]
+    if kind == list[str]:  # rrtypes, whose record types are case-insensitive
+        items = _checked(key, value, list, "a list of strings")
+        return [_checked(key, v, str, "a list of strings").upper() for v in items]
+    if kind == Optional[Path]:
+        return base / _checked(key, value, str, "a path string")
+    if kind is float:
+        return float(_checked(key, value, (int, float), "a number"))
+    if kind is int:
+        return _checked(key, value, int, "an integer")
+    return _checked(key, value, str, "a string")
+
+
+def _apply(cfg: PipelineConfig, values: dict, base: Path) -> None:
+    for key, kind in _FIELD_TYPES.items():
+        value = values.get(key)
+        # an empty path is unset, as an absent one is
+        if value is None or (value == "" and kind == Optional[Path]):
+            continue
+        setattr(cfg, key, _coerce(key, value, base))
 
 
 def load_config(path: Optional[str], args: argparse.Namespace) -> PipelineConfig:
@@ -109,30 +138,10 @@ def load_config(path: Optional[str], args: argparse.Namespace) -> PipelineConfig
             raw = json.loads(cfg_path.read_text(encoding="utf-8"))
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot load config {path}: {exc}") from exc
-        base = cfg_path.parent
-        if "feeds" in raw:
-            cfg.feeds = [_feed_spec(e, base) for e in raw["feeds"]]
-        for key in _PATH_KEYS:
-            if raw.get(key):
-                setattr(cfg, key, base / str(raw[key]))
-        for key in _PARAM_KEYS:
-            if key in raw and raw[key] is not None:
-                setattr(cfg, key, raw[key])
-
-    # flag overrides; paths resolve against the working directory
-    if getattr(args, "feeds", None):
-        cfg.feeds = [_feed_spec(p, Path(".")) for p in args.feeds.split(",") if p]
-    for key in _PATH_KEYS:
-        value = getattr(args, key, None)
-        if value:
-            setattr(cfg, key, Path(value))
-    for key in _PARAM_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            if key == "rrtypes" and isinstance(value, str):
-                value = [t.strip().upper() for t in value.split(",") if t.strip()]
-            setattr(cfg, key, value)
-
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config {path} must be a JSON object")
+        _apply(cfg, raw, cfg_path.parent)
+    _apply(cfg, vars(args), Path("."))
     _validate_params(cfg)
     return cfg
 
@@ -193,22 +202,81 @@ def _fmt_days(value: Optional[float]) -> str:
 # ---------------------------------------------------------------- pipeline
 
 
-def _load_feed_entries(cfg: PipelineConfig) -> list[ingest.FeedEntry]:
-    if not cfg.feeds:
-        raise ConfigError("no feeds configured")
-    entries: list[ingest.FeedEntry] = []
-    for path, fmt in cfg.feeds:
-        if not path.exists():
-            raise ConfigError(f"feed file not found: {path}")
-        entries.extend(ingest.load_feed(path, fmt).entries)
-    return entries
+@dataclass
+class Run:
+    """One pipeline run: the config, the output directory and every stage.
 
+    Each stage is computed on first use and kept, so a command reads each
+    input at most once and ``report`` shares every stage among its four
+    commands. A command touches only the stages it needs.
+    """
 
-def _build_table(cfg: PipelineConfig) -> tuple[list[ingest.FeedEntry], ingest.DomainTable]:
-    rules = ingest.load_suffix_rules(_require(cfg.suffix_rules, "suffix_rules"))
-    entries = _load_feed_entries(cfg)
-    table = ingest.build_domain_table(entries, rules)
-    return entries, table
+    cfg: PipelineConfig
+    out_dir: Path
+
+    @cached_property
+    def entries(self) -> list[ingest.FeedEntry]:
+        if not self.cfg.feeds:
+            raise ConfigError("no feeds configured")
+        entries: list[ingest.FeedEntry] = []
+        for path, fmt in self.cfg.feeds:
+            entries.extend(ingest.load_feed(_require(path, "feed"), fmt).entries)
+        return entries
+
+    @cached_property
+    def table(self) -> ingest.DomainTable:
+        rules = ingest.load_suffix_rules(_require(self.cfg.suffix_rules, "suffix_rules"))
+        table = ingest.build_domain_table(self.entries, rules)
+        if not table.records:
+            raise EmptyOutput("domain table is empty")
+        return table
+
+    @cached_property
+    def ctx(self) -> classifier.ClassifierContext:
+        cfg = self.cfg
+        allow = classifier.load_allowlist(_require(cfg.allowlist, "allowlist"))
+        catalog = squatgen.load_catalog(
+            _require(cfg.brand_catalog, "brand_catalog"),
+            brand_top_n=cfg.brand_top_n, squat_top_n=cfg.squat_top_n,
+        )
+        words = classifier.load_word_list(_require(cfg.word_list, "word_list"))
+        clusters: list[classifier.BulkCluster] = []
+        if cfg.registration_log is not None:
+            log = classifier.load_registration_log(_require(cfg.registration_log, "registration_log"))
+            clusters = classifier.cluster_bulk(
+                log,
+                window=timedelta(hours=cfg.bulk_window_hours),
+                max_edit_distance=cfg.max_edit_distance,
+                min_cluster_size=cfg.min_cluster_size,
+            )
+        return classifier.ClassifierContext(
+            allow=allow,
+            catalog=catalog,
+            squat_index=squatgen.build_index(catalog),
+            word_list=words,
+            bulk_membership=classifier.bulk_membership(clusters),
+            min_word_len=cfg.min_word_length,
+        )
+
+    @cached_property
+    def results(self) -> list[classifier.ClassificationResult]:
+        return classifier.classify_all(self.table.records, self.ctx)
+
+    @cached_property
+    def registrations(self) -> dict[str, lifecycle.RegistrationEvent]:
+        sources, _skipped = lifecycle.load_timestamp_sources(
+            _require(self.cfg.timestamp_sources, "timestamp_sources"))
+        return lifecycle.merge_all_registrations(sources)
+
+    @cached_property
+    def monitor_domains(self) -> list[str]:
+        if self.cfg.monitor_domains is not None:
+            path = _require(self.cfg.monitor_domains, "monitor_domains")
+            domains = [l.strip().lower() for l in path.read_text(encoding="utf-8").splitlines()
+                       if l.strip() and not l.startswith("#")]
+        else:
+            domains = [r.registrable for r in self.table.records]
+        return sorted(set(domains))
 
 
 def _domain_record_json(rec: ingest.DomainRecord) -> str:
@@ -224,64 +292,31 @@ def _domain_record_json(rec: ingest.DomainRecord) -> str:
     }, sort_keys=True)
 
 
-def cmd_ingest(cfg: PipelineConfig, out_dir: Path) -> ingest.DomainTable:
-    entries, table = _build_table(cfg)
-    if not table.records:
-        raise EmptyOutput("domain table is empty")
+def cmd_ingest(run: Run) -> None:
+    records = run.table.records
+    write_atomic(run.out_dir / "domains.jsonl",
+                 "".join(_domain_record_json(r) + "\n" for r in records))
 
-    write_atomic(out_dir / "domains.jsonl",
-                 "".join(_domain_record_json(r) + "\n" for r in table.records))
-
-    urls_by_source = Counter(e.source for e in entries)
+    urls_by_source = Counter(e.source for e in run.entries)
     domains_by_source: Counter = Counter()
     tlds_by_source: dict[str, set] = {}
-    for rec in table.records:
+    for rec in records:
         for source in rec.first_detections:
             domains_by_source[source] += 1
             tlds_by_source.setdefault(source, set()).add(rec.public_suffix)
 
-    tld_count = len({r.public_suffix for r in table.records})
-    print(f"{len(table.records)} domains, {tld_count} TLDs "
-          f"({sum(urls_by_source.values())} URLs, {table.skipped_urls} skipped)")
+    tld_count = len({r.public_suffix for r in records})
+    print(f"{len(records)} domains, {tld_count} TLDs "
+          f"({sum(urls_by_source.values())} URLs, {run.table.skipped_urls} skipped)")
     for source in sorted(urls_by_source):
         print(f"  {source}: {urls_by_source[source]} URLs, "
               f"{domains_by_source.get(source, 0)} domains, "
               f"{len(tlds_by_source.get(source, ()))} TLDs")
-    return table
 
 
-def _build_classifier_ctx(cfg: PipelineConfig) -> classifier.ClassifierContext:
-    allow = classifier.load_allowlist(_require(cfg.allowlist, "allowlist"))
-    catalog = squatgen.load_catalog(
-        _require(cfg.brand_catalog, "brand_catalog"),
-        brand_top_n=cfg.brand_top_n, squat_top_n=cfg.squat_top_n,
-    )
-    words = classifier.load_word_list(_require(cfg.word_list, "word_list"))
-    clusters: list[classifier.BulkCluster] = []
-    if cfg.registration_log is not None:
-        log = classifier.load_registration_log(_require(cfg.registration_log, "registration_log"))
-        clusters = classifier.cluster_bulk(
-            log,
-            window=timedelta(hours=cfg.bulk_window_hours),
-            max_edit_distance=cfg.max_edit_distance,
-            min_cluster_size=cfg.min_cluster_size,
-        )
-    return classifier.ClassifierContext(
-        allow=allow,
-        catalog=catalog,
-        squat_index=squatgen.build_index(catalog),
-        word_list=words,
-        bulk_membership=classifier.bulk_membership(clusters),
-        min_word_len=cfg.min_word_length,
-    )
-
-
-def cmd_classify(cfg: PipelineConfig, out_dir: Path) -> list[classifier.ClassificationResult]:
-    _, table = _build_table(cfg)
-    if not table.records:
-        raise EmptyOutput("domain table is empty")
-    ctx = _build_classifier_ctx(cfg)
-    results = classifier.classify_all(table.records, ctx)
+def cmd_classify(run: Run) -> None:
+    results = run.results
+    out_dir = run.out_dir
 
     rows = []
     json_lines = []
@@ -325,7 +360,7 @@ def cmd_classify(cfg: PipelineConfig, out_dir: Path) -> list[classifier.Classifi
 
     bulk_by_registrar: Counter = Counter()
     for res in results:
-        cluster = ctx.bulk_membership.get(res.registrable)
+        cluster = run.ctx.bulk_membership.get(res.registrable)
         if cluster is not None and classifier.BULK_REGISTERED in res.flags:
             bulk_by_registrar[cluster.registrar] += 1
     total_bulk = sum(bulk_by_registrar.values())
@@ -336,46 +371,34 @@ def cmd_classify(cfg: PipelineConfig, out_dir: Path) -> list[classifier.Classifi
         registrar_rows.append([rank, registrar, n, share])
     write_atomic(out_dir / "registrar_summary.csv",
                  _csv_text(["rank", "registrar", "domains", "share"], registrar_rows))
-    return results
 
 
-def _monitor_domain_list(cfg: PipelineConfig) -> list[str]:
-    if cfg.monitor_domains is not None:
-        path = _require(cfg.monitor_domains, "monitor_domains")
-        domains = [l.strip().lower() for l in path.read_text(encoding="utf-8").splitlines()
-                   if l.strip() and not l.startswith("#")]
-    else:
-        _, table = _build_table(cfg)
-        domains = [r.registrable for r in table.records]
-    return sorted(set(domains))
-
-
-def cmd_monitor(cfg: PipelineConfig, out_dir: Path, mode: str) -> None:
+def cmd_monitor(run: Run, mode: str) -> None:
+    cfg, out_dir = run.cfg, run.out_dir
     vantages = dnsmon.load_vantages(_require(cfg.vantage_config, "vantage_config"))
-    domains = _monitor_domain_list(cfg)
-    store_path = cfg.snapshot_store or (out_dir / "snapshots.jsonl")
-    store = dnsmon.SnapshotStore(store_path)
+    domains = run.monitor_domains
+    store = dnsmon.SnapshotStore(cfg.snapshot_store or out_dir / "snapshots.jsonl")
     monitor_cfg = dnsmon.MonitorConfig(
         interval=timedelta(minutes=cfg.monitor_interval_minutes),
         vantages=vantages,
         types=tuple(cfg.rrtypes),
         backoff_base=cfg.backoff_base_ms / 1000.0,
         backoff_cap=cfg.backoff_cap_ms / 1000.0,
-        concurrency=cfg.concurrency,
+        # the scripted resolver never blocks, so simulate mode collects on this thread
+        concurrency=cfg.concurrency if mode == "live" else 1,
     )
 
     if mode == "simulate":
         resolver = dnsmon.ScriptedResolver.from_file(
             _require(cfg.resolver_fixture, "resolver_fixture"))
         clock = dnsmon.SimulatedClock(parse_utc(cfg.monitor_start))
-        until = clock.now() + timedelta(minutes=cfg.monitor_duration_minutes)
     else:
         from .dnswire import UdpResolver
         resolver = UdpResolver()
         clock = dnsmon.SystemClock()
-        until = None
-        if cfg.monitor_duration_minutes > 0:
-            until = clock.now() + timedelta(minutes=cfg.monitor_duration_minutes)
+    until = None  # a live run without a duration lasts until interrupted
+    if mode == "simulate" or cfg.monitor_duration_minutes > 0:
+        until = clock.now() + timedelta(minutes=cfg.monitor_duration_minutes)
 
     try:
         ticks = dnsmon.run_schedule(domains, monitor_cfg, store, clock, resolver, until=until)
@@ -422,18 +445,11 @@ def cmd_monitor(cfg: PipelineConfig, out_dir: Path, mode: str) -> None:
     write_atomic(out_dir / "ttl_buckets.csv", _csv_text(["metric", "value"], bucket_rows))
 
 
-def cmd_lifecycle(cfg: PipelineConfig, out_dir: Path) -> None:
-    _, table = _build_table(cfg)
-    if not table.records:
-        raise EmptyOutput("domain table is empty")
-    ctx = _build_classifier_ctx(cfg)
-    classifications = {r.registrable: r for r in classifier.classify_all(table.records, ctx)}
-
-    sources, _skipped = lifecycle.load_timestamp_sources(
-        _require(cfg.timestamp_sources, "timestamp_sources"))
-    registrations = lifecycle.merge_all_registrations(sources)
+def cmd_lifecycle(run: Run) -> None:
+    cfg, out_dir = run.cfg, run.out_dir
+    classifications = {r.registrable: r for r in run.results}
     records = lifecycle.build_lifecycle_records(
-        table.records, classifications, registrations, cfg.reference_source)
+        run.table.records, classifications, run.registrations, cfg.reference_source)
     if not records:
         raise EmptyOutput("no lifecycle records")
 
@@ -487,51 +503,42 @@ def cmd_squatgen_dump(brand_domain: Optional[str]) -> None:
             writer.writerow([char, ";".join(squatgen.HOMOGLYPHS[char])])
 
 
-def cmd_report(cfg: PipelineConfig, out_dir: Path) -> None:
-    cmd_ingest(cfg, out_dir)
-    cmd_classify(cfg, out_dir)
-    cmd_lifecycle(cfg, out_dir)
-    if cfg.resolver_fixture is not None:
-        cmd_monitor(cfg, out_dir, mode="simulate")
+def cmd_report(run: Run) -> None:
+    cmd_ingest(run)
+    cmd_classify(run)
+    cmd_lifecycle(run)
+    if run.cfg.resolver_fixture is not None:
+        cmd_monitor(run, mode="simulate")
 
 
 # ---------------------------------------------------------------- argparse
+
+
+def _comma_list(text: str) -> list[str]:
+    return [part.strip() for part in text.split(",") if part.strip()]
 
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="pipeline config JSON")
     common.add_argument("--out-dir", default="out", help="output directory")
-    common.add_argument("--feeds", help="comma-separated feed paths (overrides config)")
-    for key in _PATH_KEYS:
-        common.add_argument(f"--{key.replace('_', '-')}")
-    common.add_argument("--bulk-window-hours", type=float)
-    common.add_argument("--max-edit-distance", type=int)
-    common.add_argument("--min-cluster-size", type=int)
-    common.add_argument("--min-word-length", type=int)
-    common.add_argument("--reference-source")
-    common.add_argument("--monitor-interval-minutes", type=float)
-    common.add_argument("--monitor-duration-minutes", type=float)
-    common.add_argument("--monitor-start")
-    common.add_argument("--brand-top-n", type=int)
-    common.add_argument("--squat-top-n", type=int)
-    common.add_argument("--rrtypes", help="comma-separated record types")
-    common.add_argument("--backoff-base-ms", type=float)
-    common.add_argument("--backoff-cap-ms", type=float)
-    common.add_argument("--concurrency", type=int)
+    for key, kind in _FIELD_TYPES.items():
+        flag = f"--{key.replace('_', '-')}"
+        if kind in (int, float):
+            common.add_argument(flag, type=kind)
+        elif get_origin(kind) is list:
+            common.add_argument(flag, type=_comma_list, help="comma-separated values")
+        else:
+            common.add_argument(flag)
 
     parser = argparse.ArgumentParser(prog="phishlife", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("ingest", parents=[common])
-    sub.add_parser("classify", parents=[common])
-    monitor = sub.add_parser("monitor", parents=[common])
-    monitor.add_argument("--live", action="store_true",
-                         help="query real resolvers instead of the scripted fixture")
-    sub.add_parser("lifecycle", parents=[common])
-    sub.add_parser("report", parents=[common])
-    squat = sub.add_parser("squatgen", parents=[common])
-    squat.add_argument("action", choices=["dump"])
-    squat.add_argument("--brand-domain", help="dump candidates for one brand domain")
+    commands = {name: sub.add_parser(name, parents=[common]) for name in
+                ("ingest", "classify", "monitor", "lifecycle", "report", "squatgen")}
+    commands["monitor"].add_argument("--live", action="store_true",
+                                     help="query real resolvers instead of the scripted fixture")
+    commands["squatgen"].add_argument("action", choices=["dump"])
+    commands["squatgen"].add_argument("--brand-domain", help="dump candidates for one brand domain")
     return parser
 
 
@@ -547,16 +554,17 @@ def main(argv: Optional[list[str]] = None) -> int:
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
 
+        run = Run(cfg, out_dir)
         if args.command == "ingest":
-            cmd_ingest(cfg, out_dir)
+            cmd_ingest(run)
         elif args.command == "classify":
-            cmd_classify(cfg, out_dir)
+            cmd_classify(run)
         elif args.command == "monitor":
-            cmd_monitor(cfg, out_dir, mode="live" if args.live else "simulate")
+            cmd_monitor(run, mode="live" if args.live else "simulate")
         elif args.command == "lifecycle":
-            cmd_lifecycle(cfg, out_dir)
+            cmd_lifecycle(run)
         elif args.command == "report":
-            cmd_report(cfg, out_dir)
+            cmd_report(run)
         return 0
     except dnsmon.StoreFailure as exc:
         print(f"store failure: {exc}", file=sys.stderr)
@@ -564,7 +572,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except EmptyOutput as exc:
         print(f"empty output: {exc}", file=sys.stderr)
         return EXIT_EMPTY
-    except (ConfigError, PhishlifeError) as exc:
+    except PhishlifeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -19,7 +19,7 @@ from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import Iterable, Optional, Protocol, Sequence
 
-from .errors import PhishlifeError
+from .errors import IoFailure, PhishlifeError
 from .timeutil import format_utc, parse_utc
 
 RRTYPES = ("A", "AAAA", "CNAME", "NS", "MX", "TXT", "SOA")
@@ -230,8 +230,16 @@ class ScriptedResolver:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScriptedResolver":
-        with open(path, encoding="utf-8") as fh:
-            return cls(json.load(fh))
+        try:
+            with open(path, encoding="utf-8") as fh:
+                script = json.load(fh)
+        except OSError as exc:
+            raise IoFailure(f"cannot read resolver fixture {path}: {exc}") from exc
+        except ValueError as exc:
+            raise IoFailure(f"malformed resolver fixture {path}: {exc}") from exc
+        if not isinstance(script, dict):
+            raise IoFailure(f"malformed resolver fixture {path}: not a JSON object")
+        return cls(script)
 
     def _steps(self, vantage: VantagePoint, domain: str, rrtype: str):
         per_vantage = self._script.get(f"{domain}@{vantage.id}")
@@ -382,9 +390,6 @@ class SnapshotStore:
                         fh.write(line + "\n")
         except OSError as exc:
             raise StoreFailure(f"cannot append to {self.path}: {exc}") from exc
-
-    def append(self, snapshot: DnsSnapshot) -> None:
-        self.append_many([snapshot])
 
     def load(self) -> list[DnsSnapshot]:
         if not self.path.exists():
@@ -592,15 +597,23 @@ def vantage_divergence(snapshots_same_tick: Sequence[DnsSnapshot]) -> Optional[D
 
 
 def load_vantages(path: str | Path) -> list[VantagePoint]:
-    """Load vantage points from a JSON array of {id, resolver_address, region_label}."""
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    vantages = [
-        VantagePoint(id=v["id"], resolver_address=v["resolver_address"],
-                     region_label=v.get("region_label", ""))
-        for v in raw
-    ]
+    """Load vantage points from a JSON array of {id, resolver_address, region_label}.
+
+    An unreadable or malformed file, or a repeated id, raises IoFailure.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+        vantages = [
+            VantagePoint(id=v["id"], resolver_address=v["resolver_address"],
+                         region_label=v.get("region_label", ""))
+            for v in raw
+        ]
+    except OSError as exc:
+        raise IoFailure(f"cannot read vantages {path}: {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise IoFailure(f"malformed vantages {path}: {exc}") from exc
     ids = [v.id for v in vantages]
     if len(set(ids)) != len(ids):
-        raise ValueError(f"duplicate vantage ids in {path}")
+        raise IoFailure(f"duplicate vantage ids in {path}")
     return vantages

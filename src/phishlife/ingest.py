@@ -7,12 +7,14 @@ registrable domain.
 
 from __future__ import annotations
 
+import csv
 import json
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import IoFailure, PhishlifeError
 from .timeutil import parse_utc
@@ -164,6 +166,26 @@ def parse_url(raw: str) -> ParsedUrl:
         raise MalformedUrl(f"no host in URL {raw!r}")
     host = normalize_host(hostname)
     return ParsedUrl(scheme=parts.scheme.lower(), host=host, path=parts.path)
+
+
+@contextmanager
+def open_csv(path: str | Path, header: Sequence[str], what: str) -> Iterator[csv.DictReader]:
+    """Open a CSV file whose header must be exactly ``header``.
+
+    Yields a DictReader over the data rows, keyed by the names in
+    ``header`` even where the file pads them with spaces; a short row's
+    missing fields read as "". A wrong header, and any OSError while the
+    file is open, raise IoFailure naming ``what``.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh, restval="")
+            if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != list(header):
+                raise IoFailure(f"{path}: expected header {','.join(header)}")
+            reader.fieldnames = list(header)
+            yield reader
+    except OSError as exc:
+        raise IoFailure(f"cannot read {what} {path}: {exc}") from exc
 
 
 def load_suffix_rules(path: str | Path) -> SuffixRules:

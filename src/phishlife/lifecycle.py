@@ -7,7 +7,6 @@ and computes detection-delay, takedown-delay, and blocklist-lag aggregates.
 
 from __future__ import annotations
 
-import csv
 import statistics
 from dataclasses import dataclass
 from datetime import datetime, timedelta
@@ -15,8 +14,8 @@ from pathlib import Path
 from typing import Iterable, Mapping, Optional
 
 from .classifier import ClassificationResult
-from .errors import IoFailure, PhishlifeError
-from .ingest import DomainRecord
+from .errors import PhishlifeError
+from .ingest import DomainRecord, open_csv
 from .timeutil import parse_utc, to_days
 
 KIND_WHOIS = "whois"
@@ -44,10 +43,6 @@ GROUP_KEYS = ("brand", "tld", "flag_category", "verdict", "source")
 
 class NoRegistrationEvidence(PhishlifeError):
     """Only last-seen data (or nothing) is available for the domain."""
-
-
-class ReferenceMissing(PhishlifeError):
-    """The reference blocklist source never detected the domain."""
 
 
 class EmptyInput(PhishlifeError):
@@ -107,28 +102,20 @@ def load_timestamp_sources(path: str | Path) -> tuple[list[TimestampSource], int
     """
     sources: list[TimestampSource] = []
     skipped = 0
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != [
-                "registrable", "kind", "at",
-            ]:
-                raise IoFailure(f"{path}: expected header registrable,kind,at")
-            for row in reader:
-                kind = row.get("kind", "").strip()
-                if kind not in KIND_ORDER:
-                    skipped += 1
-                    continue
-                try:
-                    at = parse_utc(row.get("at", ""))
-                except ValueError:
-                    skipped += 1
-                    continue
-                sources.append(TimestampSource(
-                    kind=kind, registrable=row["registrable"].strip().lower(), at=at,
-                ))
-    except OSError as exc:
-        raise IoFailure(f"cannot read timestamp sources {path}: {exc}") from exc
+    with open_csv(path, ("registrable", "kind", "at"), "timestamp sources") as reader:
+        for row in reader:
+            kind = row["kind"].strip()
+            if kind not in KIND_ORDER:
+                skipped += 1
+                continue
+            try:
+                at = parse_utc(row["at"])
+            except ValueError:
+                skipped += 1
+                continue
+            sources.append(TimestampSource(
+                kind=kind, registrable=row["registrable"].strip().lower(), at=at,
+            ))
     return sources, skipped
 
 
@@ -195,23 +182,6 @@ def takedown_delay(
     return reg.deregistered_at - detections[reference_source]
 
 
-def blocklist_lag(
-    detections: Mapping[str, datetime], reference_source: str,
-) -> dict[str, timedelta]:
-    """Per-source detection lag relative to the reference blocklist.
-
-    Negative lags mean the other list was earlier.
-    """
-    if reference_source not in detections:
-        raise ReferenceMissing(f"{reference_source} not among detections")
-    ref = detections[reference_source]
-    return {
-        source: at - ref
-        for source, at in detections.items()
-        if source != reference_source
-    }
-
-
 def build_lifecycle_records(
     domain_records: list[DomainRecord],
     classifications: Mapping[str, ClassificationResult],
@@ -269,11 +239,6 @@ def _metric_value(
         if reference_source not in record.detections or group not in record.detections:
             return None
         return to_days(record.detections[group] - record.detections[reference_source])
-    if metric.startswith("lag:"):
-        source = metric.split(":", 1)[1]
-        if reference_source not in record.detections or source not in record.detections:
-            return None
-        return to_days(record.detections[source] - record.detections[reference_source])
     raise ValueError(f"unknown metric {metric!r}")
 
 

@@ -7,7 +7,6 @@ TLD swaps) and builds an exact-match index over them for classification.
 
 from __future__ import annotations
 
-import csv
 import enum
 import re
 from dataclasses import dataclass, field
@@ -15,7 +14,7 @@ from pathlib import Path
 from typing import NamedTuple, Optional
 
 from .errors import IoFailure, PhishlifeError
-from .ingest import DomainRecord
+from .ingest import DomainRecord, open_csv
 
 LABEL_RE = re.compile(r"^[a-z0-9]([a-z0-9-]*[a-z0-9])?$")
 ALNUM = "abcdefghijklmnopqrstuvwxyz0123456789"
@@ -189,12 +188,7 @@ def generate(brand_domain: str, brand_id: Optional[str] = None) -> set[SquatCand
 def load_catalog(path: str | Path, brand_top_n: int = 1000, squat_top_n: int = 200) -> BrandCatalog:
     """Load a brand catalog CSV (``rank,brand_id,canonical_domain``, header required)."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != [
-                "rank", "brand_id", "canonical_domain",
-            ]:
-                raise IoFailure(f"{path}: expected header rank,brand_id,canonical_domain")
+        with open_csv(path, ("rank", "brand_id", "canonical_domain"), "brand catalog") as reader:
             brands = [
                 Brand(
                     brand_id=row["brand_id"].strip().lower(),
@@ -203,9 +197,7 @@ def load_catalog(path: str | Path, brand_top_n: int = 1000, squat_top_n: int = 2
                 )
                 for row in reader
             ]
-    except OSError as exc:
-        raise IoFailure(f"cannot read brand catalog {path}: {exc}") from exc
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise IoFailure(f"malformed brand catalog {path}: {exc}") from exc
     for b in brands:
         _split_brand_domain(b.canonical_domain)

@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import csv
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from phishlife import classifier, ingest, squatgen
 from phishlife.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -15,6 +17,30 @@ CONFIG = str(DATA / "config.json")
 def read_csv(path: Path) -> list[dict]:
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def config_copy(tmp_path: Path, changes: dict) -> str:
+    """tests/data/config.json written into tmp_path, with its paths made absolute.
+
+    Each change sets a key; None drops it, and a (name, text) pair writes
+    the file ``name`` into tmp_path and points the key at it.
+    """
+    raw = json.loads((DATA / "config.json").read_text())
+    raw = {k: str(DATA / v) if isinstance(v, str) and (DATA / v).is_file() else v
+           for k, v in raw.items()}
+    raw["feeds"] = [{**f, "path": str(DATA / f["path"])} for f in raw["feeds"]]
+    for key, value in changes.items():
+        if value is None:
+            del raw[key]
+            continue
+        if isinstance(value, tuple):
+            name, text = value
+            (tmp_path / name).write_text(text)
+            value = name
+        raw[key] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    return str(path)
 
 
 class TestIngestCommand:
@@ -218,3 +244,63 @@ class TestReportCommand:
             "ttl_summary.csv", "ttl_buckets.csv", "snapshots.jsonl",
         ]:
             assert (tmp_path / name).exists(), name
+
+
+# monitor reads its domains from monitor_domains, or else from the feed's table
+@pytest.fixture(params=["monitor_domains", "feed_domains"])
+def pipeline_config(request, tmp_path) -> str:
+    if request.param == "monitor_domains":
+        return CONFIG
+    fixture = {"faceb0ok.com": {"A": [{"values": ["192.0.2.1"], "ttl": 300}]}}
+    return config_copy(tmp_path, {"monitor_domains": None,
+                                  "resolver_fixture": ("fixture.json", json.dumps(fixture))})
+
+
+class TestOnePass:
+    STAGES = [(ingest, "build_domain_table"), (ingest, "load_suffix_rules"),
+              (squatgen, "build_index"), (classifier, "cluster_bulk")]
+
+    def test_report_matches_separate_commands(self, pipeline_config, tmp_path):
+        report, apart = tmp_path / "report", tmp_path / "apart"
+        assert main(["report", "--config", pipeline_config, "--out-dir", str(report)]) == 0
+        for command in ("ingest", "classify", "lifecycle", "monitor"):
+            assert main([command, "--config", pipeline_config, "--out-dir", str(apart)]) == 0
+        written = {p.name: p.read_bytes() for p in report.iterdir()}
+        assert written == {p.name: p.read_bytes() for p in apart.iterdir()}
+
+    def test_report_computes_each_stage_once(self, pipeline_config, tmp_path, monkeypatch):
+        calls: Counter = Counter()
+        for module, name in self.STAGES:
+            def counted(*args, _original=getattr(module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+        assert main(["report", "--config", pipeline_config, "--out-dir", str(tmp_path / "out")]) == 0
+        assert calls == {name: 1 for _, name in self.STAGES}
+
+
+DUPLICATE_VANTAGES = [{"id": "v1", "resolver_address": "192.0.2.1:53"},
+                      {"id": "v1", "resolver_address": "192.0.2.2:53"}]
+
+
+@pytest.mark.parametrize("changes", [
+    pytest.param({"max_edit_distance": "2"}, id="string_for_int"),
+    pytest.param({"concurrency": True}, id="bool_for_int"),
+    pytest.param({"rrtypes": "A,NS"}, id="string_for_list"),
+    pytest.param({"feeds": [{"format": "lines"}]}, id="feed_without_path"),
+    pytest.param(None, id="top_level_array"),
+    pytest.param({"vantage_config": ("vantages.json", json.dumps(DUPLICATE_VANTAGES))},
+                 id="duplicate_vantage_id"),
+    pytest.param({"resolver_fixture": ("fixture.json", '{"flux.top": {')},
+                 id="malformed_resolver_fixture"),
+])
+def test_bad_config_input_exits_2(changes, tmp_path, capsys):
+    if changes is None:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps([CONFIG]))
+    else:
+        config = config_copy(tmp_path, changes)
+    code = main(["monitor", "--config", str(config), "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1, err

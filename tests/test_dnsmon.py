@@ -344,8 +344,8 @@ class TestStore:
         store = SnapshotStore(tmp_path / "s.jsonl")
         first = snapshot("a.com", "v1", 0, [a_rrset("192.0.2.1"), ns_rrset("ns1.x")])
         second = snapshot("a.com", "v1", 30, [], status="failed", attempts=5)
-        store.append(first)
-        store.append(second)
+        store.append_many([first])
+        store.append_many([second])
         loaded = store.load()
         assert loaded == [first, second]
 
@@ -353,12 +353,12 @@ class TestStore:
         store = SnapshotStore(tmp_path / "s.jsonl")
         counts = []
         for minute in (0, 30, 60):
-            store.append(snapshot("a.com", "v1", minute, [a_rrset("x")]))
+            store.append_many([snapshot("a.com", "v1", minute, [a_rrset("x")])])
             counts.append(len(store.load()))
         assert counts == [1, 2, 3]
 
     def test_rerun_diff_deterministic(self, tmp_path):
         store = SnapshotStore(tmp_path / "s.jsonl")
-        store.append(snapshot("a.com", "v1", 0, [ns_rrset("ns1.a")]))
-        store.append(snapshot("a.com", "v1", 30, [ns_rrset("ns1.b")]))
+        store.append_many([snapshot("a.com", "v1", 0, [ns_rrset("ns1.a")]),
+                           snapshot("a.com", "v1", 30, [ns_rrset("ns1.b")])])
         assert detect_changes(store.load()) == detect_changes(store.load())

@@ -5,7 +5,8 @@ from datetime import datetime, timezone
 import pytest
 from hypothesis import given, strategies as st
 
-from phishlife.errors import IoFailure
+from phishlife import classifier, lifecycle, squatgen
+from phishlife.errors import IoFailure, PhishlifeError
 from phishlife.ingest import (
     AllRecordsMalformed,
     EmptyRuleSet,
@@ -245,6 +246,51 @@ class TestLoadFeed:
 
 
 COM_RULES = SuffixRules(frozenset({"com"}), frozenset(), frozenset())
+
+
+# the loaders that read a header-checked CSV through ingest.open_csv, by data file
+CSV_LOADERS = {
+    "brands.csv": (squatgen.load_catalog, "rank,brand_id,canonical_domain"),
+    "registration_log.csv": (classifier.load_registration_log,
+                             "registrable,registered_at,registrar"),
+    "timestamp_sources.csv": (lifecycle.load_timestamp_sources, "registrable,kind,at"),
+}
+
+
+class TestCsvLoaders:
+    @pytest.mark.parametrize("name", sorted(CSV_LOADERS))
+    @pytest.mark.parametrize("text", [None, "registrable,at,kind\na.com,x,y\n"],
+                             ids=["missing_file", "wrong_header"])
+    def test_bad_file_raises_io_failure(self, tmp_path, name, text):
+        path = tmp_path / "input.csv"
+        if text is not None:
+            path.write_text(text)
+        loader, _ = CSV_LOADERS[name]
+        with pytest.raises(IoFailure):
+            loader(path)
+
+    @pytest.mark.parametrize("name", sorted(CSV_LOADERS))
+    def test_padded_header_loads(self, tmp_path, data_dir, name):
+        loader, header = CSV_LOADERS[name]
+        original = data_dir / name
+        body = original.read_text().split("\n", 1)[1]
+        padded = tmp_path / "input.csv"
+        padded.write_text(header.replace(",", ", ") + "\n" + body)
+        assert loader(padded) == loader(original)
+
+    @pytest.mark.parametrize("name", ["brands.csv", "registration_log.csv"])
+    def test_short_row_is_rejected(self, tmp_path, name):
+        loader, header = CSV_LOADERS[name]
+        path = tmp_path / "input.csv"
+        path.write_text(f"{header}\n1\n")
+        with pytest.raises(PhishlifeError):
+            loader(path)
+
+    def test_short_timestamp_row_is_skipped(self, tmp_path):
+        path = tmp_path / "input.csv"
+        path.write_text("registrable,kind,at\na.com\nb.com,whois,2024-01-01T00:00:00Z\n")
+        sources, skipped = lifecycle.load_timestamp_sources(path)
+        assert [s.registrable for s in sources] == ["b.com"] and skipped == 1
 
 
 class TestBuildDomainTable:

@@ -21,11 +21,9 @@ from phishlife.lifecycle import (
     KIND_ZONE_LAST,
     LifecycleRecord,
     NoRegistrationEvidence,
-    ReferenceMissing,
     RegistrationEvent,
     TimestampSource,
     aggregate,
-    blocklist_lag,
     build_lifecycle_records,
     detection_delay,
     load_timestamp_sources,
@@ -152,30 +150,44 @@ class TestDelays:
 
 
 class TestBlocklistLag:
+    """Per-source lag behind the reference list: aggregate(records, "lag", "source")."""
+
+    @staticmethod
+    def lag_rows(*detections, reference="apwg"):
+        records = []
+        for i, by_source in enumerate(detections):
+            record = lifecycle_record(f"d{i}.com", VERDICT_MALICIOUS)
+            record.detections = {s: ts(at) for s, at in by_source.items()}
+            records.append(record)
+        report = aggregate(records, "lag", "source", reference)
+        return {row.key: row for row in report.rows}, report.ungrouped
+
     def test_phishtank_lag(self):
-        detections = {"apwg": ts("2024-01-01T00:00:00"),
-                      "phishtank": ts("2024-01-05T09:36:00")}
-        lags = blocklist_lag(detections, "apwg")
-        assert to_days(lags["phishtank"]) == pytest.approx(4.4)
+        rows, _ = self.lag_rows({"apwg": "2024-01-01T00:00:00",
+                                 "phishtank": "2024-01-05T09:36:00"})
+        assert rows["phishtank"].median_days == pytest.approx(4.4)
 
     def test_reference_only(self):
-        assert blocklist_lag({"apwg": ts("2024-01-01T00:00:00")}, "apwg") == {}
+        rows, ungrouped = self.lag_rows({"apwg": "2024-01-01T00:00:00"},
+                                        {"apwg": "2024-01-01T00:00:00",
+                                         "openphish": "2024-01-02T00:00:00"})
+        assert ungrouped == 1
+        assert list(rows) == ["openphish"] and rows["openphish"].count == 1
 
     def test_negative_lag_retained(self):
-        detections = {"apwg": ts("2024-01-03T00:00:00"),
-                      "openphish": ts("2024-01-01T00:00:00")}
-        assert blocklist_lag(detections, "apwg")["openphish"] == timedelta(days=-2)
+        rows, _ = self.lag_rows({"apwg": "2024-01-03T00:00:00",
+                                 "openphish": "2024-01-01T00:00:00"})
+        assert rows["openphish"].median_days == pytest.approx(-2)
 
     def test_reference_missing(self):
-        with pytest.raises(ReferenceMissing):
-            blocklist_lag({"openphish": ts("2024-01-01T00:00:00")}, "apwg")
+        rows, _ = self.lag_rows({"openphish": "2024-01-01T00:00:00"})
+        assert (rows["openphish"].count, rows["openphish"].missing) == (0, 1)
 
     def test_antisymmetry(self):
-        detections = {"apwg": ts("2024-01-01T00:00:00"),
-                      "openphish": ts("2024-01-04T00:00:00")}
-        forward = blocklist_lag(detections, "apwg")["openphish"]
-        backward = blocklist_lag(detections, "openphish")["apwg"]
-        assert forward == -backward
+        detections = {"apwg": "2024-01-01T00:00:00", "openphish": "2024-01-04T00:00:00"}
+        forward, _ = self.lag_rows(detections, reference="apwg")
+        backward, _ = self.lag_rows(detections, reference="openphish")
+        assert forward["openphish"].median_days == -backward["apwg"].median_days
 
 
 class TestAggregate:
