@@ -75,8 +75,6 @@ class PipelineConfig:
     rrtypes: list[str] = field(default_factory=lambda: list(DEFAULT_RRTYPES))
     backoff_base_ms: float = 500.0
     backoff_cap_ms: float = 8000.0
-    # worker threads per tick; only --live queries block, so only it uses them
-    concurrency: int = 64
 
 
 _FIELD_TYPES = get_type_hints(PipelineConfig)
@@ -140,6 +138,9 @@ def load_config(path: Optional[str], args: argparse.Namespace) -> PipelineConfig
             raise ConfigError(f"cannot load config {path}: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError(f"config {path} must be a JSON object")
+        unknown = sorted(set(raw) - set(_FIELD_TYPES))
+        if unknown:
+            raise ConfigError(f"unknown config keys in {path}: {', '.join(unknown)}")
         _apply(cfg, raw, cfg_path.parent)
     _apply(cfg, vars(args), Path("."))
     _validate_params(cfg)
@@ -158,7 +159,6 @@ def _validate_params(cfg: PipelineConfig) -> None:
         (0 <= cfg.squat_top_n <= cfg.brand_top_n, "squat_top_n must be in [0, brand_top_n]"),
         (cfg.backoff_base_ms > 0, "backoff_base_ms must be positive"),
         (cfg.backoff_cap_ms >= cfg.backoff_base_ms, "backoff_cap_ms must be >= backoff_base_ms"),
-        (cfg.concurrency >= 1, "concurrency must be >= 1"),
         (bool(cfg.reference_source.strip()), "reference_source must be non-empty"),
         (all(t in dnsmon.RRTYPES for t in cfg.rrtypes), f"rrtypes must be among {dnsmon.RRTYPES}"),
     ]
@@ -384,8 +384,6 @@ def cmd_monitor(run: Run, mode: str) -> None:
         types=tuple(cfg.rrtypes),
         backoff_base=cfg.backoff_base_ms / 1000.0,
         backoff_cap=cfg.backoff_cap_ms / 1000.0,
-        # the scripted resolver never blocks, so simulate mode collects on this thread
-        concurrency=cfg.concurrency if mode == "live" else 1,
     )
 
     if mode == "simulate":
@@ -409,6 +407,10 @@ def cmd_monitor(run: Run, mode: str) -> None:
     snapshots = store.load()
     if not snapshots:
         raise EmptyOutput("no snapshots collected")
+    try:
+        summary = dnsmon.ttl_stats(snapshots)
+    except dnsmon.NoObservations as exc:
+        raise EmptyOutput(f"no answered record: {exc}") from exc
 
     changes = dnsmon.detect_changes(snapshots)
     changed_domains = {c.registrable for c in changes}
@@ -426,7 +428,6 @@ def cmd_monitor(run: Run, mode: str) -> None:
                  _csv_text(["registrable", "rrtype", "vantage_id", "before", "after", "observed_at"],
                            change_rows))
 
-    summary = dnsmon.ttl_stats(snapshots)
     ttl_rows = [
         [d.registrable, d.observations, d.min_ttl, f"{d.median_ttl:.2f}", f"{d.mean_ttl:.2f}"]
         for d in summary.per_domain

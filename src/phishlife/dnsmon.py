@@ -14,6 +14,7 @@ import statistics
 import threading
 import time as _time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -205,6 +206,9 @@ class SimulatedClock:
 
 
 class Resolver(Protocol):
+    # domains collected at once; above 1 only where a query blocks
+    workers: int
+
     def query(self, vantage: VantagePoint, domain: str, rrtype: str) -> Optional[RrSet]:
         """Return the rrset, None for an empty answer, or raise a query error."""
 
@@ -221,6 +225,8 @@ class ScriptedResolver:
     Domains absent from the script resolve as nxdomain.
     """
 
+    workers = 1  # answers come from memory, so nothing blocks
+
     def __init__(self, script: dict):
         self._script = script
         self._cursor: dict[tuple[str, str, str], int] = {}
@@ -230,15 +236,15 @@ class ScriptedResolver:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScriptedResolver":
+        """Load a fixture; a file ``query`` could not replay raises IoFailure."""
         try:
             with open(path, encoding="utf-8") as fh:
                 script = json.load(fh)
+            _check_script(script)
         except OSError as exc:
             raise IoFailure(f"cannot read resolver fixture {path}: {exc}") from exc
         except ValueError as exc:
             raise IoFailure(f"malformed resolver fixture {path}: {exc}") from exc
-        if not isinstance(script, dict):
-            raise IoFailure(f"malformed resolver fixture {path}: not a JSON object")
         return cls(script)
 
     def _steps(self, vantage: VantagePoint, domain: str, rrtype: str):
@@ -277,6 +283,34 @@ class ScriptedResolver:
             return RrSet(rrtype=rrtype, values=values, ttl=int(step.get("ttl", 0)))
 
 
+def _is_count(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _valid_step(step: object) -> bool:
+    if step in ("nxdomain", "servfail"):
+        return True
+    if not isinstance(step, dict):
+        return False
+    values, ttl = step.get("values", []), step.get("ttl", 0)
+    return (isinstance(values, list) and all(isinstance(v, str) for v in values)
+            and _is_count(ttl) and ttl <= MAX_TTL
+            and _is_count(step.get("fail_count_before_success", 0)))
+
+
+def _check_script(script: object) -> None:
+    """Raise ValueError unless ``script`` has the shape ScriptedResolver documents."""
+    if not isinstance(script, dict):
+        raise ValueError("not a JSON object")
+    for key, entry in script.items():
+        if not isinstance(entry, dict) or not all(isinstance(s, list) for s in entry.values()):
+            raise ValueError(f"{key}: not an object of rrtype -> list of steps")
+        for rrtype, steps in entry.items():
+            for step in steps:
+                if not _valid_step(step):
+                    raise ValueError(f"{key}/{rrtype}: bad step {json.dumps(step)}")
+
+
 def backoff_delays(base: float, cap: float, max_attempts: int = MAX_ATTEMPTS) -> list[float]:
     """Delays slept between attempts: base, 2*base, ... capped at cap."""
     return [min(base * (2 ** k), cap) for k in range(max_attempts - 1)]
@@ -289,7 +323,6 @@ class MonitorConfig:
     types: Sequence[str] = ("A", "AAAA", "NS", "MX", "TXT")
     backoff_base: float = 0.5
     backoff_cap: float = 8.0
-    concurrency: int = 64
 
 
 def _query_with_retry(
@@ -399,6 +432,8 @@ class SnapshotStore:
                 return [DnsSnapshot.from_json(line) for line in fh if line.strip()]
         except OSError as exc:
             raise StoreFailure(f"cannot read {self.path}: {exc}") from exc
+        except (KeyError, TypeError, ValueError) as exc:  # a torn or foreign line
+            raise StoreFailure(f"malformed snapshot in {self.path}: {exc!r}") from exc
 
 
 def run_schedule(
@@ -408,47 +443,37 @@ def run_schedule(
     clock: Clock,
     resolver: Resolver,
     until: Optional[datetime] = None,
-    max_ticks: Optional[int] = None,
 ) -> int:
-    """Collect every domain once per interval tick until stopped.
+    """Collect every domain once per interval tick until ``until`` passes.
 
     Ticks fire after each full interval elapses; results are appended to
-    the store in (domain, vantage) order so runs are deterministic. Returns
-    the number of completed ticks.
+    the store in (domain, vantage) order so runs are deterministic. A
+    resolver with more than one worker gets one thread pool of that size
+    for the whole schedule. Returns the number of completed ticks.
     """
     if config.interval <= timedelta(0):
         raise ValueError("interval must be positive")
-    start = clock.now()
-    next_due = start + config.interval
+    next_due = clock.now() + config.interval
     ticks = 0
 
-    while True:
-        if until is not None and next_due > until:
-            break
-        if max_ticks is not None and ticks >= max_ticks:
-            break
-        gap = (next_due - clock.now()).total_seconds()
-        if gap > 0:
-            clock.sleep(gap)
+    def collect_one(domain: str) -> list[DnsSnapshot]:
+        return collect_snapshot(
+            domain, config.vantages, config.types, resolver,
+            clock=clock, taken_at=next_due,
+            backoff_base=config.backoff_base, backoff_cap=config.backoff_cap,
+        )
 
-        def collect_one(domain: str) -> list[DnsSnapshot]:
-            return collect_snapshot(
-                domain, config.vantages, config.types, resolver,
-                clock=clock, taken_at=next_due,
-                backoff_base=config.backoff_base, backoff_cap=config.backoff_cap,
-            )
-
-        if not domains:
-            results: list[list[DnsSnapshot]] = []
-        elif config.concurrency > 1:
-            with ThreadPoolExecutor(max_workers=config.concurrency) as pool:
-                results = list(pool.map(collect_one, domains))
-        else:
-            results = [collect_one(d) for d in domains]
-
-        store.append_many(snap for group in results for snap in group)
-        next_due += config.interval
-        ticks += 1
+    fan_out = resolver.workers > 1
+    with ThreadPoolExecutor(resolver.workers) if fan_out else nullcontext() as pool:
+        apply = pool.map if fan_out else map
+        while until is None or next_due <= until:
+            gap = (next_due - clock.now()).total_seconds()
+            if gap > 0:
+                clock.sleep(gap)
+            results = list(apply(collect_one, domains))
+            store.append_many(snap for group in results for snap in group)
+            next_due += config.interval
+            ticks += 1
     return ticks
 
 

@@ -139,6 +139,8 @@ class UdpResolver:
     reach report output.
     """
 
+    workers = 64  # each query blocks its thread for up to ``timeout``
+
     def __init__(self, timeout: float = 3.0):
         self.timeout = timeout
 

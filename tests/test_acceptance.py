@@ -171,7 +171,7 @@ def test_scheduler_three_rounds_in_ninety_minutes(tmp_path):
     store = dnsmon.SnapshotStore(tmp_path / "snaps.jsonl")
     clock = dnsmon.SimulatedClock(T0)
     config = dnsmon.MonitorConfig(interval=timedelta(minutes=30), vantages=vantages,
-                                  types=("A",), concurrency=1)
+                                  types=("A",))
     ticks = dnsmon.run_schedule(["a.com", "b.com"], config, store, clock, resolver,
                                 until=T0 + timedelta(minutes=90))
     assert ticks == 3
@@ -189,7 +189,7 @@ def test_change_detection_fixture(tmp_path):
     store = dnsmon.SnapshotStore(tmp_path / "snaps.jsonl")
     clock = dnsmon.SimulatedClock(T0)
     config = dnsmon.MonitorConfig(interval=timedelta(minutes=30), vantages=vantages,
-                                  types=("A", "NS"), concurrency=1)
+                                  types=("A", "NS"))
     domains = ["flux.top", "static1.com", "static2.com", "static3.com"]
     dnsmon.run_schedule(domains, config, store, clock, resolver,
                         until=T0 + timedelta(minutes=60))

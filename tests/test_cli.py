@@ -181,6 +181,40 @@ class TestMonitorCommand:
         ])
         assert code == 4
 
+    def test_torn_store_line_exits_4(self, tmp_path, capsys):
+        store = tmp_path / "snaps.jsonl"
+        args = ["monitor", "--config", CONFIG, "--snapshot-store", str(store)]
+        assert main(args + ["--out-dir", str(tmp_path / "first")]) == 0
+        store.write_text(store.read_text()[:-20])  # a crash mid-append
+        capsys.readouterr()
+        assert main(args + ["--out-dir", str(tmp_path / "out")]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("store failure: ") and err.count("\n") == 1, err
+        assert not (tmp_path / "out" / "record_changes.csv").exists()
+
+    def test_no_answered_record_exits_3(self, tmp_path, capsys):
+        # the fixture answers none of the 40 corpus domains
+        config = config_copy(tmp_path, {"monitor_domains": None})
+        code = main(["monitor", "--config", config, "--out-dir", str(tmp_path / "out")])
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert out == ""
+        assert err.startswith("empty output: ") and err.count("\n") == 1, err
+        assert not (tmp_path / "out" / "record_changes.csv").exists()
+
+    @pytest.mark.parametrize("command", ["monitor", "report"])
+    def test_simulate_mode_builds_no_pool(self, command, tmp_path, pools_made):
+        assert main([command, "--config", CONFIG, "--out-dir", str(tmp_path)]) == 0
+        assert pools_made == []
+
+    def test_concurrency_flag_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["monitor", "--config", CONFIG, "--concurrency", "4",
+                  "--out-dir", str(tmp_path)])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --concurrency 4" in capsys.readouterr().err
+
 
 class TestLifecycleCommand:
     def test_lifecycle_outputs(self, tmp_path):
@@ -285,7 +319,7 @@ DUPLICATE_VANTAGES = [{"id": "v1", "resolver_address": "192.0.2.1:53"},
 
 @pytest.mark.parametrize("changes", [
     pytest.param({"max_edit_distance": "2"}, id="string_for_int"),
-    pytest.param({"concurrency": True}, id="bool_for_int"),
+    pytest.param({"brand_top_n": True}, id="bool_for_int"),
     pytest.param({"rrtypes": "A,NS"}, id="string_for_list"),
     pytest.param({"feeds": [{"format": "lines"}]}, id="feed_without_path"),
     pytest.param(None, id="top_level_array"),
@@ -293,6 +327,10 @@ DUPLICATE_VANTAGES = [{"id": "v1", "resolver_address": "192.0.2.1:53"},
                  id="duplicate_vantage_id"),
     pytest.param({"resolver_fixture": ("fixture.json", '{"flux.top": {')},
                  id="malformed_resolver_fixture"),
+    pytest.param({"resolver_fixture": ("fixture.json", '{"flux.top": {"A": [5]}}')},
+                 id="malformed_resolver_fixture_step"),
+    pytest.param({"concurrency": 64}, id="removed_key"),
+    pytest.param({"max_edit_distnace": 3}, id="misspelt_key"),
 ])
 def test_bad_config_input_exits_2(changes, tmp_path, capsys):
     if changes is None:

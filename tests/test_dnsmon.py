@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -23,6 +24,7 @@ from phishlife.dnsmon import (
     ttl_stats,
     vantage_divergence,
 )
+from phishlife.errors import IoFailure
 
 UTC = timezone.utc
 T0 = datetime(2024, 6, 6, tzinfo=UTC)
@@ -157,20 +159,54 @@ class TestRetryContract:
         assert all(s.status == "ok" for s in snaps)
 
 
+@pytest.mark.parametrize("script", [
+    pytest.param([], id="array"),
+    pytest.param({"a.com": ["nxdomain"]}, id="entry_not_object"),
+    pytest.param({"a.com": {"A": "nxdomain"}}, id="steps_not_list"),
+    pytest.param({"a.com": {"A": [5]}}, id="step_number"),
+    pytest.param({"a.com": {"A": ["refused"]}}, id="unknown_step"),
+    pytest.param({"a.com": {"A": [{"values": "192.0.2.1"}]}}, id="values_not_list"),
+    pytest.param({"a.com": {"A": [{"values": [1]}]}}, id="value_not_string"),
+    pytest.param({"a.com": {"A": [{"values": ["x"], "ttl": -1}]}}, id="negative_ttl"),
+    pytest.param({"a.com": {"A": [{"values": ["x"], "ttl": 2**31}]}}, id="ttl_over_max"),
+    pytest.param({"a.com": {"A": [{"values": ["x"], "ttl": "60"}]}}, id="ttl_string"),
+    pytest.param({"a.com": {"A": [{"fail_count_before_success": -1}]}}, id="negative_fails"),
+    pytest.param({"a.com": {"A": [{"fail_count_before_success": True}]}}, id="bool_fails"),
+])
+def test_fixture_shape_checked_on_load(script, tmp_path):
+    path = tmp_path / "fixture.json"
+    path.write_text(json.dumps(script))
+    with pytest.raises(IoFailure, match="malformed resolver fixture"):
+        ScriptedResolver.from_file(path)
+
+
+def test_documented_fixture_shapes_load(tmp_path):
+    script = {"a.com": {"A": ["nxdomain", "servfail", {}, {"values": [], "ttl": 0},
+                              {"values": ["192.0.2.1"], "ttl": 2**31 - 1,
+                               "fail_count_before_success": 2}],
+                        "TXT": []},
+              "a.com@v1": {}}
+    path = tmp_path / "fixture.json"
+    path.write_text(json.dumps(script))
+    resolver = ScriptedResolver.from_file(path)
+    with pytest.raises(NxDomain):
+        resolver.query(V2, "a.com", "A")
+    assert resolver.query(V2, "a.com", "TXT") is None
+    assert resolver.query(V1, "a.com", "A") is None
+
+
 class TestScheduler:
     RESOLVER_SCRIPT = {
         "a.com": {"A": [{"values": ["192.0.2.1"], "ttl": 60}]},
         "b.com": {"A": [{"values": ["192.0.2.2"], "ttl": 60}]},
     }
 
-    def run(self, domains, minutes, concurrency=1, tmp_path=None):
+    def run(self, domains, minutes, workers=1, tmp_path=None):
         c = clock()
         store = SnapshotStore(tmp_path / "snaps.jsonl")
-        config = MonitorConfig(
-            interval=timedelta(minutes=30), vantages=[V1, V2], types=("A",),
-            concurrency=concurrency,
-        )
+        config = MonitorConfig(interval=timedelta(minutes=30), vantages=[V1, V2], types=("A",))
         resolver = ScriptedResolver(self.RESOLVER_SCRIPT)
+        resolver.workers = workers
         ticks = run_schedule(domains, config, store, c, resolver,
                              until=T0 + timedelta(minutes=minutes))
         return ticks, store.load()
@@ -191,22 +227,31 @@ class TestScheduler:
         assert not (tmp_path / "snaps.jsonl").exists()
 
     def test_serialized_collections_complete(self, tmp_path):
-        ticks, snaps = self.run(["a.com", "b.com"], 30, concurrency=1, tmp_path=tmp_path)
+        ticks, snaps = self.run(["a.com", "b.com"], 30, workers=1, tmp_path=tmp_path)
         assert ticks == 1
         assert [(-s.taken_at.timestamp(), s.registrable, s.vantage_id) for s in snaps] == sorted(
             (-s.taken_at.timestamp(), s.registrable, s.vantage_id) for s in snaps)
         assert len(snaps) == 4
 
     def test_parallel_matches_serial(self, tmp_path):
-        _, serial = self.run(["a.com", "b.com"], 60, concurrency=1, tmp_path=tmp_path / "s")
-        _, parallel = self.run(["a.com", "b.com"], 60, concurrency=8, tmp_path=tmp_path / "p")
+        _, serial = self.run(["a.com", "b.com"], 60, workers=1, tmp_path=tmp_path / "s")
+        _, parallel = self.run(["a.com", "b.com"], 60, workers=8, tmp_path=tmp_path / "p")
         assert serial == parallel
+
+    def test_one_pool_per_schedule(self, tmp_path, pools_made):
+        ticks, snaps = self.run(["a.com", "b.com"], 60, workers=8, tmp_path=tmp_path)
+        assert (ticks, len(snaps)) == (2, 8)
+        assert pools_made == [8]
+
+    def test_single_worker_builds_no_pool(self, tmp_path, pools_made):
+        self.run(["a.com", "b.com"], 60, tmp_path=tmp_path)
+        assert pools_made == []
 
     def test_interval_validation(self, tmp_path):
         config = MonitorConfig(interval=timedelta(0), vantages=[V1])
         with pytest.raises(ValueError):
             run_schedule([], config, SnapshotStore(tmp_path / "x.jsonl"), clock(),
-                         ScriptedResolver({}), max_ticks=1)
+                         ScriptedResolver({}), until=T0)
 
 
 class TestDiff:
