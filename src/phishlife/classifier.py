@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Mapping, NamedTuple, Optional
 
 from .errors import IoFailure, PhishlifeError
-from .ingest import DomainRecord, open_csv
+from .ingest import DomainRecord, read_csv, read_input
 from .squatgen import BrandCatalog, SquatIndex, match as squat_match
 from .timeutil import parse_utc
 
@@ -104,10 +104,7 @@ def load_allowlist(path: str | Path) -> Allowlist:
 
     Duplicate domains keep the lowest rank.
     """
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise IoFailure(f"cannot read allowlist {path}: {exc}") from exc
+    text = read_input(path, "allowlist")
 
     ranks: dict[str, int] = {}
     line_no = 0
@@ -136,27 +133,23 @@ def load_allowlist(path: str | Path) -> Allowlist:
 
 def load_word_list(path: str | Path) -> WordList:
     """Load a dictionary file, one lowercase word per line."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise IoFailure(f"cannot read word list {path}: {exc}") from exc
+    text = read_input(path, "word list")
     words = frozenset(w.strip().lower() for w in text.splitlines() if w.strip())
     return WordList(words=words)
 
 
 def load_registration_log(path: str | Path) -> list[RegistrationLogEntry]:
     """Load a registration log CSV (``registrable,registered_at,registrar``, header required)."""
+    rows = read_csv(path, ("registrable", "registered_at", "registrar"), "registration log")
     try:
-        with open_csv(path, ("registrable", "registered_at", "registrar"),
-                      "registration log") as reader:
-            entries = [
-                RegistrationLogEntry(
-                    registrable=row["registrable"].strip().lower(),
-                    registered_at=parse_utc(row["registered_at"]),
-                    registrar=row["registrar"].strip(),
-                )
-                for row in reader
-            ]
+        entries = [
+            RegistrationLogEntry(
+                registrable=row["registrable"].strip().lower(),
+                registered_at=parse_utc(row["registered_at"]),
+                registrar=row["registrar"].strip(),
+            )
+            for row in rows
+        ]
     except ValueError as exc:
         raise IoFailure(f"malformed registration log {path}: {exc}") from exc
     return entries

@@ -132,10 +132,7 @@ def load_config(path: Optional[str], args: argparse.Namespace) -> PipelineConfig
     cfg = PipelineConfig()
     if path:
         cfg_path = Path(path)
-        try:
-            raw = json.loads(cfg_path.read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot load config {path}: {exc}") from exc
+        raw = ingest.read_json(cfg_path, "config")
         if not isinstance(raw, dict):
             raise ConfigError(f"config {path} must be a JSON object")
         unknown = sorted(set(raw) - set(_FIELD_TYPES))
@@ -174,16 +171,21 @@ def _validate_params(cfg: PipelineConfig) -> None:
 def _require(cfg_value: Optional[Path], name: str) -> Path:
     if cfg_value is None:
         raise ConfigError(f"config key {name!r} is required for this command")
-    if not Path(cfg_value).exists():
-        raise ConfigError(f"{name} file not found: {cfg_value}")
     return Path(cfg_value)
 
 
 def write_atomic(path: Path, text: str) -> None:
-    """Write via a temp file and atomic rename; no partial files on failure."""
+    """Write via a temp file, fsync and atomic rename; no partial files on failure.
+
+    The temp name carries the process id, so two runs writing into one
+    output directory never share a temp file.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.write(text)
+        fh.flush()
+        os.fsync(fh.fileno())
     os.replace(tmp, path)
 
 
@@ -271,8 +273,9 @@ class Run:
     @cached_property
     def monitor_domains(self) -> list[str]:
         if self.cfg.monitor_domains is not None:
-            path = _require(self.cfg.monitor_domains, "monitor_domains")
-            domains = [l.strip().lower() for l in path.read_text(encoding="utf-8").splitlines()
+            text = ingest.read_input(_require(self.cfg.monitor_domains, "monitor_domains"),
+                                     "monitor domains")
+            domains = [l.strip().lower() for l in text.splitlines()
                        if l.strip() and not l.startswith("#")]
         else:
             domains = [r.registrable for r in self.table.records]

@@ -2,9 +2,8 @@
 
 Collects snapshots of tracked domains through a pluggable resolver (a
 scripted in-memory one for tests and simulation, a real stub client for
-operation), detects record changes, and computes TTL and vantage-divergence
-analytics. Failed queries are retried with exponential backoff, up to five
-attempts.
+operation), detects record changes, and computes TTL analytics. Failed
+queries are retried with exponential backoff, up to five attempts.
 """
 
 from __future__ import annotations
@@ -21,6 +20,7 @@ from pathlib import Path
 from typing import Iterable, Optional, Protocol, Sequence
 
 from .errors import IoFailure, PhishlifeError
+from .ingest import read_json
 from .timeutil import format_utc, parse_utc
 
 RRTYPES = ("A", "AAAA", "CNAME", "NS", "MX", "TXT", "SOA")
@@ -157,14 +157,6 @@ class TtlSummary:
     overall_mean_ttl: float
 
 
-@dataclass(frozen=True)
-class DivergenceReport:
-    registrable: str
-    rrtypes: tuple[str, ...]
-    # rrtype -> groups of vantage ids that saw the same answer multiset
-    vantage_partition: dict[str, tuple[tuple[str, ...], ...]]
-
-
 class Clock(Protocol):
     def now(self) -> datetime: ...
     def sleep(self, seconds: float) -> None: ...
@@ -237,12 +229,9 @@ class ScriptedResolver:
     @classmethod
     def from_file(cls, path: str | Path) -> "ScriptedResolver":
         """Load a fixture; a file ``query`` could not replay raises IoFailure."""
+        script = read_json(path, "resolver fixture")
         try:
-            with open(path, encoding="utf-8") as fh:
-                script = json.load(fh)
             _check_script(script)
-        except OSError as exc:
-            raise IoFailure(f"cannot read resolver fixture {path}: {exc}") from exc
         except ValueError as exc:
             raise IoFailure(f"malformed resolver fixture {path}: {exc}") from exc
         return cls(script)
@@ -584,59 +573,19 @@ def ttl_stats(snapshots: Iterable[DnsSnapshot]) -> TtlSummary:
     )
 
 
-def vantage_divergence(snapshots_same_tick: Sequence[DnsSnapshot]) -> Optional[DivergenceReport]:
-    """Partition vantages by distinct answer multisets per rrtype.
-
-    Returns None when fewer than two Ok snapshots are supplied or when all
-    vantages agree (TTL differences do not count).
-    """
-    ok = [s for s in snapshots_same_tick if s.status == STATUS_OK]
-    if len(ok) < 2:
-        return None
-    subjects = {s.registrable for s in ok}
-    if len(subjects) != 1:
-        raise MismatchedSubject(f"multiple domains in one tick group: {sorted(subjects)}")
-
-    rrtypes = sorted({t for s in ok for t in _values_by_type(s)})
-    partition: dict[str, tuple[tuple[str, ...], ...]] = {}
-    divergent: list[str] = []
-    for rrtype in rrtypes:
-        groups: dict[tuple[str, ...], list[str]] = {}
-        for snap in ok:
-            if rrtype in _failed_types(snap):
-                continue
-            answer = tuple(_values_by_type(snap).get(rrtype, []))
-            groups.setdefault(answer, []).append(snap.vantage_id)
-        if len(groups) > 1:
-            divergent.append(rrtype)
-            partition[rrtype] = tuple(sorted(
-                tuple(sorted(v)) for v in groups.values()
-            ))
-    if not divergent:
-        return None
-    return DivergenceReport(
-        registrable=ok[0].registrable,
-        rrtypes=tuple(divergent),
-        vantage_partition=partition,
-    )
-
-
 def load_vantages(path: str | Path) -> list[VantagePoint]:
     """Load vantage points from a JSON array of {id, resolver_address, region_label}.
 
     An unreadable or malformed file, or a repeated id, raises IoFailure.
     """
+    raw = read_json(path, "vantages")
     try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
         vantages = [
             VantagePoint(id=v["id"], resolver_address=v["resolver_address"],
                          region_label=v.get("region_label", ""))
             for v in raw
         ]
-    except OSError as exc:
-        raise IoFailure(f"cannot read vantages {path}: {exc}") from exc
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise IoFailure(f"malformed vantages {path}: {exc}") from exc
     ids = [v.id for v in vantages]
     if len(set(ids)) != len(ids):

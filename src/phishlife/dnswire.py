@@ -1,8 +1,11 @@
 """Minimal DNS stub-resolver client over UDP with TCP fallback.
 
 Implements just enough of the RFC 1035 wire format to query the record
-types the monitor tracks. Live queries are not exercised in tests; the
-encode/decode layer is, against fixed byte strings.
+types the monitor tracks. A reply that cannot be parsed raises
+ServerFailure, so the monitor retries it with backoff as it does SERVFAIL.
+Live queries are not exercised in tests; the encode/decode layer is,
+against fixed and fuzzed byte strings, and so is ``query`` with its socket
+exchange stubbed out.
 """
 
 from __future__ import annotations
@@ -104,7 +107,10 @@ def _decode_rdata(data: bytes, rtype: int, start: int, length: int) -> str:
 
 
 def parse_response(data: bytes) -> tuple[int, bool, list[tuple[str, int, int, str]]]:
-    """Parse a response into (rcode, truncated, [(name, type, ttl, text)])."""
+    """Parse a response into (rcode, truncated, [(name, type, ttl, text)]).
+
+    A malformed or truncated response raises ValueError.
+    """
     if len(data) < 12:
         raise ValueError("short DNS response")
     _qid, flags, qdcount, ancount, _ns, _ar = struct.unpack("!HHHHHH", data[:12])
@@ -115,12 +121,16 @@ def parse_response(data: bytes) -> tuple[int, bool, list[tuple[str, int, int, st
         _, offset = decode_name(data, offset)
         offset += 4  # qtype + qclass
     answers = []
-    for _ in range(ancount):
-        name, offset = decode_name(data, offset)
-        rtype, _rclass, ttl, rdlength = struct.unpack("!HHIH", data[offset:offset + 10])
-        offset += 10
-        answers.append((name, rtype, min(ttl, MAX_TTL), _decode_rdata(data, rtype, offset, rdlength)))
-        offset += rdlength
+    try:
+        for _ in range(ancount):
+            name, offset = decode_name(data, offset)
+            rtype, _rclass, ttl, rdlength = struct.unpack("!HHIH", data[offset:offset + 10])
+            offset += 10
+            answers.append((name, rtype, min(ttl, MAX_TTL),
+                            _decode_rdata(data, rtype, offset, rdlength)))
+            offset += rdlength
+    except struct.error as exc:  # a record header or fixed-size rdata cut short
+        raise ValueError(f"truncated DNS response: {exc}") from exc
     return rcode, truncated, answers
 
 
@@ -158,6 +168,9 @@ class UdpResolver:
             raise QueryTimeout(f"{domain}/{rrtype} via {vantage.id}") from exc
         except OSError as exc:
             raise ServerFailure(f"{domain}/{rrtype} via {vantage.id}: {exc}") from exc
+        except ValueError as exc:  # a malformed reply is retried like SERVFAIL
+            raise ServerFailure(
+                f"malformed reply for {domain}/{rrtype} via {vantage.id}: {exc}") from exc
 
         if rcode == RCODE_NXDOMAIN:
             raise NxDomain(domain)

@@ -8,13 +8,13 @@ registrable domain.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import re
-from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import IoFailure, PhishlifeError
 from .timeutil import parse_utc
@@ -168,24 +168,38 @@ def parse_url(raw: str) -> ParsedUrl:
     return ParsedUrl(scheme=parts.scheme.lower(), host=host, path=parts.path)
 
 
-@contextmanager
-def open_csv(path: str | Path, header: Sequence[str], what: str) -> Iterator[csv.DictReader]:
-    """Open a CSV file whose header must be exactly ``header``.
+def read_input(path: str | Path, what: str) -> str:
+    """Read a UTF-8 input file, line endings kept; OSError or UnicodeError raises IoFailure."""
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except (OSError, UnicodeError) as exc:
+        raise IoFailure(f"cannot read {what} {path}: {exc}") from exc
 
-    Yields a DictReader over the data rows, keyed by the names in
-    ``header`` even where the file pads them with spaces; a short row's
-    missing fields read as "". A wrong header, and any OSError while the
-    file is open, raise IoFailure naming ``what``.
+
+def read_json(path: str | Path, what: str) -> object:
+    """Read and decode a JSON input file; invalid JSON raises IoFailure."""
+    text = read_input(path, what)
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        raise IoFailure(f"malformed {what} {path}: {exc}") from exc
+
+
+def read_csv(path: str | Path, header: Sequence[str], what: str) -> list[dict[str, str]]:
+    """Read a CSV file whose header must be exactly ``header``.
+
+    Returns the data rows keyed by the names in ``header``, even where the
+    file pads them with spaces; a short row's missing fields read as "".
+    A wrong header or a row the csv module rejects raises IoFailure.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh, restval="")
-            if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != list(header):
-                raise IoFailure(f"{path}: expected header {','.join(header)}")
-            reader.fieldnames = list(header)
-            yield reader
-    except OSError as exc:
-        raise IoFailure(f"cannot read {what} {path}: {exc}") from exc
+        reader = csv.DictReader(io.StringIO(read_input(path, what), newline=""), restval="")
+        if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != list(header):
+            raise IoFailure(f"{path}: expected header {','.join(header)}")
+        reader.fieldnames = list(header)
+        return list(reader)
+    except csv.Error as exc:
+        raise IoFailure(f"malformed {what} {path}: {exc}") from exc
 
 
 def load_suffix_rules(path: str | Path) -> SuffixRules:
@@ -195,11 +209,7 @@ def load_suffix_rules(path: str | Path) -> SuffixRules:
     wildcard rules, ``!``-prefixed lines exception rules, everything else
     an exact rule.
     """
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise IoFailure(f"cannot read suffix rules {path}: {exc}") from exc
-
+    text = read_input(path, "suffix rules")
     exact: set[str] = set()
     wildcard: set[str] = set()
     exception: set[str] = set()
@@ -302,11 +312,7 @@ def load_feed(path: str | Path, format: str = "lines") -> FeedLoadResult:
     """
     if format not in ("lines", "json"):
         raise ValueError(f"unknown feed format {format!r}")
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise IoFailure(f"cannot read feed {path}: {exc}") from exc
-
+    text = read_input(path, "feed")
     entries: list[FeedEntry] = []
     skipped = 0
     if format == "lines":

@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, Optional
 
 from .classifier import ClassificationResult
 from .errors import PhishlifeError
-from .ingest import DomainRecord, open_csv
+from .ingest import DomainRecord, read_csv
 from .timeutil import parse_utc, to_days
 
 KIND_WHOIS = "whois"
@@ -102,20 +102,19 @@ def load_timestamp_sources(path: str | Path) -> tuple[list[TimestampSource], int
     """
     sources: list[TimestampSource] = []
     skipped = 0
-    with open_csv(path, ("registrable", "kind", "at"), "timestamp sources") as reader:
-        for row in reader:
-            kind = row["kind"].strip()
-            if kind not in KIND_ORDER:
-                skipped += 1
-                continue
-            try:
-                at = parse_utc(row["at"])
-            except ValueError:
-                skipped += 1
-                continue
-            sources.append(TimestampSource(
-                kind=kind, registrable=row["registrable"].strip().lower(), at=at,
-            ))
+    for row in read_csv(path, ("registrable", "kind", "at"), "timestamp sources"):
+        kind = row["kind"].strip()
+        if kind not in KIND_ORDER:
+            skipped += 1
+            continue
+        try:
+            at = parse_utc(row["at"])
+        except ValueError:
+            skipped += 1
+            continue
+        sources.append(TimestampSource(
+            kind=kind, registrable=row["registrable"].strip().lower(), at=at,
+        ))
     return sources, skipped
 
 

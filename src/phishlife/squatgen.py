@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import NamedTuple, Optional
 
 from .errors import IoFailure, PhishlifeError
-from .ingest import DomainRecord, open_csv
+from .ingest import DomainRecord, read_csv
 
 LABEL_RE = re.compile(r"^[a-z0-9]([a-z0-9-]*[a-z0-9])?$")
 ALNUM = "abcdefghijklmnopqrstuvwxyz0123456789"
@@ -187,16 +187,16 @@ def generate(brand_domain: str, brand_id: Optional[str] = None) -> set[SquatCand
 
 def load_catalog(path: str | Path, brand_top_n: int = 1000, squat_top_n: int = 200) -> BrandCatalog:
     """Load a brand catalog CSV (``rank,brand_id,canonical_domain``, header required)."""
+    rows = read_csv(path, ("rank", "brand_id", "canonical_domain"), "brand catalog")
     try:
-        with open_csv(path, ("rank", "brand_id", "canonical_domain"), "brand catalog") as reader:
-            brands = [
-                Brand(
-                    brand_id=row["brand_id"].strip().lower(),
-                    canonical_domain=row["canonical_domain"].strip().lower(),
-                    rank=int(row["rank"]),
-                )
-                for row in reader
-            ]
+        brands = [
+            Brand(
+                brand_id=row["brand_id"].strip().lower(),
+                canonical_domain=row["canonical_domain"].strip().lower(),
+                rank=int(row["rank"]),
+            )
+            for row in rows
+        ]
     except ValueError as exc:
         raise IoFailure(f"malformed brand catalog {path}: {exc}") from exc
     for b in brands:

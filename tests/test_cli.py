@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 from collections import Counter
 from pathlib import Path
 
@@ -279,6 +280,20 @@ class TestReportCommand:
         ]:
             assert (tmp_path / name).exists(), name
 
+    def test_each_output_fsynced_once(self, tmp_path, monkeypatch):
+        synced: Counter = Counter()
+        fsync = os.fsync
+
+        def counted(fd):
+            synced[os.fstat(fd).st_ino] += 1
+            fsync(fd)
+        monkeypatch.setattr(os, "fsync", counted)
+        assert main(["report", "--config", CONFIG, "--out-dir", str(tmp_path)]) == 0
+        assert not list(tmp_path.glob("*.tmp"))
+        # the snapshot store is appended to, not replaced
+        outputs = [p for p in tmp_path.iterdir() if p.name != "snapshots.jsonl"]
+        assert synced == {p.stat().st_ino: 1 for p in outputs}
+
 
 # monitor reads its domains from monitor_domains, or else from the feed's table
 @pytest.fixture(params=["monitor_domains", "feed_domains"])
@@ -342,3 +357,37 @@ def test_bad_config_input_exits_2(changes, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+# every input a config key names; the snapshot store is left out, because
+# its failures exit 4
+INPUT_KEYS = ["feeds", "suffix_rules", "allowlist", "brand_catalog", "word_list",
+              "registration_log", "timestamp_sources", "vantage_config",
+              "resolver_fixture", "monitor_domains"]
+CSV_KEYS = ["brand_catalog", "registration_log", "timestamp_sources"]
+
+
+def write_unreadable(path: Path, kind: str, key: str) -> None:
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "non_utf8":
+        path.write_bytes(b"\xff\xfe not utf-8\n")
+    else:  # the right header, then a field one character over the csv limit
+        name = json.loads((DATA / "config.json").read_text())[key]
+        header = (DATA / name).read_text().split("\n", 1)[0]
+        path.write_text(f"{header}\n{'x' * (csv.field_size_limit() + 1)},,\n")
+
+
+@pytest.mark.parametrize("key,kind", [
+    *[(key, kind) for key in INPUT_KEYS for kind in ("non_utf8", "directory")],
+    *[(key, "csv_field_limit") for key in CSV_KEYS],
+])
+def test_unreadable_input_exits_2(key, kind, tmp_path, capsys):
+    bad = tmp_path / "bad_input"
+    write_unreadable(bad, kind, key)
+    value = [{"path": str(bad), "format": "lines"}] if key == "feeds" else str(bad)
+    config = config_copy(tmp_path, {key: value})
+    code = main(["report", "--config", config, "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(bad) in err, err

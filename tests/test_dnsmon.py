@@ -22,7 +22,6 @@ from phishlife.dnsmon import (
     diff_snapshots,
     run_schedule,
     ttl_stats,
-    vantage_divergence,
 )
 from phishlife.errors import IoFailure
 
@@ -348,40 +347,6 @@ class TestTtlStats:
         assert summary.between_43200s_and_86400s == sum(
             1 for t in mins.values() if 43200 < t < 86400)
         assert summary.under_60s <= summary.under_3600s
-
-
-class TestVantageDivergence:
-    def test_all_agree(self):
-        snaps = [
-            snapshot("a.com", v, 0, [a_rrset("192.0.2.1")]) for v in ("v1", "v2", "v3")
-        ]
-        assert vantage_divergence(snaps) is None
-
-    def test_differing_a_sets(self):
-        snaps = [
-            snapshot("a.com", "v1", 0, [a_rrset("192.0.2.1")]),
-            snapshot("a.com", "v2", 0, [a_rrset("198.51.100.9")]),
-        ]
-        report = vantage_divergence(snaps)
-        assert report.rrtypes == ("A",)
-        assert report.vantage_partition["A"] == (("v1",), ("v2",))
-
-    def test_ttl_only_difference(self):
-        snaps = [
-            snapshot("a.com", "v1", 0, [a_rrset("192.0.2.1", ttl=60)]),
-            snapshot("a.com", "v2", 0, [a_rrset("192.0.2.1", ttl=600)]),
-        ]
-        assert vantage_divergence(snaps) is None
-
-    def test_single_snapshot_is_none(self):
-        assert vantage_divergence([snapshot("a.com", "v1", 0, [a_rrset("x")])]) is None
-
-    def test_mixed_subjects_rejected(self):
-        with pytest.raises(MismatchedSubject):
-            vantage_divergence([
-                snapshot("a.com", "v1", 0, [a_rrset("x")]),
-                snapshot("b.com", "v2", 0, [a_rrset("x")]),
-            ])
 
 
 class TestStore:

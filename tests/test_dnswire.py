@@ -3,9 +3,12 @@ from __future__ import annotations
 import struct
 
 import pytest
+from hypothesis import example, given, strategies as st
 
+from phishlife.dnsmon import ServerFailure, VantagePoint
 from phishlife.dnswire import (
     TYPE_CODES,
+    UdpResolver,
     build_query,
     decode_name,
     encode_name,
@@ -113,3 +116,46 @@ class TestDecode:
     def test_short_packet_rejected(self):
         with pytest.raises(ValueError):
             parse_response(b"\x00\x01")
+
+
+# replies that parse_response must reject, each through a different path
+MALFORMED_REPLIES = {
+    "short_header": b"\x00\x01",
+    "answer_header_cut_short": header(an=1) + question() + b"\xc0\x0c\x00\x01",
+    "two_byte_a_rdata": header(an=1) + question() + rr(b"\xc0\x0c", TYPE_CODES["A"], 300, b"\xc0\x00"),
+    "one_byte_mx_rdata": header(an=1) + question() + rr(b"\xc0\x0c", TYPE_CODES["MX"], 300, b"\x00"),
+    "soa_counters_cut_short": header(an=1) + question()
+    + rr(b"\xc0\x0c", TYPE_CODES["SOA"], 300, b"\xc0\x0c\xc0\x0c\x00\x00"),
+}
+
+# a header with small section counts, then arbitrary bytes, so that most
+# examples reach the question and answer parsers rather than the length check
+REPLIES = st.one_of(
+    st.binary(max_size=64),
+    st.builds(lambda qd, an, body: header(qd=qd, an=an) + body,
+              st.integers(0, 2), st.integers(0, 3), st.binary(max_size=96)),
+    st.builds(lambda rtype, rdata, tail: header(an=1) + question()
+              + rr(b"\xc0\x0c", rtype, 300, rdata) + tail,
+              st.sampled_from(sorted(TYPE_CODES.values())), st.binary(max_size=24),
+              st.binary(max_size=8)),
+)
+
+
+class TestMalformedReply:
+    @given(REPLIES)
+    @example(MALFORMED_REPLIES["answer_header_cut_short"])
+    @example(MALFORMED_REPLIES["one_byte_mx_rdata"])
+    @example(MALFORMED_REPLIES["soa_counters_cut_short"])
+    def test_only_value_error_leaves_parse_response(self, data):
+        try:
+            parse_response(data)
+        except ValueError:
+            pass
+
+    @pytest.mark.parametrize("reply", MALFORMED_REPLIES.values(), ids=MALFORMED_REPLIES)
+    def test_query_raises_server_failure(self, reply, monkeypatch):
+        resolver = UdpResolver()
+        monkeypatch.setattr(resolver, "_exchange_udp", lambda request, host, port: reply)
+        vantage = VantagePoint(id="v1", resolver_address="192.0.2.1:53", region_label="")
+        with pytest.raises(ServerFailure, match="malformed reply"):
+            resolver.query(vantage, "example.com", "A")

@@ -248,7 +248,7 @@ class TestLoadFeed:
 COM_RULES = SuffixRules(frozenset({"com"}), frozenset(), frozenset())
 
 
-# the loaders that read a header-checked CSV through ingest.open_csv, by data file
+# the loaders that read a header-checked CSV through ingest.read_csv, by data file
 CSV_LOADERS = {
     "brands.csv": (squatgen.load_catalog, "rank,brand_id,canonical_domain"),
     "registration_log.csv": (classifier.load_registration_log,
