@@ -235,6 +235,36 @@ def _window_start(at: datetime, window: timedelta) -> datetime:
     return datetime.fromtimestamp(bucket * seconds, tz=timezone.utc)
 
 
+def _candidate_pairs(labels: list[str], max_edit_distance: int) -> list[tuple[int, int]]:
+    """Index pairs (i < j) that may lie within max_edit_distance, sorted.
+
+    Partition filter (Pass-Join, Li et al., VLDB 2011): each label is cut into
+    max_edit_distance + 1 near-equal segments. An edit touches at most one
+    segment, so a label within max_edit_distance edits of another contains
+    one of its segments intact. A label no longer than max_edit_distance is
+    cut into its characters plus one empty segment, which every label
+    contains, so it pairs with all the others. The filter is exact: it drops
+    only pairs farther apart than max_edit_distance.
+    """
+    index: dict[str, set[int]] = {}
+    for i, label in enumerate(labels):
+        parts = min(max_edit_distance, len(label)) + 1
+        cuts = [len(label) * n // parts for n in range(parts + 1)]
+        for start, end in zip(cuts, cuts[1:]):
+            index.setdefault(label[start:end], set()).add(i)
+    lengths = {len(segment) for segment in index}
+
+    pairs: set[tuple[int, int]] = set()
+    for j, label in enumerate(labels):
+        probes = {label[start:start + length]
+                  for length in lengths for start in range(len(label) - length + 1)}
+        for probe in probes:
+            for i in index.get(probe, ()):
+                if i != j and abs(len(labels[i]) - len(label)) <= max_edit_distance:
+                    pairs.add((min(i, j), max(i, j)))
+    return sorted(pairs)
+
+
 def cluster_bulk(
     log: list[RegistrationLogEntry],
     window: timedelta = timedelta(hours=24),
@@ -246,7 +276,8 @@ def cluster_bulk(
     Entries are bucketed by registrar and a tumbling, epoch-aligned window
     over registered_at; within a bucket, second-level labels within
     max_edit_distance form edges, and connected components of at least
-    min_cluster_size become clusters.
+    min_cluster_size become clusters. A partition filter proposes the
+    candidate pairs, and ``levenshtein`` decides each one not already joined.
     """
     if window <= timedelta(0):
         raise ValueError("window must be positive")
@@ -270,10 +301,10 @@ def cluster_bulk(
                 x = parent[x]
             return x
 
-        for i in range(len(domains)):
-            for j in range(i + 1, len(domains)):
-                if levenshtein(labels[i], labels[j]) <= max_edit_distance:
-                    parent[find(i)] = find(j)
+        for i, j in _candidate_pairs(labels, max_edit_distance):
+            root_i, root_j = find(i), find(j)
+            if root_i != root_j and levenshtein(labels[i], labels[j]) <= max_edit_distance:
+                parent[root_i] = root_j
 
         components: dict[int, set[str]] = {}
         for i, domain in enumerate(domains):

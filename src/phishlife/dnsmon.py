@@ -573,10 +573,27 @@ def ttl_stats(snapshots: Iterable[DnsSnapshot]) -> TtlSummary:
     )
 
 
+def parse_resolver_address(address: object) -> tuple[str, int]:
+    """Split a resolver address ``host`` or ``host:port`` into (host, port).
+
+    The port defaults to 53. A non-string address, or a port that is not
+    decimal digits in 0-65535, raises ValueError.
+    """
+    if not isinstance(address, str):
+        raise ValueError(f"resolver address {address!r} is not a string")
+    if address.count(":") != 1:  # a bare host, or an IPv6 address
+        return address, 53
+    host, port = address.split(":")
+    if not (port.isascii() and port.isdigit() and int(port) <= 65535):
+        raise ValueError(f"port of resolver address {address!r} is not an integer in 0-65535")
+    return host, int(port)
+
+
 def load_vantages(path: str | Path) -> list[VantagePoint]:
     """Load vantage points from a JSON array of {id, resolver_address, region_label}.
 
-    An unreadable or malformed file, or a repeated id, raises IoFailure.
+    An unreadable or malformed file, a bad resolver address or a repeated id
+    raises IoFailure.
     """
     raw = read_json(path, "vantages")
     try:
@@ -585,7 +602,9 @@ def load_vantages(path: str | Path) -> list[VantagePoint]:
                          region_label=v.get("region_label", ""))
             for v in raw
         ]
-    except (KeyError, TypeError) as exc:
+        for v in vantages:
+            parse_resolver_address(v.resolver_address)
+    except (KeyError, TypeError, ValueError) as exc:
         raise IoFailure(f"malformed vantages {path}: {exc}") from exc
     ids = [v.id for v in vantages]
     if len(set(ids)) != len(ids):

@@ -1,11 +1,12 @@
 """Minimal DNS stub-resolver client over UDP with TCP fallback.
 
 Implements just enough of the RFC 1035 wire format to query the record
-types the monitor tracks. A reply that cannot be parsed raises
-ServerFailure, so the monitor retries it with backoff as it does SERVFAIL.
-Live queries are not exercised in tests; the encode/decode layer is,
-against fixed and fuzzed byte strings, and so is ``query`` with its socket
-exchange stubbed out.
+types the monitor tracks. A reply is accepted only from the resolver's
+address and only if it carries the query's id and question (RFC 5452
+section 9.1); other datagrams are dropped. A reply that cannot be parsed
+raises ServerFailure, so the monitor retries it with backoff as it does
+SERVFAIL. Tests exercise the encode/decode layer against fixed and fuzzed
+byte strings, and ``query`` against a loopback server.
 """
 
 from __future__ import annotations
@@ -13,9 +14,12 @@ from __future__ import annotations
 import os
 import socket
 import struct
+import time
 from typing import Optional
 
-from .dnsmon import MAX_TTL, NxDomain, QueryTimeout, RrSet, ServerFailure, VantagePoint
+from .dnsmon import (
+    MAX_TTL, NxDomain, QueryTimeout, RrSet, ServerFailure, VantagePoint, parse_resolver_address,
+)
 
 TYPE_CODES = {"A": 1, "NS": 2, "CNAME": 5, "SOA": 6, "MX": 15, "TXT": 16, "AAAA": 28}
 CODE_TYPES = {v: k for k, v in TYPE_CODES.items()}
@@ -134,11 +138,10 @@ def parse_response(data: bytes) -> tuple[int, bool, list[tuple[str, int, int, st
     return rcode, truncated, answers
 
 
-def _parse_address(address: str) -> tuple[str, int]:
-    if address.count(":") == 1:  # host:port (IPv4 or name)
-        host, port = address.rsplit(":", 1)
-        return host, int(port)
-    return address, 53
+def _is_reply_to(request: bytes, reply: bytes) -> bool:
+    """True if reply carries the request's id and echoes its one question."""
+    return (reply[:2] == request[:2] and reply[4:6] == request[4:6]
+            and reply[12:len(request)] == request[12:])
 
 
 class UdpResolver:
@@ -157,7 +160,7 @@ class UdpResolver:
     def query(self, vantage: VantagePoint, domain: str, rrtype: str) -> Optional[RrSet]:
         qid = int.from_bytes(os.urandom(2), "big")
         request = build_query(domain, rrtype, qid)
-        host, port = _parse_address(vantage.resolver_address)
+        host, port = parse_resolver_address(vantage.resolver_address)
         try:
             data = self._exchange_udp(request, host, port)
             rcode, truncated, answers = parse_response(data)
@@ -188,17 +191,31 @@ class UdpResolver:
         )
 
     def _exchange_udp(self, request: bytes, host: str, port: int) -> bytes:
+        # connect() makes the kernel drop datagrams from any other source;
+        # a datagram that is not a reply to this request is skipped, and the
+        # query's one timeout covers all of them.
+        deadline = time.monotonic() + self.timeout
         with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
-            sock.settimeout(self.timeout)
-            sock.sendto(request, (host, port))
-            return sock.recv(4096)
+            sock.connect((host, port))
+            sock.send(request)
+            while True:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    raise socket.timeout("no matching reply")
+                sock.settimeout(remaining)
+                reply = sock.recv(4096)
+                if _is_reply_to(request, reply):
+                    return reply
 
     def _exchange_tcp(self, request: bytes, host: str, port: int) -> bytes:
         with socket.create_connection((host, port), timeout=self.timeout) as sock:
             sock.sendall(struct.pack("!H", len(request)) + request)
             size_raw = self._recv_exact(sock, 2)
             size = struct.unpack("!H", size_raw)[0]
-            return self._recv_exact(sock, size)
+            reply = self._recv_exact(sock, size)
+        if not _is_reply_to(request, reply):
+            raise ValueError("TCP reply does not match the query")
+        return reply
 
     @staticmethod
     def _recv_exact(sock: socket.socket, n: int) -> bytes:

@@ -233,50 +233,48 @@ def load_suffix_rules(path: str | Path) -> SuffixRules:
     return SuffixRules(frozenset(exact), frozenset(wildcard), frozenset(exception))
 
 
-def _label_suffix_matches(host_labels: list[str], rule: str) -> bool:
-    rule_labels = rule.split(".")
-    return len(host_labels) >= len(rule_labels) and host_labels[-len(rule_labels):] == rule_labels
-
-
 def split_registrable(host: str, rules: SuffixRules) -> RegistrableParts:
     """Split a normalized host into (subdomain, registrable, public suffix).
 
-    Exception rules beat wildcard rules beat exact rules; within a kind the
-    longest match wins. When no rule matches, the last label is used as the
+    Walks the host's label suffixes, shortest first, and looks each one up in
+    the three rule sets, so the cost grows with the host's labels, not with
+    the rules. Exception rules beat wildcard rules beat exact rules; within a
+    kind the longest match wins. A wildcard therefore beats a longer exact
+    rule: with ``*.c.com`` and ``a.b.c.com`` the host ``x.a.b.c.com`` gets
+    suffix ``b.c.com``, where the PSL's "most labels wins" gives
+    ``a.b.c.com``. When no rule matches, the last label is used as the
     suffix and the result is flagged via ``suffix_listed=False``.
     """
     labels = host.split(".")
-    suffix_labels: Optional[list[str]] = None
-    listed = True
+    # label count of the longest match of each kind; 0 for none
+    exception = wildcard = exact = 0
+    for k in range(1, len(labels) + 1):
+        suffix = ".".join(labels[-k:])
+        if suffix in rules.exception:
+            exception = k
+        if k < len(labels) and suffix in rules.wildcard:  # "*" takes one more label
+            wildcard = k
+        if suffix in rules.exact:
+            exact = k
 
-    exc_matches = [r for r in rules.exception if _label_suffix_matches(labels, r)]
-    if exc_matches:
+    # n is the label count of the public suffix
+    listed = True
+    if exception:
         # An exception names a registrable domain inside a wildcard block:
         # the public suffix is the rule minus its leftmost label.
-        best = max(exc_matches, key=lambda r: r.count("."))
-        suffix_labels = best.split(".")[1:]
+        n = exception - 1
+    elif wildcard:
+        n = wildcard + 1
+    elif exact:
+        n = exact
     else:
-        wild_matches = [
-            r for r in rules.wildcard
-            if len(labels) >= len(r.split(".")) + 1 and _label_suffix_matches(labels, r)
-        ]
-        exact_matches = [r for r in rules.exact if _label_suffix_matches(labels, r)]
-        if wild_matches:
-            best = max(wild_matches, key=lambda r: r.count("."))
-            suffix_labels = labels[-(len(best.split(".")) + 1):]
-        elif exact_matches:
-            best = max(exact_matches, key=lambda r: r.count("."))
-            suffix_labels = best.split(".")
-        else:
-            suffix_labels = labels[-1:]
-            listed = False
+        n, listed = 1, False
 
-    n = len(suffix_labels)
     if len(labels) <= n:
         raise HostIsSuffix(f"{host!r} is a public suffix")
     registrable = ".".join(labels[-(n + 1):])
     subdomain = ".".join(labels[: -(n + 1)])
-    public_suffix = ".".join(suffix_labels)
+    public_suffix = ".".join(labels[len(labels) - n:])
     return RegistrableParts(subdomain, registrable, public_suffix, suffix_listed=listed)
 
 

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import csv
+import random
+import string
 from datetime import datetime, timedelta, timezone
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from phishlife import classifier
 from phishlife.classifier import (
     Allowlist,
     ClassifierContext,
@@ -280,6 +283,34 @@ class TestClusterBulk:
         log = load_registration_log(data_dir / "registration_log.csv")
         got = {c.members for c in cluster_bulk(log, self.WINDOW, 2, 3)}
         assert got == clusters_oracle(log, self.WINDOW, 2, 3)
+
+    @given(st.lists(st.tuples(st.text(alphabet="ab-", max_size=9), st.sampled_from(["com", "top"])),
+                    min_size=2, max_size=30),
+           st.integers(0, 5))
+    def test_equals_oracle_on_random_buckets(self, names, max_dist):
+        log = [log_entry(f"{label}.{tld}", "2024-05-01T10:00:00", "r") for label, tld in names]
+        got = {c.members for c in cluster_bulk(log, self.WINDOW, max_dist, 2)}
+        assert got == clusters_oracle(log, self.WINDOW, max_dist, 2)
+
+    def test_distance_computed_for_few_pairs(self, monkeypatch):
+        calls = []
+        exact = classifier.levenshtein
+
+        def counted(a: str, b: str) -> int:
+            calls.append((a, b))
+            return exact(a, b)
+
+        monkeypatch.setattr(classifier, "levenshtein", counted)
+        rng = random.Random(1)
+        labels = set()
+        while len(labels) < 300:
+            labels.add("".join(rng.choices(string.ascii_lowercase, k=12)))
+        log = [log_entry(f"{label}.com", "2024-05-01T10:00:00", "r") for label in sorted(labels)]
+        cluster_bulk(log, self.WINDOW, 2, 3)
+        assert len(calls) < 0.01 * (300 * 299 // 2)
+        # the counter sees the calls cluster_bulk makes
+        self.test_three_similar_same_hour()
+        assert calls
 
     def test_cluster_invariants(self, data_dir):
         log = load_registration_log(data_dir / "registration_log.csv")

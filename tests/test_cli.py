@@ -332,6 +332,10 @@ DUPLICATE_VANTAGES = [{"id": "v1", "resolver_address": "192.0.2.1:53"},
                       {"id": "v1", "resolver_address": "192.0.2.2:53"}]
 
 
+def vantage_file(address: object) -> tuple[str, str]:
+    return "vantages.json", json.dumps([{"id": "v1", "resolver_address": address}])
+
+
 @pytest.mark.parametrize("changes", [
     pytest.param({"max_edit_distance": "2"}, id="string_for_int"),
     pytest.param({"brand_top_n": True}, id="bool_for_int"),
@@ -340,6 +344,10 @@ DUPLICATE_VANTAGES = [{"id": "v1", "resolver_address": "192.0.2.1:53"},
     pytest.param(None, id="top_level_array"),
     pytest.param({"vantage_config": ("vantages.json", json.dumps(DUPLICATE_VANTAGES))},
                  id="duplicate_vantage_id"),
+    pytest.param({"vantage_config": vantage_file("127.0.0.1:abc")}, id="non_integer_resolver_port"),
+    pytest.param({"vantage_config": vantage_file("127.0.0.1:70000")},
+                 id="resolver_port_out_of_range"),
+    pytest.param({"vantage_config": vantage_file(5)}, id="non_string_resolver_address"),
     pytest.param({"resolver_fixture": ("fixture.json", '{"flux.top": {')},
                  id="malformed_resolver_fixture"),
     pytest.param({"resolver_fixture": ("fixture.json", '{"flux.top": {"A": [5]}}')},

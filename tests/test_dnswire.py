@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import socket
 import struct
+import threading
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from phishlife.dnsmon import ServerFailure, VantagePoint
+from phishlife.dnsmon import QueryTimeout, ServerFailure, VantagePoint
 from phishlife.dnswire import (
     TYPE_CODES,
     UdpResolver,
@@ -159,3 +161,111 @@ class TestMalformedReply:
         vantage = VantagePoint(id="v1", resolver_address="192.0.2.1:53", region_label="")
         with pytest.raises(ServerFailure, match="malformed reply"):
             resolver.query(vantage, "example.com", "A")
+
+
+def a_reply(query: bytes, address: str, qid_delta: int = 0, name: str = "", flags: int = 0x8180) -> bytes:
+    """An A reply to query; qid_delta and name make it answer another query."""
+    qid = (struct.unpack("!H", query[:2])[0] + qid_delta) % 0x10000
+    asked = question(name) if name else query[12:]
+    return (header(qid=qid, flags=flags, an=1) + asked
+            + rr(b"\xc0\x0c", TYPE_CODES["A"], 300, socket.inet_aton(address)))
+
+
+def loopback_vantage(port: int) -> VantagePoint:
+    return VantagePoint(id="v1", resolver_address=f"127.0.0.1:{port}", region_label="")
+
+
+@pytest.fixture
+def in_thread():
+    """Run functions on threads; after the test, each must have finished."""
+    threads = []
+
+    def start(target) -> None:
+        thread = threading.Thread(target=target, daemon=True)
+        thread.start()
+        threads.append(thread)
+
+    yield start
+    for thread in threads:
+        thread.join(5)
+        assert not thread.is_alive()
+
+
+def udp_server(in_thread, replies, stranger=()) -> int:
+    """A UDP server on 127.0.0.1 that answers one query; returns its port.
+
+    Each reply is a function of the query bytes. Before the server sends the
+    replies, another socket sends the stranger datagrams to the same client.
+    """
+    server = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    server.bind(("127.0.0.1", 0))
+    server.settimeout(5)
+
+    def serve():
+        with server, socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as other:
+            query, client = server.recvfrom(512)
+            for build in stranger:
+                other.sendto(build(query), client)
+            for build in replies:
+                server.sendto(build(query), client)
+
+    in_thread(serve)
+    return server.getsockname()[1]
+
+
+def tcp_server(in_thread, reply) -> int:
+    """A TCP server on 127.0.0.1 that answers one query with reply(query)."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(5)
+
+    def serve():
+        with listener:
+            conn, _ = listener.accept()
+            with conn:
+                size = struct.unpack("!H", conn.recv(2))[0]
+                query = b""
+                while len(query) < size:
+                    query += conn.recv(size - len(query))
+                data = reply(query)
+                conn.sendall(struct.pack("!H", len(data)) + data)
+
+    in_thread(serve)
+    return listener.getsockname()[1]
+
+
+class TestLoopback:
+    """query against servers on 127.0.0.1 (RFC 5452 section 9.1 reply matching)."""
+
+    @pytest.mark.parametrize("stale", [
+        pytest.param({"qid_delta": 1}, id="wrong_qid"),
+        pytest.param({"name": "other.example"}, id="wrong_question"),
+    ])
+    def test_mismatched_reply_skipped(self, in_thread, stale):
+        port = udp_server(in_thread, [lambda q: a_reply(q, "192.0.2.66", **stale),
+                                      lambda q: a_reply(q, "192.0.2.7")])
+        rrset = UdpResolver(timeout=5).query(loopback_vantage(port), "example.com", "A")
+        assert rrset.values == ("192.0.2.7",)
+
+    def test_reply_from_other_source_dropped(self, in_thread):
+        port = udp_server(in_thread, [lambda q: a_reply(q, "192.0.2.7")],
+                          stranger=[lambda q: a_reply(q, "192.0.2.66")])
+        rrset = UdpResolver(timeout=5).query(loopback_vantage(port), "example.com", "A")
+        assert rrset.values == ("192.0.2.7",)
+
+    def test_only_wrong_qid_replies_time_out(self, in_thread):
+        port = udp_server(in_thread, [lambda q: a_reply(q, "192.0.2.66", qid_delta=1)] * 3)
+        with pytest.raises(QueryTimeout):
+            UdpResolver(timeout=0.5).query(loopback_vantage(port), "example.com", "A")
+
+    @pytest.mark.parametrize("qid_delta", [0, 1])
+    def test_tcp_fallback_checks_qid(self, in_thread, qid_delta, monkeypatch):
+        port = tcp_server(in_thread, lambda q: a_reply(q, "192.0.2.7", qid_delta=qid_delta))
+        resolver = UdpResolver(timeout=5)
+        monkeypatch.setattr(resolver, "_exchange_udp",
+                            lambda request, host, p: a_reply(request, "192.0.2.66", flags=0x8380))
+        if qid_delta:
+            with pytest.raises(ServerFailure, match="does not match"):
+                resolver.query(loopback_vantage(port), "example.com", "A")
+        else:
+            rrset = resolver.query(loopback_vantage(port), "example.com", "A")
+            assert rrset.values == ("192.0.2.7",)

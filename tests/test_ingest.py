@@ -27,6 +27,11 @@ UTC = timezone.utc
 LABEL = st.from_regex(r"[a-z0-9]([a-z0-9-]{0,8}[a-z0-9])?", fullmatch=True)
 
 
+def abc_names(min_labels: int, max_labels: int):
+    """Hosts or rules over three labels, so that hosts often end in deep rules."""
+    return st.lists(st.sampled_from("abc"), min_size=min_labels, max_size=max_labels).map(".".join)
+
+
 def entry(url, ts, source="apwg", brand=None):
     return FeedEntry(url=url, detected_at=datetime.fromisoformat(ts).replace(tzinfo=UTC),
                      source=source, brand=brand)
@@ -196,6 +201,31 @@ class TestSplitRegistrable:
         assert parts.registrable.endswith("." + parts.public_suffix)
         extra = parts.registrable[: -(len(parts.public_suffix) + 1)]
         assert extra and "." not in extra  # exactly one more label
+
+
+    # Exception rules have two or more labels: a one-label exception leaves
+    # the empty public suffix, which the oracle counts as one label
+    # ("".split(".") == [""]) and split_registrable as none.
+    @given(abc_names(1, 5), st.frozensets(abc_names(1, 3), max_size=6),
+           st.frozensets(abc_names(1, 3), max_size=6), st.frozensets(abc_names(2, 3), max_size=6))
+    def test_matches_oracle_on_multi_label_rules(self, host, exact, wildcard, exception):
+        rules = SuffixRules(exact, wildcard, exception)
+        expected = _split_oracle(host, rules)
+        if expected is None:
+            with pytest.raises(HostIsSuffix):
+                split_registrable(host, rules)
+            return
+        parts = split_registrable(host, rules)
+        assert (parts.subdomain, parts.registrable, parts.public_suffix) == expected
+
+    def test_wildcard_beats_longer_exact_rule(self):
+        # A deliberate divergence from the PSL, where the rule with the most
+        # labels (a.b.c.com) wins; ROADMAP item 2 leaves that fix to its own
+        # change.
+        rules = SuffixRules(frozenset({"com", "a.b.c.com"}), frozenset({"c.com"}), frozenset())
+        parts = split_registrable("x.a.b.c.com", rules)
+        assert (parts.subdomain, parts.registrable, parts.public_suffix) == (
+            "x", "a.b.c.com", "b.c.com")
 
 
 class TestLoadFeed:
