@@ -45,20 +45,6 @@ class PrefilterResult(enum.Enum):
 
 
 @dataclass(frozen=True)
-class Allowlist:
-    domains: frozenset[str]
-    ranks: dict[str, int]
-
-    def __contains__(self, registrable: str) -> bool:
-        return registrable in self.domains
-
-
-@dataclass(frozen=True)
-class WordList:
-    words: frozenset[str]
-
-
-@dataclass(frozen=True)
 class RegistrationLogEntry:
     registrable: str
     registered_at: datetime
@@ -91,51 +77,42 @@ class ClassificationResult:
 class ClassifierContext:
     """Immutable inputs shared across classify() calls."""
 
-    allow: Allowlist
+    allow: frozenset[str]
     catalog: BrandCatalog
     squat_index: SquatIndex
-    word_list: WordList
+    word_list: frozenset[str]
     bulk_membership: Mapping[str, BulkCluster]
     min_word_len: int = 4
 
 
-def load_allowlist(path: str | Path) -> Allowlist:
+def load_allowlist(path: str | Path) -> frozenset[str]:
     """Load an allowlist as CSV ``rank,domain`` or one domain per line.
 
-    Duplicate domains keep the lowest rank.
+    A CSV line whose rank is not an integer, such as a header, is skipped.
     """
-    text = read_input(path, "allowlist")
-
-    ranks: dict[str, int] = {}
-    line_no = 0
-    for line in text.splitlines():
+    domains: set[str] = set()
+    for line in read_input(path, "allowlist").splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        line_no += 1
         if "," in line:
-            rank_str, domain = line.split(",", 1)
+            rank, line = line.split(",", 1)
             try:
-                rank = int(rank_str)
+                int(rank)
             except ValueError:
                 continue
-        else:
-            domain, rank = line, line_no
-        domain = domain.strip().lower()
-        if not domain:
-            continue
-        if domain not in ranks or rank < ranks[domain]:
-            ranks[domain] = rank
-    if not ranks:
+        domain = line.strip().lower()
+        if domain:
+            domains.add(domain)
+    if not domains:
         raise EmptyAllowlist(f"no domains parsed from {path}")
-    return Allowlist(domains=frozenset(ranks), ranks=ranks)
+    return frozenset(domains)
 
 
-def load_word_list(path: str | Path) -> WordList:
+def load_word_list(path: str | Path) -> frozenset[str]:
     """Load a dictionary file, one lowercase word per line."""
     text = read_input(path, "word list")
-    words = frozenset(w.strip().lower() for w in text.splitlines() if w.strip())
-    return WordList(words=words)
+    return frozenset(w.strip().lower() for w in text.splitlines() if w.strip())
 
 
 def load_registration_log(path: str | Path) -> list[RegistrationLogEntry]:
@@ -155,7 +132,7 @@ def load_registration_log(path: str | Path) -> list[RegistrationLogEntry]:
     return entries
 
 
-def prefilter(record: DomainRecord, allow: Allowlist) -> PrefilterResult:
+def prefilter(record: DomainRecord, allow: frozenset[str]) -> PrefilterResult:
     """Apply the allowlist/platform filter before the four checks.
 
     An allowlisted registrable seen only bare is legitimate; seen under any
@@ -192,7 +169,7 @@ def match_brand(record: DomainRecord, catalog: BrandCatalog) -> Optional[BrandHi
     return None
 
 
-def is_random_looking(record: DomainRecord, words: WordList, min_word_len: int = 4) -> bool:
+def is_random_looking(record: DomainRecord, words: frozenset[str], min_word_len: int = 4) -> bool:
     """True iff the second-level label contains no dictionary word.
 
     Digits and hyphens are stripped first; only words of at least
@@ -205,7 +182,7 @@ def is_random_looking(record: DomainRecord, words: WordList, min_word_len: int =
         return True
     for length in range(min_word_len, len(stripped) + 1):
         for i in range(len(stripped) - length + 1):
-            if stripped[i:i + length] in words.words:
+            if stripped[i:i + length] in words:
                 return False
     return True
 

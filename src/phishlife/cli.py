@@ -556,7 +556,10 @@ def main(argv: Optional[list[str]] = None) -> int:
 
         cfg = load_config(args.config, args)
         out_dir = Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # e.g. --out-dir names an existing file
+            raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
 
         run = Run(cfg, out_dir)
         if args.command == "ingest":

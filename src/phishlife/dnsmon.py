@@ -300,9 +300,9 @@ def _check_script(script: object) -> None:
                     raise ValueError(f"{key}/{rrtype}: bad step {json.dumps(step)}")
 
 
-def backoff_delays(base: float, cap: float, max_attempts: int = MAX_ATTEMPTS) -> list[float]:
+def backoff_delays(base: float, cap: float) -> list[float]:
     """Delays slept between attempts: base, 2*base, ... capped at cap."""
-    return [min(base * (2 ** k), cap) for k in range(max_attempts - 1)]
+    return [min(base * (2 ** k), cap) for k in range(MAX_ATTEMPTS - 1)]
 
 
 @dataclass
@@ -320,11 +320,9 @@ def _query_with_retry(
     domain: str,
     rrtype: str,
     clock: Clock,
-    backoff_base: float,
-    backoff_cap: float,
+    delays: Sequence[float],
 ) -> tuple[Optional[RrSet], int, Optional[str], bool]:
-    """Returns (rrset, attempts_used, error_note, nxdomain)."""
-    delays = backoff_delays(backoff_base, backoff_cap)
+    """Returns (rrset, attempts_used, error_note, nxdomain); ``delays[k]`` follows attempt k + 1."""
     for attempt in range(1, MAX_ATTEMPTS + 1):
         try:
             return resolver.query(vantage, domain, rrtype), attempt, None, False
@@ -343,7 +341,7 @@ def collect_snapshot(
     vantages: Sequence[VantagePoint],
     types: Sequence[str],
     resolver: Resolver,
-    clock: Optional[Clock] = None,
+    clock: Clock,
     taken_at: Optional[datetime] = None,
     backoff_base: float = 0.5,
     backoff_cap: float = 8.0,
@@ -355,8 +353,8 @@ def collect_snapshot(
     """
     if not vantages:
         raise ValueError("vantages must be non-empty")
-    clock = clock or SystemClock()
     at = taken_at or clock.now()
+    delays = backoff_delays(backoff_base, backoff_cap)
 
     snapshots = []
     for vantage in vantages:
@@ -367,7 +365,7 @@ def collect_snapshot(
         max_attempts_used = 1
         for rrtype in types:
             rrset, attempts, error, is_nx = _query_with_retry(
-                resolver, vantage, domain, rrtype, clock, backoff_base, backoff_cap,
+                resolver, vantage, domain, rrtype, clock, delays,
             )
             max_attempts_used = max(max_attempts_used, attempts)
             if is_nx:
@@ -592,8 +590,8 @@ def parse_resolver_address(address: object) -> tuple[str, int]:
 def load_vantages(path: str | Path) -> list[VantagePoint]:
     """Load vantage points from a JSON array of {id, resolver_address, region_label}.
 
-    An unreadable or malformed file, a bad resolver address or a repeated id
-    raises IoFailure.
+    An unreadable or malformed file, an empty list, a non-string id or
+    region_label, a bad resolver address or a repeated id raises IoFailure.
     """
     raw = read_json(path, "vantages")
     try:
@@ -604,8 +602,12 @@ def load_vantages(path: str | Path) -> list[VantagePoint]:
         ]
         for v in vantages:
             parse_resolver_address(v.resolver_address)
+            if not (isinstance(v.id, str) and isinstance(v.region_label, str)):
+                raise ValueError(f"id and region_label of {v} must be strings")
     except (KeyError, TypeError, ValueError) as exc:
         raise IoFailure(f"malformed vantages {path}: {exc}") from exc
+    if not vantages:
+        raise IoFailure(f"no vantages in {path}")
     ids = [v.id for v in vantages]
     if len(set(ids)) != len(ids):
         raise IoFailure(f"duplicate vantage ids in {path}")

@@ -57,15 +57,6 @@ class FeedEntry:
 
 
 @dataclass(frozen=True)
-class ParsedUrl:
-    """URL decomposed into scheme, normalized host, and path."""
-
-    scheme: str
-    host: str
-    path: str
-
-
-@dataclass(frozen=True)
 class SuffixRules:
     """Public-suffix rules split by rule kind."""
 
@@ -144,11 +135,10 @@ def normalize_host(host: str) -> str:
     return normalized
 
 
-def parse_url(raw: str) -> ParsedUrl:
-    """Parse a raw feed URL into scheme, normalized host, and path.
+def parse_url(raw: str) -> str:
+    """Extract a raw feed URL's host, normalized to lowercase punycode.
 
-    The scheme defaults to "http" when absent; port and userinfo are
-    stripped; internationalized labels are converted to punycode.
+    A URL without a scheme is read as http; port and userinfo are dropped.
     """
     from urllib.parse import urlsplit
 
@@ -158,14 +148,12 @@ def parse_url(raw: str) -> ParsedUrl:
     if not _SCHEME_RE.match(raw):
         raw = "http://" + raw
     try:
-        parts = urlsplit(raw)
-        hostname = parts.hostname
+        hostname = urlsplit(raw).hostname
     except ValueError as exc:
         raise MalformedUrl(f"unparseable URL: {exc}") from exc
     if not hostname:
         raise MalformedUrl(f"no host in URL {raw!r}")
-    host = normalize_host(hostname)
-    return ParsedUrl(scheme=parts.scheme.lower(), host=host, path=parts.path)
+    return normalize_host(hostname)
 
 
 def read_input(path: str | Path, what: str) -> str:
@@ -293,13 +281,12 @@ def _entry_from_line(line: str) -> FeedEntry:
 def _entry_from_obj(obj: object) -> FeedEntry:
     if not isinstance(obj, dict):
         raise ValueError("feed record is not an object")
-    url = obj.get("url")
-    source = obj.get("source")
-    if not url or not source:
-        raise ValueError("missing url or source")
-    detected_at = parse_utc(str(obj.get("detected_at", "")))
-    brand = obj.get("brand") or None
-    return FeedEntry(url=str(url), detected_at=detected_at, source=str(source), brand=brand)
+    url, source, at, brand = (obj.get(k) for k in ("url", "source", "detected_at", "brand"))
+    if not (url and source and all(isinstance(v, str) for v in (url, source, at))):
+        raise ValueError("url and source must be non-empty strings, detected_at a string")
+    if not isinstance(brand, (str, type(None))):
+        raise ValueError("brand must be a string or null")
+    return FeedEntry(url=url, detected_at=parse_utc(at), source=source, brand=brand or None)
 
 
 def load_feed(path: str | Path, format: str = "lines") -> FeedLoadResult:
@@ -355,8 +342,7 @@ def build_domain_table(entries: Iterable[FeedEntry], rules: SuffixRules) -> Doma
 
     for entry in entries:
         try:
-            parsed = parse_url(entry.url)
-            parts = split_registrable(parsed.host, rules)
+            parts = split_registrable(parse_url(entry.url), rules)
         except PhishlifeError:
             skipped += 1
             continue

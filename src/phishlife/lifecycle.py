@@ -88,8 +88,6 @@ class AggregateRow:
 
 @dataclass
 class AggregateReport:
-    group_key: str
-    metric: str
     rows: list[AggregateRow]
     ungrouped: int = 0
 
@@ -296,4 +294,4 @@ def aggregate(
             missing=missing.get(key, 0),
         ))
     rows.sort(key=lambda r: (-r.count, r.key))
-    return AggregateReport(group_key=group_key, metric=metric, rows=rows, ungrouped=ungrouped)
+    return AggregateReport(rows=rows, ungrouped=ungrouped)

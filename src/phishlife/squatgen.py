@@ -68,7 +68,6 @@ TECHNIQUE_ORDER = {t: i for i, t in enumerate(Technique)}
 class SquatCandidate:
     label: str
     technique: Technique
-    brand_id: str
 
 
 @dataclass(frozen=True)
@@ -76,10 +75,6 @@ class Brand:
     brand_id: str
     canonical_domain: str
     rank: int
-
-    @property
-    def label(self) -> str:
-        return self.canonical_domain.split(".", 1)[0]
 
     @property
     def suffix(self) -> str:
@@ -166,22 +161,21 @@ def _raw_variants(label: str) -> set[tuple[str, Technique]]:
     return out
 
 
-def generate(brand_domain: str, brand_id: Optional[str] = None) -> set[SquatCandidate]:
+def generate(brand_domain: str) -> set[SquatCandidate]:
     """Generate all squatting candidates for one brand domain.
 
-    Returns a set of (label, technique, brand_id) candidates; every label is
-    a valid DNS label distinct from the canonical one, except the tld_swap
-    marker which carries the canonical label itself.
+    Returns a set of (label, technique) candidates; every label is a valid
+    DNS label distinct from the canonical one, except the tld_swap marker
+    which carries the canonical label itself.
     """
     label, _suffix = _split_brand_domain(brand_domain)
-    bid = brand_id if brand_id is not None else label
 
     candidates = {
-        SquatCandidate(variant, tech, bid)
+        SquatCandidate(variant, tech)
         for variant, tech in _raw_variants(label)
         if variant != label and len(variant) <= 63 and LABEL_RE.match(variant)
     }
-    candidates.add(SquatCandidate(label, Technique.TLD_SWAP, bid))
+    candidates.add(SquatCandidate(label, Technique.TLD_SWAP))
     return candidates
 
 
@@ -197,11 +191,11 @@ def load_catalog(path: str | Path, brand_top_n: int = 1000, squat_top_n: int = 2
             )
             for row in rows
         ]
-    except ValueError as exc:
+        for b in brands:
+            _split_brand_domain(b.canonical_domain)
+        return BrandCatalog(brands=brands, brand_top_n=brand_top_n, squat_top_n=squat_top_n)
+    except ValueError as exc:  # a rank that is not an integer, or ranks out of order
         raise IoFailure(f"malformed brand catalog {path}: {exc}") from exc
-    for b in brands:
-        _split_brand_domain(b.canonical_domain)
-    return BrandCatalog(brands=brands, brand_top_n=brand_top_n, squat_top_n=squat_top_n)
 
 
 def build_index(catalog: BrandCatalog) -> SquatIndex:
@@ -212,14 +206,14 @@ def build_index(catalog: BrandCatalog) -> SquatIndex:
     index = SquatIndex()
     for brand in catalog.squat_brands():
         index.brand_rank[brand.brand_id] = brand.rank
-        for cand in generate(brand.canonical_domain, brand.brand_id):
+        for cand in generate(brand.canonical_domain):
             if cand.technique is Technique.TLD_SWAP:
                 index.tld_swap_labels.setdefault(cand.label, []).append(
                     (brand.brand_id, brand.suffix, brand.rank)
                 )
             else:
                 index.by_label.setdefault(cand.label, set()).add(
-                    (cand.brand_id, cand.technique)
+                    (brand.brand_id, cand.technique)
                 )
     return index
 

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from phishlife import classifier
 from phishlife.classifier import (
-    Allowlist,
     ClassifierContext,
     EmptyAllowlist,
     PrefilterResult,
@@ -18,7 +17,6 @@ from phishlife.classifier import (
     VERDICT_COMPROMISED,
     VERDICT_MALICIOUS,
     VERDICT_PLATFORM,
-    WordList,
     classify,
     classify_all,
     cluster_bulk,
@@ -76,14 +74,17 @@ class TestAllowlist:
     def test_csv_form(self, tmp_path):
         p = tmp_path / "allow.csv"
         p.write_text("1,google.com\n2,blogspot.com\n")
-        allow = load_allowlist(p)
-        assert len(allow.domains) == 2
-        assert allow.ranks["google.com"] == 1
+        assert load_allowlist(p) == {"google.com", "blogspot.com"}
 
-    def test_duplicate_keeps_lowest_rank(self, tmp_path):
+    def test_duplicate_domain_loads_once(self, tmp_path):
         p = tmp_path / "allow.csv"
-        p.write_text("5,dup.com\n9,dup.com\n")
-        assert load_allowlist(p).ranks["dup.com"] == 5
+        p.write_text("5,dup.com\n9,DUP.com\n")
+        assert load_allowlist(p) == {"dup.com"}
+
+    def test_csv_header_skipped(self, tmp_path):
+        p = tmp_path / "allow.csv"
+        p.write_text("rank,domain\n1,google.com\n")
+        assert load_allowlist(p) == {"google.com"}
 
     def test_plain_list_form(self, tmp_path):
         p = tmp_path / "allow.txt"
@@ -98,8 +99,7 @@ class TestAllowlist:
             load_allowlist(p)
 
 
-ALLOW = Allowlist(domains=frozenset({"blogspot.com", "facebook.com"}),
-                  ranks={"blogspot.com": 2, "facebook.com": 1})
+ALLOW = frozenset({"blogspot.com", "facebook.com"})
 
 
 class TestPrefilter:
@@ -141,7 +141,7 @@ class TestMatchBrand:
 
 
 class TestRandomLooking:
-    WORDS = WordList(words=frozenset({"secure", "login", "blog", "word"}))
+    WORDS = frozenset({"secure", "login", "blog", "word"})
 
     def test_random_label(self):
         assert is_random_looking(record("xkqzvrtw.top"), self.WORDS, 4)
@@ -157,7 +157,7 @@ class TestRandomLooking:
         assert not is_random_looking(record("blog123.com"), self.WORDS, 4)
 
     def test_short_words_ignored(self):
-        words = WordList(words=frozenset({"cat"}))
+        words = frozenset({"cat"})
         assert is_random_looking(record("catcat.com"), words, 4)
 
     @given(WORD_STRAT)
@@ -165,11 +165,11 @@ class TestRandomLooking:
         words = self.WORDS
         stripped = label.replace("-", "")
         oracle = not any(
-            w in stripped for w in words.words if len(w) >= 4
+            w in stripped for w in words if len(w) >= 4
         )
         rec = record((label or "x") + "x.com")
         stripped_rec = ((label or "x") + "x").replace("-", "")
-        oracle_rec = not any(w in stripped_rec for w in words.words if len(w) >= 4)
+        oracle_rec = not any(w in stripped_rec for w in words if len(w) >= 4)
         assert is_random_looking(rec, words, 4) == oracle_rec
 
 
@@ -351,10 +351,7 @@ class TestClassify:
         rec = record("faceb0ok.com")
         assert classify(rec, classifier_ctx).verdict == VERDICT_MALICIOUS
         widened = ClassifierContext(
-            allow=Allowlist(
-                domains=classifier_ctx.allow.domains | {"faceb0ok.com"},
-                ranks={**classifier_ctx.allow.ranks, "faceb0ok.com": 999},
-            ),
+            allow=classifier_ctx.allow | {"faceb0ok.com"},
             catalog=classifier_ctx.catalog,
             squat_index=classifier_ctx.squat_index,
             word_list=classifier_ctx.word_list,

@@ -332,36 +332,53 @@ DUPLICATE_VANTAGES = [{"id": "v1", "resolver_address": "192.0.2.1:53"},
                       {"id": "v1", "resolver_address": "192.0.2.2:53"}]
 
 
+VANTAGE = {"id": "v1", "resolver_address": "192.0.2.1:53", "region_label": ""}
+
+
 def vantage_file(address: object) -> tuple[str, str]:
     return "vantages.json", json.dumps([{"id": "v1", "resolver_address": address}])
 
 
-@pytest.mark.parametrize("changes", [
-    pytest.param({"max_edit_distance": "2"}, id="string_for_int"),
-    pytest.param({"brand_top_n": True}, id="bool_for_int"),
-    pytest.param({"rrtypes": "A,NS"}, id="string_for_list"),
-    pytest.param({"feeds": [{"format": "lines"}]}, id="feed_without_path"),
-    pytest.param(None, id="top_level_array"),
-    pytest.param({"vantage_config": ("vantages.json", json.dumps(DUPLICATE_VANTAGES))},
-                 id="duplicate_vantage_id"),
-    pytest.param({"vantage_config": vantage_file("127.0.0.1:abc")}, id="non_integer_resolver_port"),
-    pytest.param({"vantage_config": vantage_file("127.0.0.1:70000")},
-                 id="resolver_port_out_of_range"),
-    pytest.param({"vantage_config": vantage_file(5)}, id="non_string_resolver_address"),
-    pytest.param({"resolver_fixture": ("fixture.json", '{"flux.top": {')},
-                 id="malformed_resolver_fixture"),
-    pytest.param({"resolver_fixture": ("fixture.json", '{"flux.top": {"A": [5]}}')},
-                 id="malformed_resolver_fixture_step"),
-    pytest.param({"concurrency": 64}, id="removed_key"),
-    pytest.param({"max_edit_distnace": 3}, id="misspelt_key"),
+def bad_input(changes, command="monitor", out_dir="out", *, id):
+    """One case: config changes, the command run, and --out-dir under tmp_path."""
+    return pytest.param(changes, command, out_dir, id=id)
+
+
+@pytest.mark.parametrize("changes, command, out_dir", [
+    bad_input({"max_edit_distance": "2"}, id="string_for_int"),
+    bad_input({"brand_top_n": True}, id="bool_for_int"),
+    bad_input({"rrtypes": "A,NS"}, id="string_for_list"),
+    bad_input({"feeds": [{"format": "lines"}]}, id="feed_without_path"),
+    bad_input(None, id="top_level_array"),
+    bad_input({"vantage_config": ("vantages.json", json.dumps(DUPLICATE_VANTAGES))},
+              id="duplicate_vantage_id"),
+    bad_input({"vantage_config": vantage_file("127.0.0.1:abc")}, id="non_integer_resolver_port"),
+    bad_input({"vantage_config": vantage_file("127.0.0.1:70000")},
+              id="resolver_port_out_of_range"),
+    bad_input({"vantage_config": vantage_file(5)}, id="non_string_resolver_address"),
+    bad_input({"resolver_fixture": ("fixture.json", '{"flux.top": {')},
+              id="malformed_resolver_fixture"),
+    bad_input({"resolver_fixture": ("fixture.json", '{"flux.top": {"A": [5]}}')},
+              id="malformed_resolver_fixture_step"),
+    bad_input({"concurrency": 64}, id="removed_key"),
+    bad_input({"max_edit_distnace": 3}, id="misspelt_key"),
+    bad_input({"vantage_config": ("vantages.json", "[]")}, id="no_vantages"),
+    bad_input({"vantage_config": ("vantages.json", json.dumps([{**VANTAGE, "id": 5}]))},
+              id="non_string_vantage_id"),
+    bad_input({"vantage_config": ("vantages.json", json.dumps([{**VANTAGE, "region_label": 5}]))},
+              id="non_string_region_label"),
+    bad_input({"brand_catalog": ("brands.csv", "rank,brand_id,canonical_domain\n"
+                                 "2,usps,usps.com\n1,chase,chase.com\n")},
+              "classify", id="brand_ranks_not_increasing"),
+    bad_input({}, out_dir="config.json", id="out_dir_is_a_file"),
 ])
-def test_bad_config_input_exits_2(changes, tmp_path, capsys):
+def test_bad_config_input_exits_2(changes, command, out_dir, tmp_path, capsys):
     if changes is None:
         config = tmp_path / "config.json"
         config.write_text(json.dumps([CONFIG]))
     else:
         config = config_copy(tmp_path, changes)
-    code = main(["monitor", "--config", str(config), "--out-dir", str(tmp_path / "out")])
+    code = main([command, "--config", str(config), "--out-dir", str(tmp_path / out_dir)])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1, err

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 from datetime import datetime, timezone
 
 import pytest
@@ -39,25 +40,23 @@ def entry(url, ts, source="apwg", brand=None):
 
 class TestParseUrl:
     def test_platform_subdomain_example(self):
-        parsed = parse_url("https://usps-tracking-service.blogspot.com/login")
-        assert parsed.host == "usps-tracking-service.blogspot.com"
-        assert parsed.path == "/login"
+        host = parse_url("https://usps-tracking-service.blogspot.com/login")
+        assert host == "usps-tracking-service.blogspot.com"
 
     def test_bare_host_defaults(self):
-        parsed = parse_url("facebook.com")
-        assert (parsed.scheme, parsed.host, parsed.path) == ("http", "facebook.com", "")
+        assert parse_url("facebook.com") == "facebook.com"
 
     def test_capital_i_lowercased(self):
-        assert parse_url("http://PayPaI.com/x").host == "paypai.com"
+        assert parse_url("http://PayPaI.com/x") == "paypai.com"
 
     def test_port_and_userinfo_stripped(self):
-        assert parse_url("http://user:pw@evil.com:8080/a").host == "evil.com"
+        assert parse_url("http://user:pw@evil.com:8080/a") == "evil.com"
 
     def test_idn_to_punycode(self):
-        assert parse_url("http://münchen.de/x").host == "xn--mnchen-3ya.de"
+        assert parse_url("http://münchen.de/x") == "xn--mnchen-3ya.de"
 
     def test_trailing_dot_tolerated(self):
-        assert parse_url("http://example.com./x").host == "example.com"
+        assert parse_url("http://example.com./x") == "example.com"
 
     @pytest.mark.parametrize("raw", ["", "http:///path", "http://:80/x", "///"])
     def test_no_extractable_host(self, raw):
@@ -269,6 +268,20 @@ class TestLoadFeed:
         p.write_text('[{"url": "http://x.com/", "detected_at": "2024-06-06T00:00:00Z", "source": "apwg"}]')
         result = load_feed(p, "json")
         assert result.entries[0].brand is None
+
+    @pytest.mark.parametrize("field, value", [
+        pytest.param("url", 5, id="int_url"),
+        pytest.param("source", ["x"], id="list_source"),
+        pytest.param("detected_at", 20240606, id="int_detected_at"),
+        pytest.param("brand", 5, id="int_brand"),
+        pytest.param("brand", {}, id="object_brand"),
+    ])
+    def test_json_record_of_wrong_type_skipped(self, tmp_path, field, value):
+        good = {"url": "http://x.com/", "detected_at": "2024-06-06T00:00:00Z", "source": "apwg"}
+        p = tmp_path / "f.json"
+        p.write_text(json.dumps([good, {**good, field: value}]))
+        result = load_feed(p, "json")
+        assert len(result.entries) == 1 and result.skipped == 1
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(IoFailure):

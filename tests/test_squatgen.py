@@ -154,7 +154,7 @@ class TestIndex:
     def test_completeness(self):
         catalog = BrandCatalog([Brand("usps", "usps.com", 1)], brand_top_n=1, squat_top_n=1)
         index = build_index(catalog)
-        for cand in generate("usps.com", "usps"):
+        for cand in generate("usps.com"):
             suffix = "top" if cand.technique is Technique.TLD_SWAP else "com"
             hit = match(index, record(f"{cand.label}.{suffix}", suffix))
             assert hit is not None and hit.brand_id == "usps"
