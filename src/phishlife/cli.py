@@ -394,20 +394,27 @@ def cmd_monitor(run: Run, mode: str) -> None:
             _require(cfg.resolver_fixture, "resolver_fixture"))
         clock = dnsmon.SimulatedClock(parse_utc(cfg.monitor_start))
     else:
-        from .dnswire import UdpResolver
+        from .dnswire import UdpResolver, encode_name
+        for domain in domains:  # a name that cannot go on the wire fails before any query
+            try:
+                encode_name(domain)
+            except ValueError as exc:
+                raise ConfigError(f"monitor domain {domain!r} is not a DNS name: {exc}") from exc
         resolver = UdpResolver()
         clock = dnsmon.SystemClock()
     until = None  # a live run without a duration lasts until interrupted
     if mode == "simulate" or cfg.monitor_duration_minutes > 0:
         until = clock.now() + timedelta(minutes=cfg.monitor_duration_minutes)
 
+    # the prior snapshots, then this run's; a torn store fails before any query
+    snapshots = store.load()
     try:
-        ticks = dnsmon.run_schedule(domains, monitor_cfg, store, clock, resolver, until=until)
+        ticks = dnsmon.run_schedule(domains, monitor_cfg, store, clock, resolver, until=until,
+                                    kept=snapshots)
         rounds = str(ticks)
     except KeyboardInterrupt:  # pragma: no cover - live mode only
         rounds = "interrupted"
 
-    snapshots = store.load()
     if not snapshots:
         raise EmptyOutput("no snapshots collected")
     try:

@@ -2,22 +2,23 @@
 
 Collects snapshots of tracked domains through a pluggable resolver (a
 scripted in-memory one for tests and simulation, a real stub client for
-operation), detects record changes, and computes TTL analytics. Failed
-queries are retried with exponential backoff, up to five attempts.
+operation), detects record changes, and computes TTL analytics. Each tick
+hands all of its (domain x vantage x rrtype) lookups to the resolver at
+once: the scripted resolver answers them one after another, and
+``dnswire.UdpResolver`` keeps up to ``dnswire.WINDOW`` of them in flight on
+one selector loop. Both retry a failed lookup by the one policy in
+``settle``: exponential backoff, up to five attempts.
 """
 
 from __future__ import annotations
 
 import json
 import statistics
-import threading
 import time as _time
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
-from typing import Iterable, Optional, Protocol, Sequence
+from typing import Iterable, NamedTuple, Optional, Protocol, Sequence, Union
 
 from .errors import IoFailure, PhishlifeError
 from .ingest import read_json
@@ -182,27 +183,55 @@ class SimulatedClock:
         if start.tzinfo is None:
             start = start.replace(tzinfo=timezone.utc)
         self._now = start
-        self._lock = threading.Lock()
         self.sleeps: list[float] = []
 
     def now(self) -> datetime:
-        with self._lock:
-            return self._now
+        return self._now
 
     def sleep(self, seconds: float) -> None:
         if seconds < 0:
             return
-        with self._lock:
-            self.sleeps.append(seconds)
-            self._now += timedelta(seconds=seconds)
+        self.sleeps.append(seconds)
+        self._now += timedelta(seconds=seconds)
+
+
+Lookup = tuple[VantagePoint, str, str]  # (vantage, domain, rrtype)
+# what one attempt gave: an rrset, None for an empty answer, or a query error
+AttemptResult = Union[RrSet, None, QueryTimeout, ServerFailure, NxDomain]
+
+
+class Outcome(NamedTuple):
+    """A lookup's result after its last attempt."""
+
+    rrset: Optional[RrSet]
+    attempts: int
+    error: Optional[str]  # "<rrtype>:timeout" or "<rrtype>:servfail" when every attempt failed
+    nxdomain: bool
+
+
+def settle(rrtype: str, attempt: int, result: AttemptResult) -> Optional[Outcome]:
+    """The retry policy: a lookup's outcome after attempt ``attempt``, or None to retry.
+
+    A timeout or SERVFAIL is retried up to MAX_ATTEMPTS attempts in all;
+    an answer, an empty answer or NXDOMAIN ends the lookup.
+    """
+    if isinstance(result, NxDomain):
+        return Outcome(None, attempt, None, True)
+    if isinstance(result, (QueryTimeout, ServerFailure)):
+        if attempt < MAX_ATTEMPTS:
+            return None
+        kind = "timeout" if isinstance(result, QueryTimeout) else "servfail"
+        return Outcome(None, attempt, f"{rrtype}:{kind}", False)
+    return Outcome(result, attempt, None, False)
 
 
 class Resolver(Protocol):
-    # domains collected at once; above 1 only where a query blocks
-    workers: int
+    def resolve(self, lookups: Sequence[Lookup], clock: Clock,
+                delays: Sequence[float]) -> list[Outcome]:
+        """Each lookup's outcome under ``settle``, in the order given.
 
-    def query(self, vantage: VantagePoint, domain: str, rrtype: str) -> Optional[RrSet]:
-        """Return the rrset, None for an empty answer, or raise a query error."""
+        ``delays[k]`` is the backoff between attempts k + 1 and k + 2.
+        """
 
 
 class ScriptedResolver:
@@ -217,13 +246,10 @@ class ScriptedResolver:
     Domains absent from the script resolve as nxdomain.
     """
 
-    workers = 1  # answers come from memory, so nothing blocks
-
     def __init__(self, script: dict):
         self._script = script
         self._cursor: dict[tuple[str, str, str], int] = {}
         self._fails: dict[tuple[str, str, str], int] = {}
-        self._lock = threading.Lock()
         self.query_counts: dict[tuple[str, str, str], int] = {}
 
     @classmethod
@@ -243,33 +269,51 @@ class ScriptedResolver:
             raise NxDomain(domain)
         return entry.get(rrtype)
 
+    def resolve(self, lookups: Sequence[Lookup], clock: Clock,
+                delays: Sequence[float]) -> list[Outcome]:
+        """Each lookup's outcome, one attempt after another; backoff sleeps ``clock``."""
+        outcomes = []
+        for lookup in lookups:
+            attempt = 1
+            while (outcome := settle(lookup[2], attempt, self._attempt(*lookup))) is None:
+                clock.sleep(delays[attempt - 1])
+                attempt += 1
+            outcomes.append(outcome)
+        return outcomes
+
+    def _attempt(self, vantage: VantagePoint, domain: str, rrtype: str) -> AttemptResult:
+        try:
+            return self.query(vantage, domain, rrtype)
+        except (QueryTimeout, ServerFailure, NxDomain) as exc:
+            return exc
+
     def query(self, vantage: VantagePoint, domain: str, rrtype: str) -> Optional[RrSet]:
+        """One attempt: the rrset, None for an empty answer, or a raised query error."""
         key = (vantage.id, domain, rrtype)
-        with self._lock:
-            self.query_counts[key] = self.query_counts.get(key, 0) + 1
-            steps = self._steps(vantage, domain, rrtype)
-            if not steps:
-                return None  # name exists but has no records of this type
-            idx = min(self._cursor.get(key, 0), len(steps) - 1)
-            step = steps[idx]
+        self.query_counts[key] = self.query_counts.get(key, 0) + 1
+        steps = self._steps(vantage, domain, rrtype)
+        if not steps:
+            return None  # name exists but has no records of this type
+        idx = min(self._cursor.get(key, 0), len(steps) - 1)
+        step = steps[idx]
 
-            if step == "nxdomain":
-                self._cursor[key] = idx + 1
-                raise NxDomain(domain)
-            if step == "servfail":
-                raise ServerFailure(domain)
-
-            fails_needed = int(step.get("fail_count_before_success", 0))
-            if self._fails.get(key, 0) < fails_needed:
-                self._fails[key] = self._fails.get(key, 0) + 1
-                raise QueryTimeout(f"{domain}/{rrtype} (scripted)")
-
+        if step == "nxdomain":
             self._cursor[key] = idx + 1
-            self._fails[key] = 0
-            values = tuple(step.get("values", ()))
-            if not values:
-                return None
-            return RrSet(rrtype=rrtype, values=values, ttl=int(step.get("ttl", 0)))
+            raise NxDomain(domain)
+        if step == "servfail":
+            raise ServerFailure(domain)
+
+        fails_needed = int(step.get("fail_count_before_success", 0))
+        if self._fails.get(key, 0) < fails_needed:
+            self._fails[key] = self._fails.get(key, 0) + 1
+            raise QueryTimeout(f"{domain}/{rrtype} (scripted)")
+
+        self._cursor[key] = idx + 1
+        self._fails[key] = 0
+        values = tuple(step.get("values", ()))
+        if not values:
+            return None
+        return RrSet(rrtype=rrtype, values=values, ttl=int(step.get("ttl", 0)))
 
 
 def _is_count(value: object) -> bool:
@@ -314,30 +358,28 @@ class MonitorConfig:
     backoff_cap: float = 8.0
 
 
-def _query_with_retry(
-    resolver: Resolver,
-    vantage: VantagePoint,
-    domain: str,
-    rrtype: str,
-    clock: Clock,
-    delays: Sequence[float],
-) -> tuple[Optional[RrSet], int, Optional[str], bool]:
-    """Returns (rrset, attempts_used, error_note, nxdomain); ``delays[k]`` follows attempt k + 1."""
-    for attempt in range(1, MAX_ATTEMPTS + 1):
-        try:
-            return resolver.query(vantage, domain, rrtype), attempt, None, False
-        except NxDomain:
-            return None, attempt, None, True
-        except (QueryTimeout, ServerFailure) as exc:
-            if attempt == MAX_ATTEMPTS:
-                kind = "timeout" if isinstance(exc, QueryTimeout) else "servfail"
-                return None, attempt, f"{rrtype}:{kind}", False
-            clock.sleep(delays[attempt - 1])
-    raise AssertionError("unreachable")
+def _snapshot(domain: str, vantage: VantagePoint, at: datetime,
+              outcomes: Sequence[Outcome]) -> DnsSnapshot:
+    """One vantage's snapshot of a domain from its rrtypes' outcomes.
+
+    Partial rrtype failures downgrade to Ok with the failed type noted;
+    only a snapshot with no answered rrtype at all is marked failed. An
+    NXDOMAIN is a definitive negative answer, not a failure.
+    """
+    return DnsSnapshot(
+        registrable=domain,
+        vantage_id=vantage.id,
+        taken_at=at,
+        rrsets=tuple(o.rrset for o in outcomes if o.rrset is not None),
+        status=STATUS_OK if any(o.error is None for o in outcomes) else STATUS_FAILED,
+        attempts=max((o.attempts for o in outcomes), default=1),
+        errors=tuple(o.error for o in outcomes if o.error is not None),
+        nxdomain=any(o.nxdomain for o in outcomes),
+    )
 
 
-def collect_snapshot(
-    domain: str,
+def collect_snapshots(
+    domains: Sequence[str],
     vantages: Sequence[VantagePoint],
     types: Sequence[str],
     resolver: Resolver,
@@ -346,49 +388,19 @@ def collect_snapshot(
     backoff_base: float = 0.5,
     backoff_cap: float = 8.0,
 ) -> list[DnsSnapshot]:
-    """Collect one snapshot per vantage for a domain.
+    """One snapshot per (domain, vantage), in that order.
 
-    Partial rrtype failures downgrade to Ok with the failed type noted;
-    only a snapshot with no answered rrtype at all is marked failed.
+    Every (domain, vantage, rrtype) lookup goes to the resolver in one call,
+    so a resolver that overlaps lookups can overlap all of them.
     """
     if not vantages:
         raise ValueError("vantages must be non-empty")
     at = taken_at or clock.now()
-    delays = backoff_delays(backoff_base, backoff_cap)
-
-    snapshots = []
-    for vantage in vantages:
-        rrsets: list[RrSet] = []
-        errors: list[str] = []
-        nxdomain = False
-        answered = False
-        max_attempts_used = 1
-        for rrtype in types:
-            rrset, attempts, error, is_nx = _query_with_retry(
-                resolver, vantage, domain, rrtype, clock, delays,
-            )
-            max_attempts_used = max(max_attempts_used, attempts)
-            if is_nx:
-                nxdomain = True
-                answered = True  # a definitive negative answer, not a failure
-            elif error is not None:
-                errors.append(error)
-            else:
-                answered = True
-                if rrset is not None:
-                    rrsets.append(rrset)
-        status = STATUS_OK if answered else STATUS_FAILED
-        snapshots.append(DnsSnapshot(
-            registrable=domain,
-            vantage_id=vantage.id,
-            taken_at=at,
-            rrsets=tuple(rrsets) if status == STATUS_OK else (),
-            status=status,
-            attempts=max_attempts_used,
-            errors=tuple(errors),
-            nxdomain=nxdomain,
-        ))
-    return snapshots
+    pairs = [(d, v) for d in domains for v in vantages]
+    lookups = [(v, d, t) for d, v in pairs for t in types]
+    outcomes = resolver.resolve(lookups, clock, backoff_delays(backoff_base, backoff_cap))
+    n = len(types)
+    return [_snapshot(d, v, at, outcomes[k * n:(k + 1) * n]) for k, (d, v) in enumerate(pairs)]
 
 
 class SnapshotStore:
@@ -396,18 +408,16 @@ class SnapshotStore:
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self._lock = threading.Lock()
 
     def append_many(self, snapshots: Iterable[DnsSnapshot]) -> None:
         lines = [snap.to_json() for snap in snapshots]
         if not lines:
             return
         try:
-            with self._lock:
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-                with open(self.path, "a", encoding="utf-8") as fh:
-                    for line in lines:
-                        fh.write(line + "\n")
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            with open(self.path, "a", encoding="utf-8") as fh:
+                for line in lines:
+                    fh.write(line + "\n")
         except OSError as exc:
             raise StoreFailure(f"cannot append to {self.path}: {exc}") from exc
 
@@ -430,37 +440,31 @@ def run_schedule(
     clock: Clock,
     resolver: Resolver,
     until: Optional[datetime] = None,
+    kept: Optional[list[DnsSnapshot]] = None,
 ) -> int:
     """Collect every domain once per interval tick until ``until`` passes.
 
-    Ticks fire after each full interval elapses; results are appended to
-    the store in (domain, vantage) order so runs are deterministic. A
-    resolver with more than one worker gets one thread pool of that size
-    for the whole schedule. Returns the number of completed ticks.
+    Ticks fire after each full interval elapses; each tick's snapshots are
+    appended to the store, and to ``kept`` if given, in (domain, vantage)
+    order so runs are deterministic. Returns the number of completed ticks.
     """
     if config.interval <= timedelta(0):
         raise ValueError("interval must be positive")
     next_due = clock.now() + config.interval
     ticks = 0
-
-    def collect_one(domain: str) -> list[DnsSnapshot]:
-        return collect_snapshot(
-            domain, config.vantages, config.types, resolver,
-            clock=clock, taken_at=next_due,
+    while until is None or next_due <= until:
+        gap = (next_due - clock.now()).total_seconds()
+        if gap > 0:
+            clock.sleep(gap)
+        snapshots = collect_snapshots(
+            domains, config.vantages, config.types, resolver, clock, taken_at=next_due,
             backoff_base=config.backoff_base, backoff_cap=config.backoff_cap,
         )
-
-    fan_out = resolver.workers > 1
-    with ThreadPoolExecutor(resolver.workers) if fan_out else nullcontext() as pool:
-        apply = pool.map if fan_out else map
-        while until is None or next_due <= until:
-            gap = (next_due - clock.now()).total_seconds()
-            if gap > 0:
-                clock.sleep(gap)
-            results = list(apply(collect_one, domains))
-            store.append_many(snap for group in results for snap in group)
-            next_due += config.interval
-            ticks += 1
+        store.append_many(snapshots)
+        if kept is not None:
+            kept.extend(snapshots)
+        next_due += config.interval
+        ticks += 1
     return ticks
 
 
@@ -572,16 +576,23 @@ def ttl_stats(snapshots: Iterable[DnsSnapshot]) -> TtlSummary:
 
 
 def parse_resolver_address(address: object) -> tuple[str, int]:
-    """Split a resolver address ``host`` or ``host:port`` into (host, port).
+    """Split a resolver address into (host, port).
 
-    The port defaults to 53. A non-string address, or a port that is not
-    decimal digits in 0-65535, raises ValueError.
+    The forms are ``host``, ``host:port``, a bare IPv6 address such as
+    ``::1``, and ``[IPv6 address]:port``; the port defaults to 53. A
+    non-string address, a bracket without ``]:port`` after the address, or
+    a port that is not decimal digits in 0-65535 raises ValueError.
     """
     if not isinstance(address, str):
         raise ValueError(f"resolver address {address!r} is not a string")
-    if address.count(":") != 1:  # a bare host, or an IPv6 address
+    if address.startswith("["):
+        host, close, port = address[1:].partition("]:")
+        if not close:
+            raise ValueError(f"resolver address {address!r} is not of the form [address]:port")
+    elif address.count(":") == 1:
+        host, port = address.split(":")
+    else:  # a bare host, or a bare IPv6 address
         return address, 53
-    host, port = address.split(":")
     if not (port.isascii() and port.isdigit() and int(port) <= 65535):
         raise ValueError(f"port of resolver address {address!r} is not an integer in 0-65535")
     return host, int(port)

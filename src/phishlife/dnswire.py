@@ -1,25 +1,44 @@
 """Minimal DNS stub-resolver client over UDP with TCP fallback.
 
 Implements just enough of the RFC 1035 wire format to query the record
-types the monitor tracks. A reply is accepted only from the resolver's
-address and only if it carries the query's id and question (RFC 5452
-section 9.1); other datagrams are dropped. A reply that cannot be parsed
-raises ServerFailure, so the monitor retries it with backoff as it does
-SERVFAIL. Tests exercise the encode/decode layer against fixed and fuzzed
-byte strings, and ``query`` against a loopback server.
+types the monitor tracks. ``UdpResolver.resolve`` runs all the lookups of
+a monitor tick on one ``selectors`` loop, with no threads. It keeps at
+most ``WINDOW`` attempts in flight, each on its own connected non-blocking
+UDP socket, so every query leaves from its own source port (RFC 5452
+section 9.2). Each attempt has one deadline, which also covers the
+non-blocking TCP exchange it falls back to when a reply is truncated. The
+backoff between attempts runs as timers on the monotonic clock, and
+``dnsmon.settle`` decides what is retried.
+
+A reply is accepted only from the resolver's address and only if it
+carries the query's id and question (RFC 5452 section 9.1); other
+datagrams are dropped. A reply that cannot be parsed counts as SERVFAIL,
+so it is retried with backoff. Tests exercise the encode/decode layer
+against fixed and fuzzed byte strings, and the loop against loopback
+servers.
 """
 
 from __future__ import annotations
 
+import errno
+import heapq
+import math
 import os
+import selectors
 import socket
 import struct
 import time
-from typing import Optional
+from collections import deque
+from typing import Callable, Iterator, Optional, Sequence
 
 from .dnsmon import (
-    MAX_TTL, NxDomain, QueryTimeout, RrSet, ServerFailure, VantagePoint, parse_resolver_address,
+    MAX_TTL, AttemptResult, Clock, Lookup, NxDomain, Outcome, QueryTimeout, RrSet,
+    ServerFailure, VantagePoint, parse_resolver_address, settle,
 )
+
+# Attempts in flight at once. On loopback, 1024 overflowed a resolver's
+# receive buffer, and the lost queries waited out the timeout.
+WINDOW = 256
 
 TYPE_CODES = {"A": 1, "NS": 2, "CNAME": 5, "SOA": 6, "MX": 15, "TXT": 16, "AAAA": 28}
 CODE_TYPES = {v: k for k, v in TYPE_CODES.items()}
@@ -32,12 +51,12 @@ FLAG_TC = 0x0200
 
 
 def encode_name(name: str) -> bytes:
+    """Wire form of a name; an empty, non-ASCII or over-63-byte label raises ValueError."""
     out = b""
     for label in name.rstrip(".").split("."):
-        raw = label.encode("ascii")
-        if not 0 < len(raw) < 64:
-            raise ValueError(f"bad label in {name!r}")
-        out += bytes([len(raw)]) + raw
+        if not (label.isascii() and 0 < len(label) < 64):
+            raise ValueError(f"bad label {label!r} in {name!r}")
+        out += bytes([len(label)]) + label.encode("ascii")
     return out + b"\x00"
 
 
@@ -144,85 +163,181 @@ def _is_reply_to(request: bytes, reply: bytes) -> bool:
             and reply[12:len(request)] == request[12:])
 
 
+def _family(host: str) -> socket.AddressFamily:
+    return socket.AF_INET6 if ":" in host else socket.AF_INET
+
+
+# An exchange runs as a generator: it yields each (socket, selector event) it
+# waits for, is resumed once the event fires, and returns its result. The
+# loop registers the socket only while the generator waits on it, so the
+# generator may close its sockets whenever it runs.
+Exchange = Iterator[tuple[socket.socket, int]]
+
+
+class _Attempt:
+    """One attempt of one lookup in flight on the loop."""
+
+    __slots__ = ("index", "number", "steps", "sock", "deadline")
+
+    def __init__(self, index: int, number: int, steps: Exchange, deadline: float):
+        self.index, self.number, self.steps, self.deadline = index, number, steps, deadline
+        self.sock: Optional[socket.socket] = None  # None once the attempt has ended
+
+
 class UdpResolver:
     """Stub resolver speaking to the vantage's configured recursive server.
 
-    Uses UDP with a per-query timeout and falls back to TCP on truncation.
-    Query ids come from os.urandom; they are transport nonces and never
-    reach report output.
+    Each attempt waits at most ``timeout`` seconds. Query ids come from
+    os.urandom; they are transport nonces and never reach report output.
     """
-
-    workers = 64  # each query blocks its thread for up to ``timeout``
 
     def __init__(self, timeout: float = 3.0):
         self.timeout = timeout
 
     def query(self, vantage: VantagePoint, domain: str, rrtype: str) -> Optional[RrSet]:
-        qid = int.from_bytes(os.urandom(2), "big")
-        request = build_query(domain, rrtype, qid)
-        host, port = parse_resolver_address(vantage.resolver_address)
-        try:
-            data = self._exchange_udp(request, host, port)
-            rcode, truncated, answers = parse_response(data)
-            if truncated:
-                data = self._exchange_tcp(request, host, port)
-                rcode, _, answers = parse_response(data)
-        except socket.timeout as exc:
-            raise QueryTimeout(f"{domain}/{rrtype} via {vantage.id}") from exc
-        except OSError as exc:
-            raise ServerFailure(f"{domain}/{rrtype} via {vantage.id}: {exc}") from exc
-        except ValueError as exc:  # a malformed reply is retried like SERVFAIL
-            raise ServerFailure(
-                f"malformed reply for {domain}/{rrtype} via {vantage.id}: {exc}") from exc
+        """One attempt: the rrset, None for an empty answer, or a raised query error."""
+        results: list[AttemptResult] = []
+        self._run([(vantage, domain, rrtype)], lambda i, number, result: results.append(result))
+        if isinstance(results[0], Exception):
+            raise results[0]
+        return results[0]
 
-        if rcode == RCODE_NXDOMAIN:
-            raise NxDomain(domain)
-        if rcode != 0:
-            raise ServerFailure(f"rcode {rcode} for {domain}/{rrtype}")
+    def resolve(self, lookups: Sequence[Lookup], clock: Clock,
+                delays: Sequence[float]) -> list[Outcome]:
+        """Each lookup's outcome, all on one loop; the backoff runs on timers, not ``clock``."""
+        outcomes: list[Optional[Outcome]] = [None] * len(lookups)
 
-        wanted = TYPE_CODES[rrtype]
-        matched = [(ttl, text) for _, rtype, ttl, text in answers if rtype == wanted]
-        if not matched:
-            return None
-        return RrSet(
-            rrtype=rrtype,
-            values=tuple(text for _, text in matched),
-            ttl=min(ttl for ttl, _ in matched),
-        )
+        def done(i: int, number: int, result: AttemptResult) -> Optional[float]:
+            outcomes[i] = settle(lookups[i][2], number, result)
+            return None if outcomes[i] else delays[number - 1]
 
-    def _exchange_udp(self, request: bytes, host: str, port: int) -> bytes:
-        # connect() makes the kernel drop datagrams from any other source;
-        # a datagram that is not a reply to this request is skipped, and the
-        # query's one timeout covers all of them.
-        deadline = time.monotonic() + self.timeout
-        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
-            sock.connect((host, port))
+        self._run(lookups, done)
+        return outcomes  # type: ignore[return-value]  # every lookup has settled
+
+    def _run(self, lookups: Sequence[Lookup],
+             done: Callable[[int, int, AttemptResult], Optional[float]]) -> None:
+        """Run the lookups' attempts on one selector loop until each is done.
+
+        ``done(i, number, result)`` receives the result of attempt ``number``
+        of lookup i and returns the delay before its next attempt, or None
+        when the lookup is finished.
+        """
+        ready = deque((i, 1) for i in range(len(lookups)))  # (lookup, attempt) to start
+        timers: list[tuple[float, int, int]] = []  # (due, lookup, attempt) in backoff
+        flight: deque[_Attempt] = deque()  # in start order, so deadlines ascend
+
+        def advance(att: _Attempt) -> None:
+            vantage, domain, rrtype = lookups[att.index]
+            try:
+                att.sock, event = next(att.steps)
+            except StopIteration as stop:
+                result = _read_answer(domain, rrtype, *stop.value)
+            except OSError as exc:
+                result = ServerFailure(f"{domain}/{rrtype} via {vantage.id}: {exc}")
+            except ValueError as exc:  # a malformed reply is retried like SERVFAIL
+                result = ServerFailure(
+                    f"malformed reply for {domain}/{rrtype} via {vantage.id}: {exc}")
+            else:
+                sel.register(att.sock, event, att)
+                return
+            att.sock = None
+            end(att, result)
+
+        def end(att: _Attempt, result: AttemptResult) -> None:
+            delay = done(att.index, att.number, result)
+            if delay is not None:
+                heapq.heappush(timers, (time.monotonic() + delay, att.index, att.number + 1))
+
+        with selectors.DefaultSelector() as sel:
+            try:
+                while ready or timers or sel.get_map():
+                    now = time.monotonic()
+                    while timers and timers[0][0] <= now:  # a retry chain is a tick's
+                        ready.appendleft(heapq.heappop(timers)[1:])  # longest, so it goes first
+                    while ready and len(sel.get_map()) < WINDOW:
+                        i, number = ready.popleft()
+                        vantage, domain, rrtype = lookups[i]
+                        request = build_query(domain, rrtype, int.from_bytes(os.urandom(2), "big"))
+                        address = parse_resolver_address(vantage.resolver_address)
+                        att = _Attempt(i, number, self._exchange(request, address),
+                                       now + self.timeout)
+                        flight.append(att)
+                        advance(att)
+                    while flight and (flight[0].sock is None or flight[0].deadline <= now):
+                        att = flight.popleft()
+                        if att.sock is not None:
+                            sel.unregister(att.sock)
+                            att.sock = None
+                            att.steps.close()
+                            vantage, domain, rrtype = lookups[att.index]
+                            end(att, QueryTimeout(f"{domain}/{rrtype} via {vantage.id}"))
+                    wake = min(timers[0][0] if timers else math.inf,
+                               flight[0].deadline if flight else math.inf)
+                    if wake == math.inf:  # nothing waits: every lookup is done
+                        continue
+                    for key, _ in sel.select(wake - now):
+                        sel.unregister(key.fileobj)
+                        advance(key.data)
+            finally:  # an escaping error or an interrupt closes every open socket
+                for att in flight:
+                    att.steps.close()
+
+    def _exchange(self, request: bytes, address: tuple[str, int]) -> Exchange:
+        """One attempt over UDP, then TCP if the reply is truncated; returns (rcode, answers)."""
+        with socket.socket(_family(address[0]), socket.SOCK_DGRAM) as sock:
+            sock.setblocking(False)
+            # connect() makes the kernel drop datagrams from any other source
+            sock.connect(address)
             sock.send(request)
-            while True:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise socket.timeout("no matching reply")
-                sock.settimeout(remaining)
+            reply = b""
+            while not _is_reply_to(request, reply):
+                yield sock, selectors.EVENT_READ
                 reply = sock.recv(4096)
-                if _is_reply_to(request, reply):
-                    return reply
+        rcode, truncated, answers = parse_response(reply)
+        if truncated:
+            reply = yield from self._exchange_tcp(request, address)
+            rcode, _, answers = parse_response(reply)
+        return rcode, answers
 
-    def _exchange_tcp(self, request: bytes, host: str, port: int) -> bytes:
-        with socket.create_connection((host, port), timeout=self.timeout) as sock:
+    def _exchange_tcp(self, request: bytes, address: tuple[str, int]) -> Exchange:
+        """The exchange over TCP that follows a truncated reply; returns the reply."""
+        with socket.socket(_family(address[0]), socket.SOCK_STREAM) as sock:
+            sock.setblocking(False)
+            error = sock.connect_ex(address)
+            if error not in (0, errno.EINPROGRESS):
+                raise OSError(error, os.strerror(error))
+            yield sock, selectors.EVENT_WRITE
+            error = sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR)
+            if error:
+                raise OSError(error, os.strerror(error))
+            # a query of at most a few hundred bytes fits a new socket's send buffer
             sock.sendall(struct.pack("!H", len(request)) + request)
-            size_raw = self._recv_exact(sock, 2)
-            size = struct.unpack("!H", size_raw)[0]
-            reply = self._recv_exact(sock, size)
+            data = b""
+            while len(data) < 2 or len(data) < 2 + struct.unpack("!H", data[:2])[0]:
+                yield sock, selectors.EVENT_READ
+                chunk = sock.recv(65537)
+                if not chunk:
+                    raise OSError("connection closed mid-response")
+                data += chunk
+        reply = data[2:2 + struct.unpack("!H", data[:2])[0]]
         if not _is_reply_to(request, reply):
             raise ValueError("TCP reply does not match the query")
         return reply
 
-    @staticmethod
-    def _recv_exact(sock: socket.socket, n: int) -> bytes:
-        chunks = b""
-        while len(chunks) < n:
-            chunk = sock.recv(n - len(chunks))
-            if not chunk:
-                raise OSError("connection closed mid-response")
-            chunks += chunk
-        return chunks
+
+def _read_answer(domain: str, rrtype: str, rcode: int,
+                 answers: list[tuple[str, int, int, str]]) -> AttemptResult:
+    """What a parsed reply means for the lookup: an rrset, None or a query error."""
+    if rcode == RCODE_NXDOMAIN:
+        return NxDomain(domain)
+    if rcode != 0:
+        return ServerFailure(f"rcode {rcode} for {domain}/{rrtype}")
+    wanted = TYPE_CODES[rrtype]
+    matched = [(ttl, text) for _, rtype, ttl, text in answers if rtype == wanted]
+    if not matched:
+        return None
+    return RrSet(
+        rrtype=rrtype,
+        values=tuple(text for _, text in matched),
+        ttl=min(ttl for ttl, _ in matched),
+    )

@@ -1,11 +1,10 @@
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
-from phishlife import classifier, dnsmon, ingest, squatgen
+from phishlife import classifier, ingest, squatgen
 from phishlife.classifier import ClassifierContext, bulk_membership, cluster_bulk
 
 DATA = Path(__file__).parent / "data"
@@ -44,17 +43,3 @@ def classifier_ctx(catalog) -> ClassifierContext:
         bulk_membership=bulk_membership(clusters),
         min_word_len=4,
     )
-
-
-@pytest.fixture
-def pools_made(monkeypatch) -> list[int]:
-    """Sizes of the thread pools the monitor builds while the test runs."""
-    made: list[int] = []
-
-    class CountedPool(ThreadPoolExecutor):
-        def __init__(self, max_workers=None, *args, **kwargs):
-            made.append(max_workers)
-            super().__init__(max_workers, *args, **kwargs)
-
-    monkeypatch.setattr(dnsmon, "ThreadPoolExecutor", CountedPool)
-    return made

@@ -149,12 +149,12 @@ def test_retry_contract_and_backoff():
         ]}})
 
     clock = dnsmon.SimulatedClock(T0)
-    (snap,) = dnsmon.collect_snapshot("a.com", [vantage], ["A"], script(4), clock=clock)
+    (snap,) = dnsmon.collect_snapshots(["a.com"], [vantage], ["A"], script(4), clock=clock)
     assert snap.status == "ok" and snap.attempts == 5
 
     clock2 = dnsmon.SimulatedClock(T0)
     resolver = script(5)
-    (snap2,) = dnsmon.collect_snapshot("a.com", [vantage], ["A"], resolver, clock=clock2)
+    (snap2,) = dnsmon.collect_snapshots(["a.com"], [vantage], ["A"], resolver, clock=clock2)
     assert snap2.status == "failed" and snap2.attempts == 5
     assert resolver.query_counts[("v1", "a.com", "A")] == 5
     assert clock2.sleeps == sorted(clock2.sleeps)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from phishlife import classifier, ingest, squatgen
+from phishlife import classifier, dnsmon, ingest, squatgen
 from phishlife.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -194,6 +194,31 @@ class TestMonitorCommand:
         assert err.startswith("store failure: ") and err.count("\n") == 1, err
         assert not (tmp_path / "out" / "record_changes.csv").exists()
 
+    def test_torn_store_fails_before_any_query(self, tmp_path, monkeypatch):
+        store = tmp_path / "snaps.jsonl"
+        args = ["monitor", "--config", CONFIG, "--snapshot-store", str(store)]
+        assert main(args + ["--out-dir", str(tmp_path / "first")]) == 0
+        torn = store.read_text()[:-20]
+        store.write_text(torn)
+        resolved = []
+        monkeypatch.setattr(dnsmon.ScriptedResolver, "resolve",
+                            lambda self, *args: resolved.append(args))
+        assert main(args + ["--out-dir", str(tmp_path / "out")]) == 4
+        assert resolved == []
+        assert store.read_text() == torn
+
+    @pytest.mark.parametrize("domain", ["bad..com", "münchen.de", "a" * 64 + ".com"])
+    def test_live_domain_not_a_dns_name_exits_2(self, domain, tmp_path, capsys):
+        config = config_copy(tmp_path, {
+            "monitor_domains": ("domains.txt", f"ok.com\n{domain}\n"),
+            "vantage_config": vantage_file("127.0.0.1:9"),
+        })
+        code = main(["monitor", "--live", "--config", config, "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1 and domain in err, err
+        assert not (tmp_path / "out" / "snapshots.jsonl").exists()
+
     def test_no_answered_record_exits_3(self, tmp_path, capsys):
         # the fixture answers none of the 40 corpus domains
         config = config_copy(tmp_path, {"monitor_domains": None})
@@ -203,11 +228,6 @@ class TestMonitorCommand:
         assert out == ""
         assert err.startswith("empty output: ") and err.count("\n") == 1, err
         assert not (tmp_path / "out" / "record_changes.csv").exists()
-
-    @pytest.mark.parametrize("command", ["monitor", "report"])
-    def test_simulate_mode_builds_no_pool(self, command, tmp_path, pools_made):
-        assert main([command, "--config", CONFIG, "--out-dir", str(tmp_path)]) == 0
-        assert pools_made == []
 
     def test_concurrency_flag_is_gone(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exit_info:

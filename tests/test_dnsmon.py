@@ -17,9 +17,10 @@ from phishlife.dnsmon import (
     SnapshotStore,
     VantagePoint,
     backoff_delays,
-    collect_snapshot,
+    collect_snapshots,
     detect_changes,
     diff_snapshots,
+    parse_resolver_address,
     run_schedule,
     ttl_stats,
 )
@@ -108,7 +109,7 @@ class TestRetryContract:
 
     def test_four_failures_then_success(self):
         c = clock()
-        (snap,) = collect_snapshot("a.com", [V1], ["A"], self.script(4), clock=c)
+        (snap,) = collect_snapshots(["a.com"], [V1], ["A"], self.script(4), clock=c)
         assert snap.status == "ok"
         assert snap.attempts == 5
         assert snap.rrsets[0].values == ("192.0.2.1",)
@@ -116,7 +117,7 @@ class TestRetryContract:
     def test_five_failures_is_failed(self):
         c = clock()
         resolver = self.script(5)
-        (snap,) = collect_snapshot("a.com", [V1], ["A"], resolver, clock=c)
+        (snap,) = collect_snapshots(["a.com"], [V1], ["A"], resolver, clock=c)
         assert snap.status == "failed"
         assert snap.attempts == 5
         assert snap.rrsets == ()
@@ -124,7 +125,7 @@ class TestRetryContract:
 
     def test_backoff_nondecreasing_and_capped(self):
         c = clock()
-        collect_snapshot("a.com", [V1], ["A"], self.script(5), clock=c,
+        collect_snapshots(["a.com"], [V1], ["A"], self.script(5), clock=c,
                          backoff_base=0.5, backoff_cap=8.0)
         assert c.sleeps == sorted(c.sleeps)
         assert c.sleeps == [0.5, 1.0, 2.0, 4.0]
@@ -138,21 +139,21 @@ class TestRetryContract:
             "A": [{"values": ["192.0.2.1"], "ttl": 300}],
             "NS": ["servfail"],
         }})
-        (snap,) = collect_snapshot("a.com", [V1], ["A", "NS"], resolver, clock=clock())
+        (snap,) = collect_snapshots(["a.com"], [V1], ["A", "NS"], resolver, clock=clock())
         assert snap.status == "ok"
         assert [r.rrtype for r in snap.rrsets] == ["A"]
         assert snap.errors == ("NS:servfail",)
 
     def test_nxdomain_recorded(self):
         resolver = ScriptedResolver({})
-        (snap,) = collect_snapshot("gone.com", [V1], ["A"], resolver, clock=clock())
+        (snap,) = collect_snapshots(["gone.com"], [V1], ["A"], resolver, clock=clock())
         assert snap.status == "ok"
         assert snap.nxdomain
         assert snap.rrsets == ()
 
     def test_three_vantages_share_taken_at(self):
         resolver = ScriptedResolver({"a.com": {"A": [{"values": ["192.0.2.1"], "ttl": 60}]}})
-        snaps = collect_snapshot("a.com", [V1, V2, V3], ["A"], resolver, clock=clock())
+        snaps = collect_snapshots(["a.com"], [V1, V2, V3], ["A"], resolver, clock=clock())
         assert len(snaps) == 3
         assert len({s.taken_at for s in snaps}) == 1
         assert all(s.status == "ok" for s in snaps)
@@ -200,12 +201,11 @@ class TestScheduler:
         "b.com": {"A": [{"values": ["192.0.2.2"], "ttl": 60}]},
     }
 
-    def run(self, domains, minutes, workers=1, tmp_path=None):
+    def run(self, domains, minutes, tmp_path=None):
         c = clock()
         store = SnapshotStore(tmp_path / "snaps.jsonl")
         config = MonitorConfig(interval=timedelta(minutes=30), vantages=[V1, V2], types=("A",))
         resolver = ScriptedResolver(self.RESOLVER_SCRIPT)
-        resolver.workers = workers
         ticks = run_schedule(domains, config, store, c, resolver,
                              until=T0 + timedelta(minutes=minutes))
         return ticks, store.load()
@@ -226,31 +226,47 @@ class TestScheduler:
         assert not (tmp_path / "snaps.jsonl").exists()
 
     def test_serialized_collections_complete(self, tmp_path):
-        ticks, snaps = self.run(["a.com", "b.com"], 30, workers=1, tmp_path=tmp_path)
+        ticks, snaps = self.run(["a.com", "b.com"], 30, tmp_path=tmp_path)
         assert ticks == 1
         assert [(-s.taken_at.timestamp(), s.registrable, s.vantage_id) for s in snaps] == sorted(
             (-s.taken_at.timestamp(), s.registrable, s.vantage_id) for s in snaps)
         assert len(snaps) == 4
 
     def test_parallel_matches_serial(self, tmp_path):
-        _, serial = self.run(["a.com", "b.com"], 60, workers=1, tmp_path=tmp_path / "s")
-        _, parallel = self.run(["a.com", "b.com"], 60, workers=8, tmp_path=tmp_path / "p")
-        assert serial == parallel
-
-    def test_one_pool_per_schedule(self, tmp_path, pools_made):
-        ticks, snaps = self.run(["a.com", "b.com"], 60, workers=8, tmp_path=tmp_path)
-        assert (ticks, len(snaps)) == (2, 8)
-        assert pools_made == [8]
-
-    def test_single_worker_builds_no_pool(self, tmp_path, pools_made):
-        self.run(["a.com", "b.com"], 60, tmp_path=tmp_path)
-        assert pools_made == []
+        # one tick hands every lookup to the resolver at once; the snapshots
+        # equal those of collecting each domain on its own
+        _, together = self.run(["a.com", "b.com"], 60, tmp_path=tmp_path)
+        resolver = ScriptedResolver(self.RESOLVER_SCRIPT)
+        apart = [snap for minute in (30, 60) for domain in ("a.com", "b.com")
+                 for snap in collect_snapshots([domain], [V1, V2], ["A"], resolver, clock(),
+                                               taken_at=T0 + timedelta(minutes=minute))]
+        assert together == apart
 
     def test_interval_validation(self, tmp_path):
         config = MonitorConfig(interval=timedelta(0), vantages=[V1])
         with pytest.raises(ValueError):
             run_schedule([], config, SnapshotStore(tmp_path / "x.jsonl"), clock(),
                          ScriptedResolver({}), until=T0)
+
+
+@pytest.mark.parametrize("address, expected", [
+    ("192.0.2.1", ("192.0.2.1", 53)),
+    ("192.0.2.1:5353", ("192.0.2.1", 5353)),
+    ("resolver.example:53", ("resolver.example", 53)),
+    ("::1", ("::1", 53)),
+    ("2001:db8::53", ("2001:db8::53", 53)),
+    ("[::1]:5353", ("::1", 5353)),
+    ("[2001:db8::53]:53", ("2001:db8::53", 53)),
+])
+def test_resolver_address_forms(address, expected):
+    assert parse_resolver_address(address) == expected
+
+
+@pytest.mark.parametrize("address", ["[::1]", "[::1]5353", "[::1]:", "[::1]:port", "[::1]:70000",
+                                     "192.0.2.1:", "192.0.2.1:-1"])
+def test_bad_resolver_address_rejected(address):
+    with pytest.raises(ValueError):
+        parse_resolver_address(address)
 
 
 class TestDiff:

@@ -1,13 +1,20 @@
 from __future__ import annotations
 
+import selectors
 import socket
 import struct
 import threading
+from collections import Counter
+from datetime import timedelta
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from phishlife.dnsmon import QueryTimeout, ServerFailure, VantagePoint
+from phishlife import dnswire
+from phishlife.dnsmon import (
+    MonitorConfig, QueryTimeout, ServerFailure, SnapshotStore, SystemClock, VantagePoint,
+    run_schedule,
+)
 from phishlife.dnswire import (
     TYPE_CODES,
     UdpResolver,
@@ -155,12 +162,21 @@ class TestMalformedReply:
             pass
 
     @pytest.mark.parametrize("reply", MALFORMED_REPLIES.values(), ids=MALFORMED_REPLIES)
-    def test_query_raises_server_failure(self, reply, monkeypatch):
-        resolver = UdpResolver()
-        monkeypatch.setattr(resolver, "_exchange_udp", lambda request, host, port: reply)
-        vantage = VantagePoint(id="v1", resolver_address="192.0.2.1:53", region_label="")
-        with pytest.raises(ServerFailure, match="malformed reply"):
-            resolver.query(vantage, "example.com", "A")
+    def test_query_raises_server_failure(self, reply):
+        # the UDP reply is truncated, so the malformed one comes over TCP,
+        # where its framing makes even a short one the reply to the query
+        with LoopbackServer(on_udp=lambda q: [truncated(q)],
+                            on_tcp=lambda q: q[:2] + reply[2:]) as server:
+            with pytest.raises(ServerFailure, match="malformed reply"):
+                UdpResolver(timeout=5).query(server.vantage, "example.com", "A")
+
+    @pytest.mark.parametrize("reply", MALFORMED_REPLIES.values(), ids=MALFORMED_REPLIES)
+    def test_malformed_udp_reply(self, reply):
+        # a datagram too short to echo the question is no reply, and is dropped
+        expected = QueryTimeout if len(reply) < 12 else ServerFailure
+        with LoopbackServer(on_udp=lambda q: [q[:2] + reply[2:]]) as server:
+            with pytest.raises(expected):
+                UdpResolver(timeout=0.3).query(server.vantage, "example.com", "A")
 
 
 def a_reply(query: bytes, address: str, qid_delta: int = 0, name: str = "", flags: int = 0x8180) -> bytes:
@@ -213,24 +229,74 @@ def udp_server(in_thread, replies, stranger=()) -> int:
     return server.getsockname()[1]
 
 
-def tcp_server(in_thread, reply) -> int:
-    """A TCP server on 127.0.0.1 that answers one query with reply(query)."""
-    listener = socket.create_server(("127.0.0.1", 0))
-    listener.settimeout(5)
+def truncated(query: bytes) -> bytes:
+    """A reply to query with TC set and no answers."""
+    return header(qid=struct.unpack("!H", query[:2])[0], flags=0x8380) + query[12:]
 
-    def serve():
-        with listener:
-            conn, _ = listener.accept()
-            with conn:
-                size = struct.unpack("!H", conn.recv(2))[0]
-                query = b""
-                while len(query) < size:
-                    query += conn.recv(size - len(query))
-                data = reply(query)
-                conn.sendall(struct.pack("!H", len(data)) + data)
 
-    in_thread(serve)
-    return listener.getsockname()[1]
+class LoopbackServer:
+    """A DNS server on one loopback port, over UDP and TCP, on a thread.
+
+    ``on_udp(query)`` gives the datagrams sent back for a UDP query, and
+    ``on_tcp(query)`` the reply to a TCP query. Use as a context manager;
+    on exit the thread must have stopped.
+    """
+
+    def __init__(self, on_udp, on_tcp=None, host="127.0.0.1"):
+        self.on_udp, self.on_tcp = on_udp, on_tcp
+        family = socket.AF_INET6 if ":" in host else socket.AF_INET
+        for _ in range(20):  # a UDP port whose TCP twin is also free
+            self.udp = socket.socket(family, socket.SOCK_DGRAM)
+            self.udp.bind((host, 0))
+            self.port = self.udp.getsockname()[1]
+            self.tcp = socket.socket(family, socket.SOCK_STREAM)
+            try:
+                self.tcp.bind((host, self.port))
+                break
+            except OSError:
+                self.udp.close()
+                self.tcp.close()
+        else:
+            raise OSError("no port free for both UDP and TCP")
+        self.tcp.listen(16)
+        self.vantage = VantagePoint(id="v1", region_label="", resolver_address=(
+            f"[{host}]:{self.port}" if family == socket.AF_INET6 else f"{host}:{self.port}"))
+        self._stop = threading.Event()
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+
+    def __enter__(self) -> "LoopbackServer":
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._stop.set()
+        self._thread.join(5)
+        self.udp.close()
+        self.tcp.close()
+        assert not self._thread.is_alive()
+
+    def _serve(self) -> None:
+        with selectors.DefaultSelector() as sel:
+            sel.register(self.udp, selectors.EVENT_READ)
+            sel.register(self.tcp, selectors.EVENT_READ)
+            while not self._stop.is_set():
+                for key, _ in sel.select(0.05):
+                    if key.fileobj is self.udp:
+                        query, client = self.udp.recvfrom(4096)
+                        for datagram in self.on_udp(query):
+                            self.udp.sendto(datagram, client)
+                    else:
+                        self._answer_tcp()
+
+    def _answer_tcp(self) -> None:
+        conn, _ = self.tcp.accept()
+        with conn:
+            conn.settimeout(5)
+            data = b""
+            while len(data) < 2 or len(data) < 2 + struct.unpack("!H", data[:2])[0]:
+                data += conn.recv(4096)
+            reply = self.on_tcp(data[2:])
+            conn.sendall(struct.pack("!H", len(reply)) + reply)
 
 
 class TestLoopback:
@@ -258,14 +324,102 @@ class TestLoopback:
             UdpResolver(timeout=0.5).query(loopback_vantage(port), "example.com", "A")
 
     @pytest.mark.parametrize("qid_delta", [0, 1])
-    def test_tcp_fallback_checks_qid(self, in_thread, qid_delta, monkeypatch):
-        port = tcp_server(in_thread, lambda q: a_reply(q, "192.0.2.7", qid_delta=qid_delta))
-        resolver = UdpResolver(timeout=5)
-        monkeypatch.setattr(resolver, "_exchange_udp",
-                            lambda request, host, p: a_reply(request, "192.0.2.66", flags=0x8380))
-        if qid_delta:
-            with pytest.raises(ServerFailure, match="does not match"):
-                resolver.query(loopback_vantage(port), "example.com", "A")
-        else:
-            rrset = resolver.query(loopback_vantage(port), "example.com", "A")
-            assert rrset.values == ("192.0.2.7",)
+    def test_tcp_fallback_checks_qid(self, qid_delta):
+        with LoopbackServer(
+            on_udp=lambda q: [a_reply(q, "192.0.2.66", flags=0x8380)],
+            on_tcp=lambda q: a_reply(q, "192.0.2.7", qid_delta=qid_delta),
+        ) as server:
+            resolver = UdpResolver(timeout=5)
+            if qid_delta:
+                with pytest.raises(ServerFailure, match="does not match"):
+                    resolver.query(server.vantage, "example.com", "A")
+            else:
+                rrset = resolver.query(server.vantage, "example.com", "A")
+                assert rrset.values == ("192.0.2.7",)
+
+    def test_ipv6_loopback(self):
+        try:
+            server = LoopbackServer(on_udp=lambda q: [a_reply(q, "192.0.2.7")], host="::1")
+        except OSError:
+            pytest.skip("no IPv6 loopback on this host")
+        with server:
+            assert server.vantage.resolver_address.startswith("[::1]:")
+            rrset = UdpResolver(timeout=5).query(server.vantage, "example.com", "A")
+        assert rrset.values == ("192.0.2.7",)
+
+
+def planted(asked: Counter):
+    """A UDP handler that plants one behaviour per name; ``asked`` counts queries per name."""
+    def on_udp(query: bytes) -> list[bytes]:
+        name = decode_name(query, 12)[0]
+        asked[name] += 1
+        first = asked[name] == 1
+        qid = struct.unpack("!H", query[:2])[0]
+        if name == "silent.example":
+            return []
+        if name == "tc.example":
+            return [truncated(query)]
+        if name == "nx.example":
+            return [header(qid=qid, flags=0x8183) + query[12:]]
+        if name == "servfail.example" and first:
+            return [header(qid=qid, flags=0x8182) + query[12:]]
+        if name == "garbage.example" and first:
+            return [query[:2] + MALFORMED_REPLIES["answer_header_cut_short"][2:12] + query[12:]
+                    + b"\xc0\x0c\x00\x01"]
+        stale = [a_reply(query, "192.0.2.66", qid_delta=1)] if name == "wrongqid.example" else []
+        return stale + [a_reply(query, ANSWERS[name])]
+    return on_udp
+
+
+ANSWERS = {"garbage.example": "192.0.2.1", "nx.example": "", "plain.example": "192.0.2.2",
+           "servfail.example": "192.0.2.3", "silent.example": "", "tc.example": "192.0.2.4",
+           "wrongqid.example": "192.0.2.5"}
+
+
+class TestLiveTick:
+    """A whole monitor tick through run_schedule and UdpResolver on loopback."""
+
+    def test_planted_replies(self, tmp_path, monkeypatch):
+        asked: Counter = Counter()
+        sockets = {"open": 0, "peak": 0}
+
+        class CountedSocket(socket.socket):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.counted = kwargs.get("fileno") is None  # not one the server accepted
+                if self.counted:
+                    sockets["open"] += 1
+                    sockets["peak"] = max(sockets["peak"], sockets["open"])
+
+            def close(self):
+                if self.counted and not self._closed:
+                    sockets["open"] -= 1
+                super().close()
+
+        with LoopbackServer(on_udp=planted(asked),
+                            on_tcp=lambda q: a_reply(q, ANSWERS["tc.example"])) as server:
+            monkeypatch.setattr(dnswire, "WINDOW", 3)
+            monkeypatch.setattr(dnswire.socket, "socket", CountedSocket)
+            clock = SystemClock()
+            config = MonitorConfig(interval=timedelta(milliseconds=10), vantages=[server.vantage],
+                                   types=("A",), backoff_base=0.01, backoff_cap=0.02)
+            store = SnapshotStore(tmp_path / "snaps.jsonl")
+            ticks = run_schedule(sorted(ANSWERS), config, store, clock, UdpResolver(timeout=0.5),
+                                 until=clock.now() + timedelta(milliseconds=15))
+
+        assert ticks == 1
+        snaps = {s.registrable: s for s in store.load()}
+        assert list(snaps) == sorted(ANSWERS)
+        got = {name: (s.status, [r.values for r in s.rrsets], s.attempts, s.errors, s.nxdomain)
+               for name, s in snaps.items()}
+        assert got == {
+            "garbage.example": ("ok", [("192.0.2.1",)], 2, (), False),
+            "nx.example": ("ok", [], 1, (), True),
+            "plain.example": ("ok", [("192.0.2.2",)], 1, (), False),
+            "servfail.example": ("ok", [("192.0.2.3",)], 2, (), False),
+            "silent.example": ("failed", [], 5, ("A:timeout",), False),
+            "tc.example": ("ok", [("192.0.2.4",)], 1, (), False),
+            "wrongqid.example": ("ok", [("192.0.2.5",)], 1, (), False),
+        }
+        assert asked["silent.example"] == 5
+        assert sockets == {"open": 0, "peak": 3}  # the window filled, and held
