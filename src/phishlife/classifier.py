@@ -151,22 +151,26 @@ def match_brand(record: DomainRecord, catalog: BrandCatalog) -> Optional[BrandHi
     Brand ids of 4+ characters match as substrings of the second-level
     label or any subdomain label; shorter ids require a whole-label or
     hyphen-delimited-token match. The lowest-ranked brand wins, and the
-    registrable label is preferred over subdomain labels.
+    registrable label is preferred over subdomain labels. Each label's
+    substrings of the long ids' lengths, and its hyphen tokens, are looked
+    up in the catalog's ``brand_positions``.
     """
+    long_ids, short_ids, lengths = catalog.brand_positions
     sld = record.registrable.split(".", 1)[0]
     scan: list[tuple[str, str]] = [("registrable_label", sld)]
     scan += [("subdomain", lbl) for lbl in record.subdomain.split(".") if lbl]
 
-    for brand in catalog.top_brands():
-        bid = brand.brand_id
-        for location, label in scan:
-            if len(bid) >= 4:
-                hit = bid in label
-            else:
-                hit = bid == label or bid in label.split("-")
-            if hit:
-                return BrandHit(brand_id=bid, location=location)
-    return None
+    best: Optional[tuple[int, str]] = None  # (position, location); the first location keeps a tie
+    for location, label in scan:
+        found = [pos for token in (label, *label.split("-"))
+                 if (pos := short_ids.get(token)) is not None]
+        found += [pos for n in lengths for i in range(len(label) - n + 1)
+                  if (pos := long_ids.get(label[i:i + n])) is not None]
+        if found and (best is None or min(found) < best[0]):
+            best = (min(found), location)
+    if best is None:
+        return None
+    return BrandHit(brand_id=catalog.brands[best[0]].brand_id, location=best[1])
 
 
 def is_random_looking(record: DomainRecord, words: frozenset[str], min_word_len: int = 4) -> bool:

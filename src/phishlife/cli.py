@@ -8,12 +8,14 @@ against the working directory. Outputs are CSV/JSON-lines files written
 atomically into --out-dir, and identical inputs always produce
 byte-identical outputs.
 
-Exit codes: 2 config error, 3 empty output, 4 snapshot-store failure.
+Exit codes: 2 config error, 3 empty output, 4 snapshot-store or output
+write failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -32,7 +34,7 @@ from .timeutil import format_utc, parse_utc, to_days
 
 EXIT_CONFIG = 2
 EXIT_EMPTY = 3
-EXIT_STORE = 4
+EXIT_STORE = 4  # the snapshot store or an output file cannot be written
 
 DEFAULT_RRTYPES = ["A", "AAAA", "NS", "MX", "TXT"]
 DEFAULT_MONITOR_START = "2024-01-01T00:00:00Z"
@@ -44,6 +46,10 @@ class ConfigError(PhishlifeError):
 
 class EmptyOutput(PhishlifeError):
     pass
+
+
+class OutputFailure(PhishlifeError):
+    """An output file could not be written."""
 
 
 @dataclass
@@ -178,15 +184,22 @@ def write_atomic(path: Path, text: str) -> None:
     """Write via a temp file, fsync and atomic rename; no partial files on failure.
 
     The temp name carries the process id, so two runs writing into one
-    output directory never share a temp file.
+    output directory never share a temp file. On any failure the temp file
+    is removed; an OSError is raised as OutputFailure.
     """
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise OutputFailure(f"cannot write {path}: {exc}") from exc
+    finally:  # after the rename there is no temp file left to remove
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
@@ -275,8 +288,15 @@ class Run:
         if self.cfg.monitor_domains is not None:
             text = ingest.read_input(_require(self.cfg.monitor_domains, "monitor_domains"),
                                      "monitor domains")
-            domains = [l.strip().lower() for l in text.splitlines()
-                       if l.strip() and not l.startswith("#")]
+            domains = []
+            for line in text.splitlines():
+                host = line.strip()
+                if not host or line.startswith("#"):
+                    continue
+                try:  # normalized like a feed host, so an IDN name goes out as punycode
+                    domains.append(ingest.normalize_host(host))
+                except PhishlifeError as exc:
+                    raise ConfigError(f"monitor domain {host!r} is not a host name: {exc}") from exc
         else:
             domains = [r.registrable for r in self.table.records]
         return sorted(set(domains))
@@ -394,12 +414,8 @@ def cmd_monitor(run: Run, mode: str) -> None:
             _require(cfg.resolver_fixture, "resolver_fixture"))
         clock = dnsmon.SimulatedClock(parse_utc(cfg.monitor_start))
     else:
-        from .dnswire import UdpResolver, encode_name
-        for domain in domains:  # a name that cannot go on the wire fails before any query
-            try:
-                encode_name(domain)
-            except ValueError as exc:
-                raise ConfigError(f"monitor domain {domain!r} is not a DNS name: {exc}") from exc
+        # every domain is a normalized host, so it goes on the wire as it is
+        from .dnswire import UdpResolver
         resolver = UdpResolver()
         clock = dnsmon.SystemClock()
     until = None  # a live run without a duration lasts until interrupted
@@ -582,6 +598,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 0
     except dnsmon.StoreFailure as exc:
         print(f"store failure: {exc}", file=sys.stderr)
+        return EXIT_STORE
+    except OutputFailure as exc:
+        print(f"output failure: {exc}", file=sys.stderr)
         return EXIT_STORE
     except EmptyOutput as exc:
         print(f"empty output: {exc}", file=sys.stderr)

@@ -23,7 +23,9 @@ MAX_LABEL_LEN = 63
 MAX_HOST_LEN = 253
 
 _SCHEME_RE = re.compile(r"^[a-zA-Z][a-zA-Z0-9+.-]*://")
-_ASCII_LABEL_RE = re.compile(r"^[a-z0-9-]+$")
+_ASCII_LABEL_RE = re.compile(r"[a-z0-9-]+")
+# a lower-case ASCII host whose labels are all 1-63 characters long
+_ASCII_HOST_RE = re.compile(r"(?:[a-z0-9-]{1,63}\.)*[a-z0-9-]{1,63}")
 
 
 class MalformedUrl(PhishlifeError):
@@ -111,7 +113,7 @@ def _normalize_label(label: str) -> str:
         raise InvalidLabel("empty label in host")
     if label.isascii():
         label = label.lower()
-        if not _ASCII_LABEL_RE.match(label):
+        if not _ASCII_LABEL_RE.fullmatch(label):
             raise InvalidLabel(f"illegal characters in label {label!r}")
     else:
         try:
@@ -123,9 +125,25 @@ def _normalize_label(label: str) -> str:
     return label
 
 
+def _ascii_host(host: str) -> Optional[str]:
+    """``host`` lower-cased if it is an ASCII name that needs nothing else, else None."""
+    if host.isascii() and len(host) <= MAX_HOST_LEN:
+        host = host.lower()
+        if _ASCII_HOST_RE.fullmatch(host):
+            return host
+    return None
+
+
 def normalize_host(host: str) -> str:
-    """Normalize a raw hostname to lowercase punycode ASCII."""
+    """Normalize a raw hostname to lowercase punycode ASCII.
+
+    An ASCII host that is already a valid name only needs lower-casing, so it
+    skips the label-by-label path, which handles everything else and raises.
+    """
     host = host.rstrip(".")  # tolerate a FQDN trailing dot
+    fast = _ascii_host(host)
+    if fast is not None:
+        return fast
     if not host:
         raise MalformedUrl("empty host")
     labels = [_normalize_label(l) for l in host.split(".")]
@@ -202,18 +220,18 @@ def load_suffix_rules(path: str | Path) -> SuffixRules:
     wildcard: set[str] = set()
     exception: set[str] = set()
     for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("//"):
+        fields = line.split(None, 1)
+        if not fields or fields[0].startswith("//"):
             continue
-        rule = line.split()[0]
-        if rule.startswith("!"):
+        rule = fields[0]
+        if rule[0] == "!":
             target, bucket = rule[1:], exception
         elif rule.startswith("*."):
             target, bucket = rule[2:], wildcard
         else:
             target, bucket = rule, exact
-        try:
-            bucket.add(normalize_host(target))
+        try:  # most rules are plain ASCII names, which need no more than lower-casing
+            bucket.add(_ascii_host(target) or normalize_host(target))
         except PhishlifeError:
             continue  # skip malformed rule lines
     if not (exact or wildcard or exception):

@@ -10,17 +10,19 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .errors import IoFailure, PhishlifeError
 from .ingest import DomainRecord, read_csv
 
-LABEL_RE = re.compile(r"^[a-z0-9]([a-z0-9-]*[a-z0-9])?$")
+LABEL_RE = re.compile(r"[a-z0-9]([a-z0-9-]*[a-z0-9])?")
 ALNUM = "abcdefghijklmnopqrstuvwxyz0123456789"
 LETTERS = "abcdefghijklmnopqrstuvwxyz"
 LABEL_CHARS = frozenset(ALNUM + "-")
 BITFLIP_MASKS = (1, 2, 4, 8, 16)
+MAX_LABEL_LEN = 63
 
 # ASCII-only confusable table. Keys of length 2 are substituted as a
 # two-character window ("rn" -> "m").
@@ -62,6 +64,11 @@ class Technique(enum.Enum):
 
 
 TECHNIQUE_ORDER = {t: i for i, t in enumerate(Technique)}
+# each label character -> the one-bit flips of it that are label characters too
+_BITFLIPS = {
+    c: tuple(f for f in (chr(ord(c) ^ mask) for mask in BITFLIP_MASKS) if f in LABEL_CHARS)
+    for c in LABEL_CHARS
+}
 
 
 @dataclass(frozen=True)
@@ -103,6 +110,20 @@ class BrandCatalog:
     def top_brands(self) -> list[Brand]:
         return self.brands[: self.brand_top_n]
 
+    @cached_property
+    def brand_positions(self) -> tuple[dict[str, int], dict[str, int], list[int]]:
+        """First position in top_brands() of each brand id.
+
+        Returns the ids of 4 or more characters, the shorter ids, and the
+        distinct lengths of the longer ones.
+        """
+        long_ids: dict[str, int] = {}
+        short_ids: dict[str, int] = {}
+        for position, brand in enumerate(self.top_brands()):
+            ids = long_ids if len(brand.brand_id) >= 4 else short_ids
+            ids.setdefault(brand.brand_id, position)
+        return long_ids, short_ids, sorted({len(bid) for bid in long_ids})
+
     def squat_brands(self) -> list[Brand]:
         return self.brands[: self.squat_top_n]
 
@@ -116,10 +137,11 @@ class SquatHit(NamedTuple):
 class SquatIndex:
     """Exact-match lookup from second-level labels to squat attributions."""
 
-    by_label: dict[str, set[tuple[str, Technique]]] = field(default_factory=dict)
+    # variant label -> (rank, technique order, brand_id, technique) of the
+    # attribution that wins on that label
+    by_label: dict[str, tuple[int, int, str, Technique]] = field(default_factory=dict)
     # canonical label -> [(brand_id, canonical suffix, rank)]
     tld_swap_labels: dict[str, list[tuple[str, str, int]]] = field(default_factory=dict)
-    brand_rank: dict[str, int] = field(default_factory=dict)
 
 
 def _split_brand_domain(brand_domain: str) -> tuple[str, str]:
@@ -127,38 +149,36 @@ def _split_brand_domain(brand_domain: str) -> tuple[str, str]:
     if "." not in domain:
         raise InvalidBrandDomain(f"{brand_domain!r} has no public suffix")
     label, suffix = domain.split(".", 1)
-    if not LABEL_RE.match(label) or not all(LABEL_RE.match(l) for l in suffix.split(".")):
+    if not LABEL_RE.fullmatch(label) or not all(LABEL_RE.fullmatch(l) for l in suffix.split(".")):
         raise InvalidBrandDomain(f"{brand_domain!r} is not a valid registrable domain")
     return label, suffix
 
 
-def _raw_variants(label: str) -> set[tuple[str, Technique]]:
-    out: set[tuple[str, Technique]] = set()
+def _variants(label: str) -> Iterator[tuple[Technique, list[str]]]:
+    """Each technique but tld_swap, in technique order, with its variants of a brand label.
 
-    for c in ALNUM:
-        out.add((label + c, Technique.ADDITION))
-    for i in range(len(label)):
-        out.add((label[:i] + label[i + 1:], Technique.OMISSION))
-    for i, c in enumerate(label):
-        out.add((label[:i] + c + c + label[i + 1:], Technique.REPETITION))
-    for i, c in enumerate(label):
-        for mask in BITFLIP_MASKS:
-            flipped = chr(ord(c) ^ mask)
-            if flipped in LABEL_CHARS:
-                out.add((label[:i] + flipped + label[i + 1:], Technique.BITFLIP))
-    for i, c in enumerate(label):
-        for g in HOMOGLYPHS.get(c, ()):
-            out.add((label[:i] + g + label[i + 1:], Technique.HOMOGLYPH))
-    for i in range(len(label) - 1):
-        win = label[i:i + 2]
-        for g in HOMOGLYPHS.get(win, ()):
-            out.add((label[:i] + g + label[i + 2:], Technique.HOMOGLYPH))
-    for i in range(1, len(label)):
-        out.add((label[:i] + "-" + label[i:], Technique.HYPHENATION))
-    for c in LETTERS:
-        out.add((c + label, Technique.PREFIX_INSERTION))
-
-    return out
+    A variant may come twice, from one technique or from two. Variants that
+    are not DNS labels of at most 63 characters are left out; no technique
+    returns the label itself.
+    """
+    n = len(label)
+    for technique, variants in (
+        (Technique.ADDITION, [label + c for c in ALNUM]),
+        (Technique.OMISSION, [label[:i] + label[i + 1:] for i in range(n)]),
+        (Technique.REPETITION, [label[:i] + c + label[i:] for i, c in enumerate(label)]),
+        (Technique.BITFLIP,
+         [label[:i] + f + label[i + 1:] for i, c in enumerate(label) for f in _BITFLIPS[c]]),
+        (Technique.HOMOGLYPH,
+         [label[:i] + g + label[i + 1:] for i, c in enumerate(label) for g in HOMOGLYPHS.get(c, ())]
+         + [label[:i] + g + label[i + 2:]
+            for i in range(n - 1) for g in HOMOGLYPHS.get(label[i:i + 2], ())]),
+        (Technique.HYPHENATION, [label[:i] + "-" + label[i:] for i in range(1, n)]),
+        (Technique.PREFIX_INSERTION, [c + label for c in LETTERS]),
+    ):
+        # a variant is made of label characters, so it is a label unless it
+        # is empty or starts or ends with a hyphen
+        yield technique, [v for v in variants
+                          if 0 < len(v) <= MAX_LABEL_LEN and v[0] != "-" and v[-1] != "-"]
 
 
 def generate(brand_domain: str) -> set[SquatCandidate]:
@@ -169,12 +189,8 @@ def generate(brand_domain: str) -> set[SquatCandidate]:
     which carries the canonical label itself.
     """
     label, _suffix = _split_brand_domain(brand_domain)
-
-    candidates = {
-        SquatCandidate(variant, tech)
-        for variant, tech in _raw_variants(label)
-        if variant != label and len(variant) <= 63 and LABEL_RE.match(variant)
-    }
+    candidates = {SquatCandidate(variant, technique)
+                  for technique, variants in _variants(label) for variant in variants}
     candidates.add(SquatCandidate(label, Technique.TLD_SWAP))
     return candidates
 
@@ -192,29 +208,37 @@ def load_catalog(path: str | Path, brand_top_n: int = 1000, squat_top_n: int = 2
             for row in rows
         ]
         for b in brands:
+            if not b.brand_id:
+                raise ValueError(f"empty brand_id for rank {b.rank}")
             _split_brand_domain(b.canonical_domain)
         return BrandCatalog(brands=brands, brand_top_n=brand_top_n, squat_top_n=squat_top_n)
-    except ValueError as exc:  # a rank that is not an integer, or ranks out of order
+    except ValueError as exc:  # a rank that is not an integer, an empty id, or ranks out of order
         raise IoFailure(f"malformed brand catalog {path}: {exc}") from exc
 
 
 def build_index(catalog: BrandCatalog) -> SquatIndex:
-    """Index generate() output for the first squat_top_n brands.
+    """Index the squat variants of the first squat_top_n brands.
 
-    Label collisions across brands retain all attributions.
+    A label that several brands or techniques produce keeps the one
+    attribution ``match`` picks: the lowest brand rank, then the first
+    technique. A brand id listed twice ranks by its last row there.
     """
     index = SquatIndex()
-    for brand in catalog.squat_brands():
-        index.brand_rank[brand.brand_id] = brand.rank
-        for cand in generate(brand.canonical_domain):
-            if cand.technique is Technique.TLD_SWAP:
-                index.tld_swap_labels.setdefault(cand.label, []).append(
-                    (brand.brand_id, brand.suffix, brand.rank)
-                )
-            else:
-                index.by_label.setdefault(cand.label, set()).add(
-                    (brand.brand_id, cand.technique)
-                )
+    brands = catalog.squat_brands()
+    rank_of = {brand.brand_id: brand.rank for brand in brands}
+    by_label = index.by_label
+    for brand in brands:
+        label, _suffix = _split_brand_domain(brand.canonical_domain)
+        index.tld_swap_labels.setdefault(label, []).append(
+            (brand.brand_id, brand.suffix, brand.rank)
+        )
+        rank = rank_of[brand.brand_id]
+        for technique, variants in _variants(label):
+            entry = (rank, TECHNIQUE_ORDER[technique], brand.brand_id, technique)
+            for variant in variants:
+                best = by_label.get(variant)
+                if best is None or entry[:2] < best[:2]:
+                    by_label[variant] = entry
     return index
 
 
@@ -226,13 +250,11 @@ def match(index: SquatIndex, record: DomainRecord) -> Optional[SquatHit]:
     brand rank wins, then technique order.
     """
     label = record.registrable.split(".", 1)[0]
-    hits: list[tuple[int, int, str, Technique]] = []
-    for brand_id, technique in index.by_label.get(label, ()):
-        hits.append((index.brand_rank[brand_id], TECHNIQUE_ORDER[technique], brand_id, technique))
+    best = index.by_label.get(label)
     for brand_id, suffix, rank in index.tld_swap_labels.get(label, ()):
-        if record.public_suffix != suffix:
-            hits.append((rank, TECHNIQUE_ORDER[Technique.TLD_SWAP], brand_id, Technique.TLD_SWAP))
-    if not hits:
+        swap = (rank, TECHNIQUE_ORDER[Technique.TLD_SWAP], brand_id, Technique.TLD_SWAP)
+        if record.public_suffix != suffix and (best is None or swap < best):
+            best = swap
+    if best is None:
         return None
-    _, _, brand_id, technique = min(hits)
-    return SquatHit(brand_id=brand_id, technique=technique)
+    return SquatHit(brand_id=best[2], technique=best[3])

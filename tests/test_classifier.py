@@ -29,6 +29,7 @@ from phishlife.classifier import (
     prefilter,
 )
 from phishlife.ingest import DomainRecord
+from phishlife.squatgen import Brand, BrandCatalog
 
 UTC = timezone.utc
 WORD_STRAT = st.text(alphabet="abcdefghijklmnopqrstuvwxyz-", min_size=0, max_size=12)
@@ -114,7 +115,50 @@ class TestPrefilter:
         assert prefilter(record("faceb0ok.com"), ALLOW) is PrefilterResult.CANDIDATE
 
 
+def match_brand_oracle(record, catalog):
+    """match_brand as it was before its dict lookup: each top brand in rank
+    order against each label, the registrable label first."""
+    sld = record.registrable.split(".", 1)[0]
+    scan = [("registrable_label", sld)]
+    scan += [("subdomain", lbl) for lbl in record.subdomain.split(".") if lbl]
+    for brand in catalog.top_brands():
+        bid = brand.brand_id
+        for location, label in scan:
+            if len(bid) >= 4:
+                hit = bid in label
+            else:
+                hit = bid == label or bid in label.split("-")
+            if hit:
+                return (bid, location)
+    return None
+
+
+# a small alphabet, so that ids repeat, overlap and sit inside labels often
+BRAND_TEXT = st.text(alphabet="abc-", max_size=6)
+
+
 class TestMatchBrand:
+    @given(ids=st.lists(BRAND_TEXT, min_size=1, max_size=15), top_n=st.integers(1, 15),
+           sld=st.text(alphabet="abc-", min_size=1, max_size=14),
+           subdomain=st.lists(st.text(alphabet="abc-", max_size=10), max_size=3))
+    def test_equals_oracle(self, ids, top_n, sld, subdomain):
+        # duplicate ids, ids of 0-3 characters and ids with "-" included
+        catalog = BrandCatalog([Brand(bid, "x.com", rank) for rank, bid in enumerate(ids, 1)],
+                               brand_top_n=top_n, squat_top_n=0)
+        rec = record(f"{sld}.com", subdomain=".".join(subdomain))
+        assert match_brand(rec, catalog) == match_brand_oracle(rec, catalog)
+
+    def test_planted_ids_equal_oracle(self, catalog):
+        ids = [b.brand_id for b in catalog.brands]
+        rng = random.Random(8)
+        for _ in range(500):
+            parts = [rng.choice(ids + ["login", "x", "secure"]) for _ in range(rng.randint(1, 4))]
+            sld = rng.choice(["", "-"]).join(parts)
+            sub = ".".join(rng.choice(ids + ["www", "m"]) + rng.choice(["", "-app"])
+                           for _ in range(rng.randint(0, 2)))
+            rec = record(f"{sld}.com", subdomain=sub)
+            assert match_brand(rec, catalog) == match_brand_oracle(rec, catalog), rec
+
     def test_brand_in_subdomain(self, catalog):
         rec = record("example.com", subdomain="usps-security")
         hit = match_brand(rec, catalog)

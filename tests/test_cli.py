@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import errno
 import json
 import os
 from collections import Counter
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from phishlife import classifier, dnsmon, ingest, squatgen
+from phishlife import classifier, dnsmon, dnswire, ingest, squatgen
 from phishlife.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -207,7 +208,7 @@ class TestMonitorCommand:
         assert resolved == []
         assert store.read_text() == torn
 
-    @pytest.mark.parametrize("domain", ["bad..com", "münchen.de", "a" * 64 + ".com"])
+    @pytest.mark.parametrize("domain", ["bad..com", "a" * 64 + ".com"])
     def test_live_domain_not_a_dns_name_exits_2(self, domain, tmp_path, capsys):
         config = config_copy(tmp_path, {
             "monitor_domains": ("domains.txt", f"ok.com\n{domain}\n"),
@@ -218,6 +219,40 @@ class TestMonitorCommand:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1 and domain in err, err
         assert not (tmp_path / "out" / "snapshots.jsonl").exists()
+
+    @pytest.mark.parametrize("domain", ["bad..com", "exa_mple.com", "a" * 64 + ".com"])
+    def test_simulated_domain_not_a_host_exits_2(self, domain, tmp_path, capsys):
+        config = config_copy(tmp_path, {"monitor_domains": ("domains.txt", f"ok.com\n{domain}\n")})
+        code = main(["monitor", "--config", config, "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1 and repr(domain) in err, err
+        assert not (tmp_path / "out" / "snapshots.jsonl").exists()
+
+    @pytest.mark.parametrize("live", [False, True], ids=["simulate", "live"])
+    def test_unicode_domain_is_monitored_as_punycode(self, live, tmp_path, monkeypatch):
+        # both modes answer from the scripted fixture; the lookups are recorded
+        scripted = dnsmon.ScriptedResolver.from_file(DATA / "resolver_fixture.json")
+        scripted_resolve = dnsmon.ScriptedResolver.resolve
+        looked_up = set()
+
+        def resolve(self, lookups, clock, delays):
+            looked_up.update(domain for _vantage, domain, _rrtype in lookups)
+            return scripted_resolve(scripted, lookups, clock, delays)
+
+        monkeypatch.setattr(dnswire.UdpResolver if live else dnsmon.ScriptedResolver,
+                            "resolve", resolve)
+        config = config_copy(tmp_path, {
+            "monitor_domains": ("domains.txt", "flux.top\nMünchen.de.\n"),
+            # one tick after 60 ms, so that the live run is short
+            "monitor_interval_minutes": 0.001, "monitor_duration_minutes": 0.0015,
+        })
+        code = main(["monitor", *(["--live"] if live else []), "--config", config,
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 0
+        assert looked_up == {"flux.top", "xn--mnchen-3ya.de"}
+        snapshots = (tmp_path / "out" / "snapshots.jsonl").read_text().splitlines()
+        assert {json.loads(l)["registrable"] for l in snapshots} == looked_up
 
     def test_no_answered_record_exits_3(self, tmp_path, capsys):
         # the fixture answers none of the 40 corpus domains
@@ -390,6 +425,9 @@ def bad_input(changes, command="monitor", out_dir="out", *, id):
     bad_input({"brand_catalog": ("brands.csv", "rank,brand_id,canonical_domain\n"
                                  "2,usps,usps.com\n1,chase,chase.com\n")},
               "classify", id="brand_ranks_not_increasing"),
+    bad_input({"brand_catalog": ("brands.csv", "rank,brand_id,canonical_domain\n"
+                                 "1,,example.com\n2,usps,usps.com\n")},
+              "classify", id="empty_brand_id"),
     bad_input({}, out_dir="config.json", id="out_dir_is_a_file"),
 ])
 def test_bad_config_input_exits_2(changes, command, out_dir, tmp_path, capsys):
@@ -436,3 +474,18 @@ def test_unreadable_input_exits_2(key, kind, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1 and str(bad) in err, err
+
+
+@pytest.mark.parametrize("call", ["fsync", "replace"])
+def test_failed_output_write_exits_4(call, tmp_path, capsys, monkeypatch):
+    def no_space(*args):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(os, call, no_space)
+    out = tmp_path / "out"
+    code = main(["classify", "--config", CONFIG, "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.startswith("output failure: ") and err.count("\n") == 1, err
+    assert "classification.csv" in err and "No space left on device" in err, err
+    assert list(out.iterdir()) == []  # the temp file is gone too

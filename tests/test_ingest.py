@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 from datetime import datetime, timezone
 
 import pytest
@@ -19,6 +20,7 @@ from phishlife.ingest import (
     build_domain_table,
     load_feed,
     load_suffix_rules,
+    normalize_host,
     parse_url,
     split_registrable,
 )
@@ -74,6 +76,74 @@ class TestParseUrl:
     def test_empty_label(self):
         with pytest.raises(InvalidLabel):
             parse_url("http://a..b.com/")
+
+
+def normalize_host_oracle(host: str) -> str:
+    """normalize_host as it was before its ASCII fast path: label by label.
+
+    The one change is ``fullmatch`` for an ASCII label, which ``match`` and
+    ``$`` let end in a newline.
+    """
+    def label_of(label: str) -> str:
+        if not label:
+            raise InvalidLabel("empty label in host")
+        if label.isascii():
+            label = label.lower()
+            if not re.fullmatch(r"[a-z0-9-]+", label):
+                raise InvalidLabel(f"illegal characters in label {label!r}")
+        else:
+            try:
+                label = label.encode("idna").decode("ascii").lower()
+            except UnicodeError as exc:
+                raise InvalidLabel(f"cannot punycode label {label!r}: {exc}") from exc
+        if len(label) > 63:
+            raise InvalidLabel(f"label longer than 63 chars: {label!r}")
+        return label
+
+    host = host.rstrip(".")
+    if not host:
+        raise MalformedUrl("empty host")
+    normalized = ".".join(label_of(l) for l in host.split("."))
+    if len(normalized) > 253:
+        raise InvalidLabel("host longer than 253 chars")
+    return normalized
+
+
+def outcome(fn, host):
+    try:
+        return fn(host)
+    except PhishlifeError as exc:
+        return type(exc)
+
+
+# labels of every length class around 63, case, IDN, illegal characters,
+# newlines and spaces; joined into hosts of up to about 300 characters
+HOST_LABEL = st.one_of(
+    st.text(alphabet="aZ9-_ \nü中ß", max_size=8),
+    st.integers(60, 66).map(lambda n: "a" * n),
+    st.sampled_from(["xn--mnchen-3ya", "münchen", "XN--A", "-a-", "", "a" * 50]),
+)
+HOST = st.lists(HOST_LABEL, max_size=8).map(".".join) | st.text(max_size=20)
+
+
+class TestNormalizeHost:
+    @given(HOST, st.sampled_from(["", ".", ".."]))
+    def test_equals_oracle(self, host, tail):
+        host += tail
+        assert outcome(normalize_host, host) == outcome(normalize_host_oracle, host)
+
+    @pytest.mark.parametrize("host", [
+        "a" * 63, "a" * 64, "x." + "a" * 63, "x." + "a" * 64, "a" * 64 + ".x",
+        # 253 and 254 characters
+        "b" * 49 + "." + ".".join(["a" * 50] * 4), ".".join(["a" * 50] * 5),
+    ])
+    def test_equals_oracle_at_length_limits(self, host):
+        assert outcome(normalize_host, host) == outcome(normalize_host_oracle, host)
+
+    @pytest.mark.parametrize("host", ["example.com\n", "exa\nmple.com", "example\n.com"])
+    def test_newline_in_label_rejected(self, host):
+        with pytest.raises(InvalidLabel):
+            normalize_host(host)
 
 
 class TestSuffixRules:

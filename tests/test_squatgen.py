@@ -7,6 +7,9 @@ from hypothesis import given, strategies as st
 
 from phishlife.ingest import DomainRecord
 from phishlife.squatgen import (
+    BITFLIP_MASKS,
+    HOMOGLYPHS,
+    TECHNIQUE_ORDER,
     Brand,
     BrandCatalog,
     InvalidBrandDomain,
@@ -28,6 +31,77 @@ def record(registrable: str, suffix: str | None = None) -> DomainRecord:
         registrable=registrable, public_suffix=suffix, subdomain="",
         subdomain_count=0, first_detections={}, brands=set(), url_count=1,
     )
+
+
+# ---------------------------------------------------------------- oracle
+# The squat engine as it was before the index kept one attribution per label:
+# a set of variants per brand, every attribution of a label kept, and the
+# winner picked at match time.
+
+ALNUM = "abcdefghijklmnopqrstuvwxyz0123456789"
+
+
+def raw_variants_oracle(label: str) -> set[tuple[str, Technique]]:
+    out: set[tuple[str, Technique]] = set()
+    for c in ALNUM:
+        out.add((label + c, Technique.ADDITION))
+    for i in range(len(label)):
+        out.add((label[:i] + label[i + 1:], Technique.OMISSION))
+    for i, c in enumerate(label):
+        out.add((label[:i] + c + c + label[i + 1:], Technique.REPETITION))
+    for i, c in enumerate(label):
+        for mask in BITFLIP_MASKS:
+            flipped = chr(ord(c) ^ mask)
+            if flipped in ALNUM + "-":
+                out.add((label[:i] + flipped + label[i + 1:], Technique.BITFLIP))
+    for i, c in enumerate(label):
+        for g in HOMOGLYPHS.get(c, ()):
+            out.add((label[:i] + g + label[i + 1:], Technique.HOMOGLYPH))
+    for i in range(len(label) - 1):
+        for g in HOMOGLYPHS.get(label[i:i + 2], ()):
+            out.add((label[:i] + g + label[i + 2:], Technique.HOMOGLYPH))
+    for i in range(1, len(label)):
+        out.add((label[:i] + "-" + label[i:], Technique.HYPHENATION))
+    for c in ALNUM[:26]:
+        out.add((c + label, Technique.PREFIX_INSERTION))
+    return out
+
+
+def generate_oracle(label: str) -> set[tuple[str, Technique]]:
+    candidates = {(variant, tech) for variant, tech in raw_variants_oracle(label)
+                  if variant != label and len(variant) <= 63 and LABEL_RE.match(variant)}
+    return candidates | {(label, Technique.TLD_SWAP)}
+
+
+def build_index_oracle(catalog: BrandCatalog):
+    """(by_label with every attribution, tld_swap_labels, brand_rank)."""
+    by_label: dict[str, set[tuple[str, Technique]]] = {}
+    tld_swap_labels: dict[str, list[tuple[str, str, int]]] = {}
+    brand_rank: dict[str, int] = {}
+    for brand in catalog.squat_brands():
+        brand_rank[brand.brand_id] = brand.rank
+        for label, technique in generate_oracle(brand.canonical_domain.split(".", 1)[0]):
+            if technique is Technique.TLD_SWAP:
+                tld_swap_labels.setdefault(label, []).append(
+                    (brand.brand_id, brand.suffix, brand.rank))
+            else:
+                by_label.setdefault(label, set()).add((brand.brand_id, technique))
+    return by_label, tld_swap_labels, brand_rank
+
+
+def match_oracle(oracle_index, rec: DomainRecord):
+    by_label, tld_swap_labels, brand_rank = oracle_index
+    label = rec.registrable.split(".", 1)[0]
+    hits = [(brand_rank[b], TECHNIQUE_ORDER[t], b, t) for b, t in by_label.get(label, ())]
+    hits += [(rank, TECHNIQUE_ORDER[Technique.TLD_SWAP], b, Technique.TLD_SWAP)
+             for b, suffix, rank in tld_swap_labels.get(label, ()) if rec.public_suffix != suffix]
+    return min(hits)[2:] if hits else None
+
+
+# short labels over a small alphabet, so that brands' variants collide; it
+# holds both halves of the l/1/i and rn/m homoglyph pairs
+BRAND_LABEL = st.from_regex(r"[abilmnr1]([abilmnr1-]{0,5}[abilmnr1])?", fullmatch=True)
+SUFFIXES = ["com", "net", "co.uk"]
 
 
 def labels_for(candidates: set[SquatCandidate], technique: Technique) -> set[str]:
@@ -132,7 +206,8 @@ class TestIndex:
         catalog = BrandCatalog([Brand("facebook", "facebook.com", 1)],
                                brand_top_n=1, squat_top_n=1)
         index = build_index(catalog)
-        assert ("facebook", Technique.HOMOGLYPH) in index.by_label["faceb0ok"]
+        assert match(index, record("faceb0ok.com")) == ("facebook", Technique.HOMOGLYPH)
+        assert index.by_label["faceb0ok"] == (1, 4, "facebook", Technique.HOMOGLYPH)
 
     def test_zero_squat_top_n(self):
         catalog = BrandCatalog([Brand("facebook", "facebook.com", 1)],
@@ -140,16 +215,13 @@ class TestIndex:
         index = build_index(catalog)
         assert not index.by_label and not index.tld_swap_labels
 
-    def test_collision_keeps_both_attributions(self):
-        # "abc" is an omission of both abcd and abca... use addition collision:
-        # "abcx" is addition from "abc" and omission? Build explicit overlap:
-        # omission of "aab" -> "ab"; omission of "abb" -> "ab"
+    @pytest.mark.parametrize("first, second", [("aab", "abb"), ("abb", "aab")])
+    def test_collision_keeps_lowest_rank(self, first, second):
+        # "ab" is an omission of both "aab" and "abb": the better-ranked brand wins
         catalog = BrandCatalog(
-            [Brand("one", "aab.com", 1), Brand("two", "abb.com", 2)],
+            [Brand(first, f"{first}.com", 1), Brand(second, f"{second}.com", 2)],
             brand_top_n=2, squat_top_n=2)
-        index = build_index(catalog)
-        brands = {b for b, _ in index.by_label["ab"]}
-        assert brands == {"one", "two"}
+        assert match(build_index(catalog), record("ab.com")) == (first, Technique.OMISSION)
 
     def test_completeness(self):
         catalog = BrandCatalog([Brand("usps", "usps.com", 1)], brand_top_n=1, squat_top_n=1)
@@ -158,6 +230,36 @@ class TestIndex:
             suffix = "top" if cand.technique is Technique.TLD_SWAP else "com"
             hit = match(index, record(f"{cand.label}.{suffix}", suffix))
             assert hit is not None and hit.brand_id == "usps"
+
+
+class TestIndexOracle:
+    @given(brands=st.lists(st.tuples(st.sampled_from(["one", "two", "ab", "x", "three"]),
+                                     BRAND_LABEL, st.sampled_from(SUFFIXES)),
+                           min_size=1, max_size=8),
+           squat_top_n=st.integers(0, 8), probes=st.lists(BRAND_LABEL, max_size=5))
+    def test_equals_oracle(self, brands, squat_top_n, probes):
+        # brand ids repeat, and the labels of different brands collide
+        catalog = BrandCatalog(
+            [Brand(bid, f"{label}.{suffix}", rank)
+             for rank, (bid, label, suffix) in enumerate(brands, 1)],
+            brand_top_n=8, squat_top_n=squat_top_n)
+        index, oracle = build_index(catalog), build_index_oracle(catalog)
+        assert set(index.by_label) == set(oracle[0])
+        assert index.tld_swap_labels == oracle[1]
+        for label in [*oracle[0], *oracle[1], *probes]:
+            for suffix in SUFFIXES:
+                rec = record(f"{label}.{suffix}", suffix)
+                assert match(index, rec) == match_oracle(oracle, rec), rec
+
+    @given(BRAND_LABEL)
+    def test_generate_equals_oracle(self, label):
+        assert {(c.label, c.technique) for c in generate(f"{label}.com")} == generate_oracle(label)
+
+    @pytest.mark.parametrize("label", [
+        "a" * 62, "a" * 63, "a" * 64, "a-" + "b" * 60 + "-c", "m-" + "rn" * 40 + "-l", "a-b", "a",
+    ])
+    def test_generate_equals_oracle_at_length_limits(self, label):
+        assert {(c.label, c.technique) for c in generate(f"{label}.com")} == generate_oracle(label)
 
 
 class TestMatch:
