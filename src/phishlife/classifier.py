@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Mapping, NamedTuple, Optional
 
 from .errors import IoFailure, PhishlifeError
-from .ingest import DomainRecord, read_csv, read_input
+from .ingest import DomainRecord, normalize_host, read_csv, read_lines
 from .squatgen import BrandCatalog, SquatIndex, match as squat_match
 from .timeutil import parse_utc
 
@@ -88,22 +88,18 @@ class ClassifierContext:
 def load_allowlist(path: str | Path) -> frozenset[str]:
     """Load an allowlist as CSV ``rank,domain`` or one domain per line.
 
-    A CSV line whose rank is not an integer, such as a header, is skipped.
+    Domains are normalized like feed hosts. A CSV line whose rank is not an
+    integer, such as a header, and a domain that is not a host are skipped.
     """
     domains: set[str] = set()
-    for line in read_input(path, "allowlist").splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "," in line:
-            rank, line = line.split(",", 1)
-            try:
+    for line in read_lines(path, "allowlist"):
+        try:
+            if "," in line:
+                rank, line = line.split(",", 1)
                 int(rank)
-            except ValueError:
-                continue
-        domain = line.strip().lower()
-        if domain:
-            domains.add(domain)
+            domains.add(normalize_host(line.strip()))
+        except (PhishlifeError, ValueError):
+            continue
     if not domains:
         raise EmptyAllowlist(f"no domains parsed from {path}")
     return frozenset(domains)
@@ -111,23 +107,26 @@ def load_allowlist(path: str | Path) -> frozenset[str]:
 
 def load_word_list(path: str | Path) -> frozenset[str]:
     """Load a dictionary file, one lowercase word per line."""
-    text = read_input(path, "word list")
-    return frozenset(w.strip().lower() for w in text.splitlines() if w.strip())
+    return frozenset(w.strip().lower() for w in read_lines(path, "word list"))
 
 
 def load_registration_log(path: str | Path) -> list[RegistrationLogEntry]:
-    """Load a registration log CSV (``registrable,registered_at,registrar``, header required)."""
+    """Load a registration log CSV (``registrable,registered_at,registrar``, header required).
+
+    Domains are normalized like feed hosts; a row that is not a host or has
+    a bad timestamp raises IoFailure.
+    """
     rows = read_csv(path, ("registrable", "registered_at", "registrar"), "registration log")
     try:
         entries = [
             RegistrationLogEntry(
-                registrable=row["registrable"].strip().lower(),
+                registrable=normalize_host(row["registrable"].strip()),
                 registered_at=parse_utc(row["registered_at"]),
                 registrar=row["registrar"].strip(),
             )
             for row in rows
         ]
-    except ValueError as exc:
+    except (PhishlifeError, ValueError) as exc:
         raise IoFailure(f"malformed registration log {path}: {exc}") from exc
     return entries
 

@@ -286,13 +286,9 @@ class Run:
     @cached_property
     def monitor_domains(self) -> list[str]:
         if self.cfg.monitor_domains is not None:
-            text = ingest.read_input(_require(self.cfg.monitor_domains, "monitor_domains"),
-                                     "monitor domains")
             domains = []
-            for line in text.splitlines():
+            for line in ingest.read_lines(self.cfg.monitor_domains, "monitor domains"):
                 host = line.strip()
-                if not host or line.startswith("#"):
-                    continue
                 try:  # normalized like a feed host, so an IDN name goes out as punycode
                     domains.append(ingest.normalize_host(host))
                 except PhishlifeError as exc:

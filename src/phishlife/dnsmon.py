@@ -17,6 +17,7 @@ import statistics
 import time as _time
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional, Protocol, Sequence, Union
 
@@ -61,6 +62,11 @@ class VantagePoint:
     id: str
     resolver_address: str
     region_label: str
+
+    @cached_property
+    def address(self) -> tuple[str, int]:
+        """The resolver's (host, port), parsed on first use; a bad address raises ValueError."""
+        return parse_resolver_address(self.resolver_address)
 
 
 @dataclass(frozen=True)
@@ -234,6 +240,11 @@ class Resolver(Protocol):
         """
 
 
+# a compiled fixture step: "nxdomain", "servfail", or (timeouts before the
+# answer, the answer's rrset or None for an empty answer)
+Step = Union[str, tuple[int, Optional[RrSet]]]
+
+
 class ScriptedResolver:
     """In-memory resolver driven by a fixture script.
 
@@ -243,11 +254,13 @@ class ScriptedResolver:
     times out K times before answering; each delivered answer (or nxdomain)
     advances to the next step, and the last step repeats. Keys of the form
     ``domain@vantage_id`` override the plain domain entry for one vantage.
-    Domains absent from the script resolve as nxdomain.
+    Domains absent from the script resolve as nxdomain. The constructor
+    compiles the script once; another shape, or an rrtype key not in
+    RRTYPES, raises ValueError.
     """
 
-    def __init__(self, script: dict):
-        self._script = script
+    def __init__(self, script: object):
+        self._script = _compile_script(script)
         self._cursor: dict[tuple[str, str, str], int] = {}
         self._fails: dict[tuple[str, str, str], int] = {}
         self.query_counts: dict[tuple[str, str, str], int] = {}
@@ -257,12 +270,11 @@ class ScriptedResolver:
         """Load a fixture; a file ``query`` could not replay raises IoFailure."""
         script = read_json(path, "resolver fixture")
         try:
-            _check_script(script)
+            return cls(script)
         except ValueError as exc:
             raise IoFailure(f"malformed resolver fixture {path}: {exc}") from exc
-        return cls(script)
 
-    def _steps(self, vantage: VantagePoint, domain: str, rrtype: str):
+    def _steps(self, vantage: VantagePoint, domain: str, rrtype: str) -> Optional[list[Step]]:
         per_vantage = self._script.get(f"{domain}@{vantage.id}")
         entry = per_vantage if per_vantage is not None else self._script.get(domain)
         if entry is None:
@@ -303,45 +315,43 @@ class ScriptedResolver:
         if step == "servfail":
             raise ServerFailure(domain)
 
-        fails_needed = int(step.get("fail_count_before_success", 0))
+        fails_needed, rrset = step
         if self._fails.get(key, 0) < fails_needed:
             self._fails[key] = self._fails.get(key, 0) + 1
             raise QueryTimeout(f"{domain}/{rrtype} (scripted)")
 
         self._cursor[key] = idx + 1
         self._fails[key] = 0
-        values = tuple(step.get("values", ()))
-        if not values:
-            return None
-        return RrSet(rrtype=rrtype, values=values, ttl=int(step.get("ttl", 0)))
+        return rrset
 
 
-def _is_count(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
-
-
-def _valid_step(step: object) -> bool:
+def _compile_step(key: str, rrtype: str, step: object) -> Step:
+    """A fixture step as ``query`` replays it; a step of another shape raises ValueError."""
     if step in ("nxdomain", "servfail"):
-        return True
-    if not isinstance(step, dict):
-        return False
-    values, ttl = step.get("values", []), step.get("ttl", 0)
-    return (isinstance(values, list) and all(isinstance(v, str) for v in values)
-            and _is_count(ttl) and ttl <= MAX_TTL
-            and _is_count(step.get("fail_count_before_success", 0)))
+        return str(step)
+    if isinstance(step, dict):
+        values, ttl = step.get("values", []), step.get("ttl", 0)
+        fails = step.get("fail_count_before_success", 0)
+        # a count is a non-negative int; JSON true and false load as bool, an int subclass
+        if (isinstance(values, list) and all(isinstance(v, str) for v in values)
+                and all(type(n) is int and n >= 0 for n in (ttl, fails)) and ttl <= MAX_TTL):
+            return fails, RrSet(rrtype, tuple(values), ttl) if values else None
+    raise ValueError(f"{key}/{rrtype}: bad step {json.dumps(step)}")
 
 
-def _check_script(script: object) -> None:
-    """Raise ValueError unless ``script`` has the shape ScriptedResolver documents."""
+def _compile_script(script: object) -> dict[str, dict[str, list[Step]]]:
+    """The script's steps compiled for ``query``; another shape raises ValueError."""
     if not isinstance(script, dict):
         raise ValueError("not a JSON object")
+    compiled = {}
     for key, entry in script.items():
-        if not isinstance(entry, dict) or not all(isinstance(s, list) for s in entry.values()):
-            raise ValueError(f"{key}: not an object of rrtype -> list of steps")
-        for rrtype, steps in entry.items():
-            for step in steps:
-                if not _valid_step(step):
-                    raise ValueError(f"{key}/{rrtype}: bad step {json.dumps(step)}")
+        if not (isinstance(entry, dict)
+                and all(t in RRTYPES and isinstance(s, list) for t, s in entry.items())):
+            raise ValueError(f"{key}: not an object of rrtype -> list of steps, "
+                             f"with rrtypes among {', '.join(RRTYPES)}")
+        compiled[key] = {rrtype: [_compile_step(key, rrtype, step) for step in steps]
+                         for rrtype, steps in entry.items()}
+    return compiled
 
 
 def backoff_delays(base: float, cap: float) -> list[float]:
@@ -612,7 +622,7 @@ def load_vantages(path: str | Path) -> list[VantagePoint]:
             for v in raw
         ]
         for v in vantages:
-            parse_resolver_address(v.resolver_address)
+            v.address  # parsed once here, and kept for the live resolver
             if not (isinstance(v.id, str) and isinstance(v.region_label, str)):
                 raise ValueError(f"id and region_label of {v} must be strings")
     except (KeyError, TypeError, ValueError) as exc:

@@ -33,7 +33,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 from .dnsmon import (
     MAX_TTL, AttemptResult, Clock, Lookup, NxDomain, Outcome, QueryTimeout, RrSet,
-    ServerFailure, VantagePoint, parse_resolver_address, settle,
+    ServerFailure, VantagePoint, settle,
 )
 
 # Attempts in flight at once. On loopback, 1024 overflowed a resolver's
@@ -258,8 +258,7 @@ class UdpResolver:
                         i, number = ready.popleft()
                         vantage, domain, rrtype = lookups[i]
                         request = build_query(domain, rrtype, int.from_bytes(os.urandom(2), "big"))
-                        address = parse_resolver_address(vantage.resolver_address)
-                        att = _Attempt(i, number, self._exchange(request, address),
+                        att = _Attempt(i, number, self._exchange(request, vantage.address),
                                        now + self.timeout)
                         flight.append(att)
                         advance(att)

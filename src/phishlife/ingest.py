@@ -182,6 +182,12 @@ def read_input(path: str | Path, what: str) -> str:
         raise IoFailure(f"cannot read {what} {path}: {exc}") from exc
 
 
+def read_lines(path: str | Path, what: str) -> list[str]:
+    """A text input's lines, ends removed, less blanks and lines whose first non-blank is ``#``."""
+    return [line for line in read_input(path, what).splitlines()
+            if (head := line.lstrip()) and head[0] != "#"]
+
+
 def read_json(path: str | Path, what: str) -> object:
     """Read and decode a JSON input file; invalid JSON raises IoFailure."""
     text = read_input(path, what)
@@ -288,23 +294,23 @@ def _entry_from_line(line: str) -> FeedEntry:
     parts = line.split("\t")
     if len(parts) not in (3, 4):
         raise ValueError(f"expected 3 or 4 tab-separated fields, got {len(parts)}")
-    detected_at = parse_utc(parts[0])
-    url, source = parts[1].strip(), parts[2].strip()
-    brand = parts[3].strip() if len(parts) == 4 and parts[3].strip() else None
-    if not url or not source:
-        raise ValueError("empty url or source field")
-    return FeedEntry(url=url, detected_at=detected_at, source=source, brand=brand)
+    return _entry_from_obj(dict(zip(("detected_at", "url", "source", "brand"), parts)))
 
 
 def _entry_from_obj(obj: object) -> FeedEntry:
+    """One feed record of either format; ``url``, ``source`` and ``brand`` are stripped."""
     if not isinstance(obj, dict):
         raise ValueError("feed record is not an object")
     url, source, at, brand = (obj.get(k) for k in ("url", "source", "detected_at", "brand"))
-    if not (url and source and all(isinstance(v, str) for v in (url, source, at))):
-        raise ValueError("url and source must be non-empty strings, detected_at a string")
+    if not all(isinstance(v, str) for v in (url, source, at)):
+        raise ValueError("url, source and detected_at must be strings")
     if not isinstance(brand, (str, type(None))):
         raise ValueError("brand must be a string or null")
-    return FeedEntry(url=url, detected_at=parse_utc(at), source=source, brand=brand or None)
+    url, source = url.strip(), source.strip()
+    if not (url and source):
+        raise ValueError("empty url or source field")
+    return FeedEntry(url=url, detected_at=parse_utc(at), source=source,
+                     brand=(brand or "").strip() or None)
 
 
 def load_feed(path: str | Path, format: str = "lines") -> FeedLoadResult:
@@ -315,30 +321,24 @@ def load_feed(path: str | Path, format: str = "lines") -> FeedLoadResult:
     """
     if format not in ("lines", "json"):
         raise ValueError(f"unknown feed format {format!r}")
-    text = read_input(path, "feed")
-    entries: list[FeedEntry] = []
-    skipped = 0
     if format == "lines":
-        for line in text.splitlines():
-            if not line.strip() or line.startswith("#"):
-                continue
-            try:
-                entries.append(_entry_from_line(line))
-            except ValueError:
-                skipped += 1
+        records: list = read_lines(path, "feed")
+        parse = _entry_from_line
     else:
         try:
-            data = json.loads(text)
-            if not isinstance(data, list):
+            records = json.loads(read_input(path, "feed"))
+            if not isinstance(records, list):
                 raise ValueError("top-level JSON value is not an array")
         except ValueError as exc:
             raise AllRecordsMalformed(f"{path}: {exc}") from exc
-        for obj in data:
-            try:
-                entries.append(_entry_from_obj(obj))
-            except ValueError:
-                skipped += 1
-
+        parse = _entry_from_obj
+    entries: list[FeedEntry] = []
+    skipped = 0
+    for record in records:
+        try:
+            entries.append(parse(record))
+        except ValueError:
+            skipped += 1
     if skipped and not entries:
         raise AllRecordsMalformed(f"all {skipped} records in {path} are malformed")
     return FeedLoadResult(entries=entries, skipped=skipped)

@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, Optional
 
 from .classifier import ClassificationResult
 from .errors import PhishlifeError
-from .ingest import DomainRecord, read_csv
+from .ingest import DomainRecord, normalize_host, read_csv
 from .timeutil import parse_utc, to_days
 
 KIND_WHOIS = "whois"
@@ -95,24 +95,23 @@ class AggregateReport:
 def load_timestamp_sources(path: str | Path) -> tuple[list[TimestampSource], int]:
     """Load a timestamp-source CSV (``registrable,kind,at``, header required).
 
-    Rows with an unknown kind or unparseable timestamp are skipped and
+    Domains are normalized like feed hosts. Rows with a domain that is not
+    a host, an unknown kind or an unparseable timestamp are skipped and
     counted.
     """
     sources: list[TimestampSource] = []
     skipped = 0
     for row in read_csv(path, ("registrable", "kind", "at"), "timestamp sources"):
         kind = row["kind"].strip()
-        if kind not in KIND_ORDER:
-            skipped += 1
-            continue
         try:
-            at = parse_utc(row["at"])
-        except ValueError:
+            if kind not in KIND_ORDER:
+                raise ValueError(f"unknown kind {kind!r}")
+            sources.append(TimestampSource(
+                kind=kind, registrable=normalize_host(row["registrable"].strip()),
+                at=parse_utc(row["at"]),
+            ))
+        except (PhishlifeError, ValueError):
             skipped += 1
-            continue
-        sources.append(TimestampSource(
-            kind=kind, registrable=row["registrable"].strip().lower(), at=at,
-        ))
     return sources, skipped
 
 

@@ -106,13 +106,16 @@ class BrandCatalog:
         ranks = [b.rank for b in self.brands]
         if any(r2 <= r1 for r1, r2 in zip(ranks, ranks[1:])):
             raise ValueError("brand ranks must be strictly increasing")
+        ids = [b.brand_id for b in self.brands]
+        if len(set(ids)) != len(ids):
+            raise ValueError("a brand_id is listed on two rows")
 
     def top_brands(self) -> list[Brand]:
         return self.brands[: self.brand_top_n]
 
     @cached_property
     def brand_positions(self) -> tuple[dict[str, int], dict[str, int], list[int]]:
-        """First position in top_brands() of each brand id.
+        """Position in top_brands() of each brand id.
 
         Returns the ids of 4 or more characters, the shorter ids, and the
         distinct lengths of the longer ones.
@@ -121,7 +124,7 @@ class BrandCatalog:
         short_ids: dict[str, int] = {}
         for position, brand in enumerate(self.top_brands()):
             ids = long_ids if len(brand.brand_id) >= 4 else short_ids
-            ids.setdefault(brand.brand_id, position)
+            ids[brand.brand_id] = position
         return long_ids, short_ids, sorted({len(bid) for bid in long_ids})
 
     def squat_brands(self) -> list[Brand]:
@@ -212,7 +215,7 @@ def load_catalog(path: str | Path, brand_top_n: int = 1000, squat_top_n: int = 2
                 raise ValueError(f"empty brand_id for rank {b.rank}")
             _split_brand_domain(b.canonical_domain)
         return BrandCatalog(brands=brands, brand_top_n=brand_top_n, squat_top_n=squat_top_n)
-    except ValueError as exc:  # a rank that is not an integer, an empty id, or ranks out of order
+    except ValueError as exc:  # a bad rank, an empty or repeated id, or ranks out of order
         raise IoFailure(f"malformed brand catalog {path}: {exc}") from exc
 
 
@@ -221,20 +224,17 @@ def build_index(catalog: BrandCatalog) -> SquatIndex:
 
     A label that several brands or techniques produce keeps the one
     attribution ``match`` picks: the lowest brand rank, then the first
-    technique. A brand id listed twice ranks by its last row there.
+    technique.
     """
     index = SquatIndex()
-    brands = catalog.squat_brands()
-    rank_of = {brand.brand_id: brand.rank for brand in brands}
     by_label = index.by_label
-    for brand in brands:
+    for brand in catalog.squat_brands():
         label, _suffix = _split_brand_domain(brand.canonical_domain)
         index.tld_swap_labels.setdefault(label, []).append(
             (brand.brand_id, brand.suffix, brand.rank)
         )
-        rank = rank_of[brand.brand_id]
         for technique, variants in _variants(label):
-            entry = (rank, TECHNIQUE_ORDER[technique], brand.brand_id, technique)
+            entry = (brand.rank, TECHNIQUE_ORDER[technique], brand.brand_id, technique)
             for variant in variants:
                 best = by_label.get(variant)
                 if best is None or entry[:2] < best[:2]:

@@ -99,6 +99,20 @@ class TestAllowlist:
         with pytest.raises(EmptyAllowlist):
             load_allowlist(p)
 
+    def test_domains_normalized_like_feed_hosts(self, tmp_path):
+        p = tmp_path / "allow.csv"
+        p.write_text("1,bücher.de\n2, Example.com. \n3,bad..com\nnot-a-host_\n")
+        assert load_allowlist(p) == {"xn--bcher-kva.de", "example.com"}
+
+
+class TestRegistrationLog:
+    def test_domains_normalized_like_feed_hosts(self, tmp_path):
+        p = tmp_path / "log.csv"
+        p.write_text("registrable,registered_at,registrar\n"
+                     "bücher.de,2024-05-01T10:00:00Z,r\n Example.com. ,2024-05-01T10:00:00Z,r\n")
+        assert [e.registrable for e in load_registration_log(p)] == [
+            "xn--bcher-kva.de", "example.com"]
+
 
 ALLOW = frozenset({"blogspot.com", "facebook.com"})
 
@@ -133,16 +147,18 @@ def match_brand_oracle(record, catalog):
     return None
 
 
-# a small alphabet, so that ids repeat, overlap and sit inside labels often
+# a small alphabet, so that ids overlap and sit inside labels often
 BRAND_TEXT = st.text(alphabet="abc-", max_size=6)
 
 
 class TestMatchBrand:
-    @given(ids=st.lists(BRAND_TEXT, min_size=1, max_size=15), top_n=st.integers(1, 15),
+    @given(ids=st.lists(BRAND_TEXT, min_size=1, max_size=15, unique=True),
+           top_n=st.integers(1, 15),
            sld=st.text(alphabet="abc-", min_size=1, max_size=14),
            subdomain=st.lists(st.text(alphabet="abc-", max_size=10), max_size=3))
     def test_equals_oracle(self, ids, top_n, sld, subdomain):
-        # duplicate ids, ids of 0-3 characters and ids with "-" included
+        # ids of 0-3 characters and ids with "-" included; a catalog holds
+        # each id once
         catalog = BrandCatalog([Brand(bid, "x.com", rank) for rank, bid in enumerate(ids, 1)],
                                brand_top_n=top_n, squat_top_n=0)
         rec = record(f"{sld}.com", subdomain=".".join(subdomain))

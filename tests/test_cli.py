@@ -415,6 +415,8 @@ def bad_input(changes, command="monitor", out_dir="out", *, id):
               id="malformed_resolver_fixture"),
     bad_input({"resolver_fixture": ("fixture.json", '{"flux.top": {"A": [5]}}')},
               id="malformed_resolver_fixture_step"),
+    bad_input({"resolver_fixture": ("fixture.json", '{"flux.top": {"FOO": []}}')},
+              id="fixture_key_not_an_rrtype"),
     bad_input({"concurrency": 64}, id="removed_key"),
     bad_input({"max_edit_distnace": 3}, id="misspelt_key"),
     bad_input({"vantage_config": ("vantages.json", "[]")}, id="no_vantages"),
@@ -428,6 +430,12 @@ def bad_input(changes, command="monitor", out_dir="out", *, id):
     bad_input({"brand_catalog": ("brands.csv", "rank,brand_id,canonical_domain\n"
                                  "1,,example.com\n2,usps,usps.com\n")},
               "classify", id="empty_brand_id"),
+    bad_input({"brand_catalog": ("brands.csv", "rank,brand_id,canonical_domain\n"
+                                 "1,xxxx,aab.com\n2,yyyy,abb.com\n3,xxxx,zzz.com\n")},
+              "classify", id="repeated_brand_id"),
+    bad_input({"registration_log": ("log.csv", "registrable,registered_at,registrar\n"
+                                    "bad..com,2024-05-01T10:00:00Z,alibaba\n")},
+              "classify", id="registration_log_name_not_a_host"),
     bad_input({}, out_dir="config.json", id="out_dir_is_a_file"),
 ])
 def test_bad_config_input_exits_2(changes, command, out_dir, tmp_path, capsys):
@@ -440,6 +448,44 @@ def test_bad_config_input_exits_2(changes, command, out_dir, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+# blank lines and comment lines, indented ones too, as a line file may hold them
+COMMENT_LINES = ["", "# a comment", "   ", "  # an indented note", "\t# a tabbed note"]
+
+
+def monitor_outputs(domains: Path) -> tuple[int, dict[str, bytes]]:
+    """monitor's exit code and outputs for a monitor_domains file, run beside it."""
+    config = config_copy(domains.parent, {"monitor_domains": str(domains)})
+    out = domains.parent / "out"
+    code = main(["monitor", "--config", config, "--out-dir", str(out)])
+    return code, {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+# each line file, by its file in tests/data, with what loads it
+LINE_FILES = {
+    "corpus40_feed.tsv": ingest.load_feed,  # its result holds the count of skipped lines
+    "allowlist.csv": classifier.load_allowlist,
+    "words.txt": classifier.load_word_list,
+    "monitor_domains.txt": monitor_outputs,
+}
+
+
+@pytest.mark.parametrize("name", sorted(LINE_FILES))
+def test_line_files_skip_blank_and_comment_lines(name, tmp_path):
+    lines = (DATA / name).read_text().splitlines()
+    commented = tmp_path / "commented" / name
+    original = tmp_path / "original" / name
+    for path, text in [(commented, COMMENT_LINES + lines[:2] + COMMENT_LINES + lines[2:]),
+                       (original, lines)]:
+        path.parent.mkdir()
+        path.write_text("\n".join(text) + "\n")
+    loaded = LINE_FILES[name](commented)
+    assert loaded == LINE_FILES[name](original)
+    if name == "monitor_domains.txt":
+        assert loaded[0] == 0
+    if name == "words.txt":
+        assert not any("#" in word for word in loaded)
 
 
 # every input a config key names; the snapshot store is left out, because

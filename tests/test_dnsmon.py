@@ -172,8 +172,12 @@ class TestRetryContract:
     pytest.param({"a.com": {"A": [{"values": ["x"], "ttl": "60"}]}}, id="ttl_string"),
     pytest.param({"a.com": {"A": [{"fail_count_before_success": -1}]}}, id="negative_fails"),
     pytest.param({"a.com": {"A": [{"fail_count_before_success": True}]}}, id="bool_fails"),
+    pytest.param({"a.com": {"FOO": []}}, id="key_not_an_rrtype"),
+    pytest.param({"a.com": {"a": [{"values": ["192.0.2.1"]}]}}, id="lower_case_rrtype"),
 ])
 def test_fixture_shape_checked_on_load(script, tmp_path):
+    with pytest.raises(ValueError):
+        ScriptedResolver(script)
     path = tmp_path / "fixture.json"
     path.write_text(json.dumps(script))
     with pytest.raises(IoFailure, match="malformed resolver fixture"):
@@ -193,6 +197,14 @@ def test_documented_fixture_shapes_load(tmp_path):
         resolver.query(V2, "a.com", "A")
     assert resolver.query(V2, "a.com", "TXT") is None
     assert resolver.query(V1, "a.com", "A") is None
+
+
+def test_steps_compiled_once():
+    # every answer of a step is the rrset compiled with the script
+    resolver = ScriptedResolver({"a.com": {"A": [{"values": ["192.0.2.1"], "ttl": 60}]}})
+    first = resolver.query(V1, "a.com", "A")
+    assert first == a_rrset("192.0.2.1", ttl=60)
+    assert resolver.query(V1, "a.com", "A") is first and resolver.query(V2, "a.com", "A") is first
 
 
 class TestScheduler:

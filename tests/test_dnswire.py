@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import selectors
 import socket
 import struct
@@ -10,10 +11,10 @@ from datetime import timedelta
 import pytest
 from hypothesis import example, given, strategies as st
 
-from phishlife import dnswire
+from phishlife import dnsmon, dnswire
 from phishlife.dnsmon import (
     MonitorConfig, QueryTimeout, ServerFailure, SnapshotStore, SystemClock, VantagePoint,
-    run_schedule,
+    parse_resolver_address, run_schedule,
 )
 from phishlife.dnswire import (
     TYPE_CODES,
@@ -423,3 +424,25 @@ class TestLiveTick:
         }
         assert asked["silent.example"] == 5
         assert sockets == {"open": 0, "peak": 3}  # the window filled, and held
+
+    def test_each_address_parsed_once(self, tmp_path, monkeypatch):
+        parsed: Counter = Counter()
+
+        def counted(address):
+            parsed[address] += 1
+            return parse_resolver_address(address)
+        monkeypatch.setattr(dnsmon, "parse_resolver_address", counted)
+        monkeypatch.setattr(dnswire, "parse_resolver_address", counted, raising=False)
+        with LoopbackServer(on_udp=planted(Counter())) as one, \
+                LoopbackServer(on_udp=planted(Counter())) as two:
+            path = tmp_path / "vantages.json"
+            path.write_text(json.dumps([
+                {"id": v.id + str(n), "resolver_address": v.resolver_address}
+                for n, v in enumerate([one.vantage, two.vantage])]))
+            vantages = dnsmon.load_vantages(path)
+            lookups = [(v, name, "A") for v in vantages
+                       for name in ("servfail.example", "plain.example")]
+            outcomes = UdpResolver(timeout=2).resolve(lookups, SystemClock(), [0.01] * 4)
+        # servfail.example takes a second attempt from each vantage
+        assert [o.attempts for o in outcomes] == [2, 1, 2, 1]
+        assert parsed == {v.resolver_address: 1 for v in vantages}

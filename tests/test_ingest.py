@@ -357,6 +357,28 @@ class TestLoadFeed:
         with pytest.raises(IoFailure):
             load_feed(tmp_path / "absent.tsv", "lines")
 
+    def test_lines_and_json_load_alike(self, tmp_path):
+        # padded fields, a blank brand, no brand, and a url of only spaces
+        records = [
+            {"detected_at": "2024-06-01T00:00:00Z", "url": " http://a.com/1 ",
+             "source": " apwg ", "brand": " PayPal "},
+            {"detected_at": "2024-06-02T00:00:00Z", "url": "http://b.com/x",
+             "source": "openphish  ", "brand": "  "},
+            {"detected_at": "2024-06-03T00:00:00Z", "url": "http://c.net/y", "source": "apwg"},
+            {"detected_at": "2024-06-04T00:00:00Z", "url": "   ", "source": "apwg"},
+        ]
+        lines, as_json = tmp_path / "f.tsv", tmp_path / "f.json"
+        lines.write_text("".join("\t".join(r.values()) + "\n" for r in records))
+        as_json.write_text(json.dumps(records))
+        result = load_feed(lines, "lines")
+        assert result == load_feed(as_json, "json")
+        assert result.entries == [
+            entry("http://a.com/1", "2024-06-01T00:00:00", "apwg", "PayPal"),
+            entry("http://b.com/x", "2024-06-02T00:00:00", "openphish"),
+            entry("http://c.net/y", "2024-06-03T00:00:00", "apwg"),
+        ]
+        assert result.skipped == 1
+
 
 COM_RULES = SuffixRules(frozenset({"com"}), frozenset(), frozenset())
 

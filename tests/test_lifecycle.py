@@ -305,3 +305,11 @@ class TestLoadSources:
                      "b.com,whois,2024-01-01T00:00:00Z\n")
         sources, skipped = load_timestamp_sources(p)
         assert len(sources) == 1 and skipped == 1
+
+    def test_domains_normalized_like_feed_hosts(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("registrable,kind,at\nbücher.de,whois,2024-01-01T00:00:00Z\n"
+                     "Example.com.,rdap,2024-01-01T00:00:00Z\nbad..com,whois,2024-01-01T00:00:00Z\n")
+        sources, skipped = load_timestamp_sources(p)
+        assert [s.registrable for s in sources] == ["xn--bcher-kva.de", "example.com"]
+        assert skipped == 1

@@ -102,6 +102,7 @@ def match_oracle(oracle_index, rec: DomainRecord):
 # holds both halves of the l/1/i and rn/m homoglyph pairs
 BRAND_LABEL = st.from_regex(r"[abilmnr1]([abilmnr1-]{0,5}[abilmnr1])?", fullmatch=True)
 SUFFIXES = ["com", "net", "co.uk"]
+BRAND_IDS = ["one", "two", "ab", "x", "three", "four", "five", "six"]
 
 
 def labels_for(candidates: set[SquatCandidate], technique: Technique) -> set[str]:
@@ -233,12 +234,13 @@ class TestIndex:
 
 
 class TestIndexOracle:
-    @given(brands=st.lists(st.tuples(st.sampled_from(["one", "two", "ab", "x", "three"]),
-                                     BRAND_LABEL, st.sampled_from(SUFFIXES)),
-                           min_size=1, max_size=8),
+    @given(brands=st.lists(st.tuples(st.sampled_from(BRAND_IDS), BRAND_LABEL,
+                                     st.sampled_from(SUFFIXES)),
+                           min_size=1, max_size=8, unique_by=lambda brand: brand[0]),
            squat_top_n=st.integers(0, 8), probes=st.lists(BRAND_LABEL, max_size=5))
     def test_equals_oracle(self, brands, squat_top_n, probes):
-        # brand ids repeat, and the labels of different brands collide
+        # each brand id once, as a catalog holds it; the labels of different
+        # brands collide
         catalog = BrandCatalog(
             [Brand(bid, f"{label}.{suffix}", rank)
              for rank, (bid, label, suffix) in enumerate(brands, 1)],
