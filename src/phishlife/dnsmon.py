@@ -15,14 +15,15 @@ from __future__ import annotations
 import json
 import statistics
 import time as _time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from functools import cached_property
+from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional, Protocol, Sequence, Union
 
 from .errors import IoFailure, PhishlifeError
-from .ingest import read_json
+from .ingest import normalize_host, read_json
 from .timeutil import format_utc, parse_utc
 
 RRTYPES = ("A", "AAAA", "CNAME", "NS", "MX", "TXT", "SOA")
@@ -69,11 +70,12 @@ class VantagePoint:
         return parse_resolver_address(self.resolver_address)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RrSet:
     rrtype: str
     values: tuple[str, ...]
     ttl: int
+    _json_text: Optional[str] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.rrtype not in RRTYPES:
@@ -83,8 +85,18 @@ class RrSet:
         if not 0 <= self.ttl <= MAX_TTL:
             raise ValueError(f"ttl out of range: {self.ttl}")
 
+    @property
+    def json_text(self) -> str:
+        """The rrset as ``json.dumps(..., sort_keys=True)`` writes it, made once per rrset."""
+        text = self._json_text
+        if text is None:
+            text = (f'{{"rrtype": {_json_str(self.rrtype)}, "ttl": {self.ttl}, '
+                    f'"values": [{", ".join(map(_json_str, self.values))}]}}')
+            object.__setattr__(self, "_json_text", text)  # a cache, not a value of the rrset
+        return text
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class DnsSnapshot:
     registrable: str
     vantage_id: str
@@ -96,36 +108,51 @@ class DnsSnapshot:
     nxdomain: bool = False
 
     def to_json(self) -> str:
-        return json.dumps({
-            "registrable": self.registrable,
-            "vantage_id": self.vantage_id,
-            "taken_at": format_utc(self.taken_at),
-            "rrsets": [
-                {"rrtype": r.rrtype, "values": list(r.values), "ttl": r.ttl}
-                for r in self.rrsets
-            ],
-            "status": self.status,
-            "attempts": self.attempts,
-            "errors": list(self.errors),
-            "nxdomain": self.nxdomain,
-        }, sort_keys=True)
+        """The snapshot as ``json.dumps`` of its fields with sorted keys writes it."""
+        return self._json(_json_str(format_utc(self.taken_at)))
+
+    def _json(self, taken_at: str) -> str:
+        """``to_json`` with ``taken_at`` already formatted and quoted."""
+        return (f'{{"attempts": {self.attempts}, '
+                f'"errors": [{", ".join(map(_json_str, self.errors))}], '
+                f'"nxdomain": {"true" if self.nxdomain else "false"}, '
+                f'"registrable": {_json_str(self.registrable)}, '
+                f'"rrsets": [{", ".join([r.json_text for r in self.rrsets])}], '
+                f'"status": {_json_str(self.status)}, "taken_at": {taken_at}, '
+                f'"vantage_id": {_json_str(self.vantage_id)}}}')
 
     @classmethod
     def from_json(cls, line: str) -> "DnsSnapshot":
+        """A store line's snapshot; a line of another shape or field type raises
+        KeyError, TypeError or ValueError."""
         obj = json.loads(line)
         return cls(
-            registrable=obj["registrable"],
-            vantage_id=obj["vantage_id"],
-            taken_at=parse_utc(obj["taken_at"]),
+            registrable=_typed(obj["registrable"], str),
+            vantage_id=_typed(obj["vantage_id"], str),
+            taken_at=parse_utc(_typed(obj["taken_at"], str)),
             rrsets=tuple(
-                RrSet(r["rrtype"], tuple(r["values"]), int(r["ttl"]))
-                for r in obj["rrsets"]
+                RrSet(r["rrtype"], _strings(r["values"]), _typed(r["ttl"], int))
+                for r in _typed(obj["rrsets"], list)
             ),
-            status=obj["status"],
-            attempts=int(obj["attempts"]),
-            errors=tuple(obj.get("errors", ())),
-            nxdomain=bool(obj.get("nxdomain", False)),
+            status=_typed(obj["status"], str),
+            attempts=_typed(obj["attempts"], int),
+            errors=_strings(obj.get("errors", [])),
+            nxdomain=_typed(obj.get("nxdomain", False), bool),
         )
+
+
+def _typed(value: object, kind: type) -> object:
+    """``value`` if its type is exactly ``kind``, else TypeError; JSON true is no int."""
+    if type(value) is not kind:
+        raise TypeError(f"{value!r} is not of type {kind.__name__}")
+    return value
+
+
+def _strings(value: object) -> tuple[str, ...]:
+    """A JSON list of strings as a tuple; any other value raises TypeError."""
+    if not (type(value) is list and all(type(v) is str for v in value)):
+        raise TypeError(f"{value!r} is not a list of strings")
+    return tuple(value)
 
 
 @dataclass(frozen=True)
@@ -243,6 +270,8 @@ class Resolver(Protocol):
 # a compiled fixture step: "nxdomain", "servfail", or (timeouts before the
 # answer, the answer's rrset or None for an empty answer)
 Step = Union[str, tuple[int, Optional[RrSet]]]
+_UNSCRIPTED: tuple[Step, ...] = ("nxdomain",)  # the steps of a domain absent from the script
+_NO_RECORDS: tuple[Step, ...] = ((0, None),)  # of an rrtype a scripted domain lacks
 
 
 class ScriptedResolver:
@@ -255,15 +284,17 @@ class ScriptedResolver:
     advances to the next step, and the last step repeats. Keys of the form
     ``domain@vantage_id`` override the plain domain entry for one vantage.
     Domains absent from the script resolve as nxdomain. The constructor
-    compiles the script once; another shape, or an rrtype key not in
-    RRTYPES, raises ValueError.
+    compiles the script once and normalizes each key's domain as
+    ``ingest.normalize_host`` does a monitored domain. Another shape, an
+    rrtype key not in RRTYPES, a domain that is not a host, or two keys that
+    normalize alike raise ValueError.
     """
 
     def __init__(self, script: object):
         self._script = _compile_script(script)
-        self._cursor: dict[tuple[str, str, str], int] = {}
-        self._fails: dict[tuple[str, str, str], int] = {}
-        self.query_counts: dict[tuple[str, str, str], int] = {}
+        # (vantage id, domain, rrtype) -> [its steps, index of the step to
+        # replay, timeouts given on that step so far]
+        self._replays: dict[tuple[str, str, str], list] = {}
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScriptedResolver":
@@ -274,55 +305,44 @@ class ScriptedResolver:
         except ValueError as exc:
             raise IoFailure(f"malformed resolver fixture {path}: {exc}") from exc
 
-    def _steps(self, vantage: VantagePoint, domain: str, rrtype: str) -> Optional[list[Step]]:
-        per_vantage = self._script.get(f"{domain}@{vantage.id}")
-        entry = per_vantage if per_vantage is not None else self._script.get(domain)
-        if entry is None:
-            raise NxDomain(domain)
-        return entry.get(rrtype)
-
     def resolve(self, lookups: Sequence[Lookup], clock: Clock,
                 delays: Sequence[float]) -> list[Outcome]:
         """Each lookup's outcome, one attempt after another; backoff sleeps ``clock``."""
+        query = self.query
         outcomes = []
-        for lookup in lookups:
+        for vantage, domain, rrtype in lookups:
             attempt = 1
-            while (outcome := settle(lookup[2], attempt, self._attempt(*lookup))) is None:
+            while (outcome := settle(rrtype, attempt, query(vantage, domain, rrtype))) is None:
                 clock.sleep(delays[attempt - 1])
                 attempt += 1
             outcomes.append(outcome)
         return outcomes
 
-    def _attempt(self, vantage: VantagePoint, domain: str, rrtype: str) -> AttemptResult:
-        try:
-            return self.query(vantage, domain, rrtype)
-        except (QueryTimeout, ServerFailure, NxDomain) as exc:
-            return exc
-
-    def query(self, vantage: VantagePoint, domain: str, rrtype: str) -> Optional[RrSet]:
-        """One attempt: the rrset, None for an empty answer, or a raised query error."""
+    def query(self, vantage: VantagePoint, domain: str, rrtype: str) -> AttemptResult:
+        """One attempt: the rrset, None for an empty answer, or the query error."""
         key = (vantage.id, domain, rrtype)
-        self.query_counts[key] = self.query_counts.get(key, 0) + 1
-        steps = self._steps(vantage, domain, rrtype)
-        if not steps:
-            return None  # name exists but has no records of this type
-        idx = min(self._cursor.get(key, 0), len(steps) - 1)
+        replay = self._replays.get(key)
+        if replay is None:  # the key's first attempt
+            entry = self._script.get(f"{domain}@{vantage.id}")
+            if entry is None:  # an empty override {} still overrides
+                entry = self._script.get(domain)
+            steps = _UNSCRIPTED if entry is None else entry.get(rrtype) or _NO_RECORDS
+            replay = self._replays[key] = [steps, 0, 0]
+        steps, idx, fails = replay
         step = steps[idx]
-
-        if step == "nxdomain":
-            self._cursor[key] = idx + 1
-            raise NxDomain(domain)
         if step == "servfail":
-            raise ServerFailure(domain)
-
-        fails_needed, rrset = step
-        if self._fails.get(key, 0) < fails_needed:
-            self._fails[key] = self._fails.get(key, 0) + 1
-            raise QueryTimeout(f"{domain}/{rrtype} (scripted)")
-
-        self._cursor[key] = idx + 1
-        self._fails[key] = 0
-        return rrset
+            return ServerFailure(domain)
+        if step == "nxdomain":
+            result: AttemptResult = NxDomain(domain)
+        else:
+            fails_needed, result = step
+            if fails < fails_needed:
+                replay[2] = fails + 1
+                return QueryTimeout(f"{domain}/{rrtype} (scripted)")
+            replay[2] = 0
+        if idx + 1 < len(steps):  # the last step repeats
+            replay[1] = idx + 1
+        return result
 
 
 def _compile_step(key: str, rrtype: str, step: object) -> Step:
@@ -340,17 +360,27 @@ def _compile_step(key: str, rrtype: str, step: object) -> Step:
 
 
 def _compile_script(script: object) -> dict[str, dict[str, list[Step]]]:
-    """The script's steps compiled for ``query``; another shape raises ValueError."""
+    """The script's steps compiled for ``query``, by normalized key; another
+    shape, a domain that is not a host or two keys that normalize alike raise
+    ValueError."""
     if not isinstance(script, dict):
         raise ValueError("not a JSON object")
     compiled = {}
     for key, entry in script.items():
+        domain, at, vantage_id = key.partition("@")
+        try:
+            host = normalize_host(domain)
+        except PhishlifeError as exc:
+            raise ValueError(f"{key}: not a host: {exc}") from exc
+        name = key if host == domain else host + at + vantage_id
+        if name in compiled:
+            raise ValueError(f"{key}: another key also names {name}")
         if not (isinstance(entry, dict)
                 and all(t in RRTYPES and isinstance(s, list) for t, s in entry.items())):
             raise ValueError(f"{key}: not an object of rrtype -> list of steps, "
                              f"with rrtypes among {', '.join(RRTYPES)}")
-        compiled[key] = {rrtype: [_compile_step(key, rrtype, step) for step in steps]
-                         for rrtype, steps in entry.items()}
+        compiled[name] = {rrtype: [_compile_step(key, rrtype, step) for step in steps]
+                          for rrtype, steps in entry.items()}
     return compiled
 
 
@@ -376,16 +406,21 @@ def _snapshot(domain: str, vantage: VantagePoint, at: datetime,
     only a snapshot with no answered rrtype at all is marked failed. An
     NXDOMAIN is a definitive negative answer, not a failure.
     """
-    return DnsSnapshot(
-        registrable=domain,
-        vantage_id=vantage.id,
-        taken_at=at,
-        rrsets=tuple(o.rrset for o in outcomes if o.rrset is not None),
-        status=STATUS_OK if any(o.error is None for o in outcomes) else STATUS_FAILED,
-        attempts=max((o.attempts for o in outcomes), default=1),
-        errors=tuple(o.error for o in outcomes if o.error is not None),
-        nxdomain=any(o.nxdomain for o in outcomes),
-    )
+    rrsets, errors = [], []
+    attempts, answered, nxdomain = 1, False, False
+    for rrset, tries, error, nx in outcomes:
+        if rrset is not None:
+            rrsets.append(rrset)
+        if error is None:
+            answered = True
+        else:
+            errors.append(error)
+        if nx:
+            nxdomain = True
+        if tries > attempts:
+            attempts = tries
+    return DnsSnapshot(domain, vantage.id, at, tuple(rrsets),
+                       STATUS_OK if answered else STATUS_FAILED, attempts, tuple(errors), nxdomain)
 
 
 def collect_snapshots(
@@ -420,7 +455,13 @@ class SnapshotStore:
         self.path = Path(path)
 
     def append_many(self, snapshots: Iterable[DnsSnapshot]) -> None:
-        lines = [snap.to_json() for snap in snapshots]
+        stamps: dict[datetime, str] = {}  # each distinct taken_at, formatted and quoted once
+        lines = []
+        for snap in snapshots:
+            stamp = stamps.get(snap.taken_at)
+            if stamp is None:
+                stamp = stamps[snap.taken_at] = _json_str(format_utc(snap.taken_at))
+            lines.append(snap._json(stamp))
         if not lines:
             return
         try:
@@ -478,17 +519,6 @@ def run_schedule(
     return ticks
 
 
-def _failed_types(snapshot: DnsSnapshot) -> set[str]:
-    return {err.split(":", 1)[0] for err in snapshot.errors}
-
-
-def _values_by_type(snapshot: DnsSnapshot) -> dict[str, list[str]]:
-    merged: dict[str, list[str]] = {}
-    for rrset in snapshot.rrsets:
-        merged.setdefault(rrset.rrtype, []).extend(rrset.values)
-    return {t: sorted(v) for t, v in merged.items()}
-
-
 def diff_snapshots(prev: DnsSnapshot, next: DnsSnapshot) -> list[RecordChange]:
     """Changes between two snapshots of the same domain from one vantage.
 
@@ -500,12 +530,31 @@ def diff_snapshots(prev: DnsSnapshot, next: DnsSnapshot) -> list[RecordChange]:
         raise MismatchedSubject(f"{prev.registrable}/{prev.vantage_id} vs {next.registrable}/{next.vantage_id}")
     if not prev.taken_at < next.taken_at:
         raise MismatchedSubject("snapshots out of order")
+    return _diff(prev, _values(prev), next, _values(next))
 
-    before_map = _values_by_type(prev)
-    after_map = _values_by_type(next)
-    skip = _failed_types(prev) | _failed_types(next)
+
+_Values = tuple[dict[str, list[str]], set[str]]  # each rrtype's sorted values, the failed rrtypes
+
+
+def _values(snapshot: DnsSnapshot) -> _Values:
+    """What a diff reads of a snapshot, computed once per snapshot."""
+    merged: dict[str, list[str]] = {}
+    for rrset in snapshot.rrsets:
+        merged.setdefault(rrset.rrtype, []).extend(rrset.values)
+    for values in merged.values():
+        values.sort()
+    return merged, {err.split(":", 1)[0] for err in snapshot.errors}
+
+
+def _diff(prev: DnsSnapshot, prev_values: _Values, next: DnsSnapshot,
+          next_values: _Values) -> list[RecordChange]:
+    """The rule of ``diff_snapshots``, on each side's values."""
+    (before_map, before_failed), (after_map, after_failed) = prev_values, next_values
+    if before_map == after_map:
+        return []
+    skip = before_failed | after_failed
     changes = []
-    for rrtype in sorted(set(before_map) | set(after_map)):
+    for rrtype in sorted(before_map.keys() | after_map.keys()):
         if rrtype in skip:
             continue
         before = before_map.get(rrtype, [])
@@ -523,7 +572,11 @@ def diff_snapshots(prev: DnsSnapshot, next: DnsSnapshot) -> list[RecordChange]:
 
 
 def detect_changes(snapshots: Iterable[DnsSnapshot]) -> list[RecordChange]:
-    """Diff consecutive Ok snapshots per (domain, vantage) across a store."""
+    """Diff consecutive Ok snapshots per (domain, vantage) across a store.
+
+    Each series is sorted by time, and a pair with equal times is skipped,
+    as when a second run into one store repeats the first run's times.
+    """
     series: dict[tuple[str, str], list[DnsSnapshot]] = {}
     for snap in snapshots:
         if snap.status != STATUS_OK:
@@ -533,10 +586,10 @@ def detect_changes(snapshots: Iterable[DnsSnapshot]) -> list[RecordChange]:
     changes: list[RecordChange] = []
     for key in sorted(series):
         chain = sorted(series[key], key=lambda s: s.taken_at)
-        for prev, nxt in zip(chain, chain[1:]):
-            if prev.taken_at == nxt.taken_at:
-                continue
-            changes.extend(diff_snapshots(prev, nxt))
+        values = [_values(snap) for snap in chain]
+        for k in range(1, len(chain)):
+            if chain[k - 1].taken_at != chain[k].taken_at:
+                changes.extend(_diff(chain[k - 1], values[k - 1], chain[k], values[k]))
     return changes
 
 

@@ -153,10 +153,13 @@ def test_retry_contract_and_backoff():
     assert snap.status == "ok" and snap.attempts == 5
 
     clock2 = dnsmon.SimulatedClock(T0)
-    resolver = script(5)
-    (snap2,) = dnsmon.collect_snapshots(["a.com"], [vantage], ["A"], resolver, clock=clock2)
+    (snap2,) = dnsmon.collect_snapshots(["a.com"], [vantage], ["A"], script(5), clock=clock2)
     assert snap2.status == "failed" and snap2.attempts == 5
-    assert resolver.query_counts[("v1", "a.com", "A")] == 5
+    resolver = script(5)
+    (outcome,) = resolver.resolve([(vantage, "a.com", "A")], dnsmon.SimulatedClock(T0),
+                                  dnsmon.backoff_delays(0.5, 8.0))
+    assert outcome.attempts == 5 and outcome.error == "A:timeout"
+    assert resolver.query(vantage, "a.com", "A").values == ("192.0.2.1",)  # no sixth attempt
     assert clock2.sleeps == sorted(clock2.sleeps)
     ok("retries stop at 5 attempts (ok after 4 failures, failed after 5), backoff nondecreasing")
 

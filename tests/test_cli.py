@@ -173,6 +173,69 @@ class TestMonitorCommand:
         snap = json.loads(lines[0])
         assert {"registrable", "vantage_id", "taken_at", "rrsets", "status", "attempts"} <= set(snap)
 
+    def test_rerun_into_one_store_skips_equal_times(self, tmp_path, capsys):
+        # the second run repeats the first run's times; a pair of snapshots
+        # with equal times is not diffed, so the NS swap is one row
+        args = ["monitor", "--config", CONFIG, "--snapshot-store", str(tmp_path / "s.jsonl")]
+        assert main(args + ["--out-dir", str(tmp_path / "first")]) == 0
+        assert main(args + ["--out-dir", str(tmp_path / "second")]) == 0
+        out = tmp_path / "second"
+        assert (out / "record_changes.csv").read_text() == (
+            "registrable,rrtype,vantage_id,before,after,observed_at\n"
+            "flux.top,NS,us-east,ns1.cloudflare.example,ns1.google.example,2024-06-06T01:00:00Z\n")
+        assert (out / "ttl_summary.csv").read_text() == (
+            "registrable,observations,min_ttl,median_ttl,mean_ttl\n"
+            "flux.top,8,45,45.00,45.00\n"
+            "static1.com,8,300,300.00,300.00\n"
+            "static2.com,8,290,300.00,1947.50\n"
+            "static3.com,8,3600,3600.00,5400.00\n")
+        assert capsys.readouterr().out.count("(1 of 4, 1 changes)") == 2
+
+    def test_fixture_key_normalized(self, tmp_path):
+        # the fixture key Flux.TOP answers for the monitored domain flux.top
+        fixture = json.loads((DATA / "resolver_fixture.json").read_text())
+        fixture["Flux.TOP"] = fixture.pop("flux.top")
+        config = config_copy(tmp_path, {"resolver_fixture": ("fixture.json", json.dumps(fixture))})
+        assert main(["monitor", "--config", config, "--out-dir", str(tmp_path / "out")]) == 0
+        assert main(["monitor", "--config", CONFIG, "--out-dir", str(tmp_path / "plain")]) == 0
+        for name in ("snapshots.jsonl", "record_changes.csv", "ttl_summary.csv"):
+            assert (tmp_path / "out" / name).read_text() == (tmp_path / "plain" / name).read_text()
+
+    @pytest.mark.parametrize("field, value", [
+        pytest.param("taken_at", 5, id="taken_at_number"),
+        pytest.param("registrable", 5, id="registrable_number"),
+        pytest.param("vantage_id", None, id="vantage_id_null"),
+        pytest.param("status", 1, id="status_number"),
+        pytest.param("attempts", "5", id="attempts_string"),
+        pytest.param("attempts", True, id="attempts_bool"),
+        pytest.param("errors", [1], id="error_number"),
+        pytest.param("errors", "A:timeout", id="errors_string"),
+        pytest.param("nxdomain", "false", id="nxdomain_string"),
+        pytest.param("rrsets", {}, id="rrsets_object"),
+        pytest.param("rrsets", ["A"], id="rrset_string"),
+        pytest.param("rrsets", [{"rrtype": "A", "values": [1], "ttl": 45}], id="value_number"),
+        pytest.param("rrsets", [{"rrtype": "A", "values": "192.0.2.1", "ttl": 45}],
+                     id="values_string"),
+        pytest.param("rrsets", [{"rrtype": "A", "values": ["192.0.2.1"], "ttl": 45.0}],
+                     id="ttl_float"),
+        pytest.param("rrsets", [{"rrtype": "A", "values": ["192.0.2.1"], "ttl": True}],
+                     id="ttl_bool"),
+        pytest.param("rrsets", [{"rrtype": 5, "values": ["192.0.2.1"], "ttl": 45}],
+                     id="rrtype_number"),
+    ])
+    def test_store_field_of_wrong_type_exits_4(self, field, value, tmp_path, capsys):
+        store = tmp_path / "snaps.jsonl"
+        args = ["monitor", "--config", CONFIG, "--snapshot-store", str(store)]
+        assert main(args + ["--out-dir", str(tmp_path / "first")]) == 0
+        first, *rest = store.read_text().splitlines()
+        store.write_text("\n".join([json.dumps({**json.loads(first), field: value}), *rest]) + "\n")
+        capsys.readouterr()
+        assert main(args + ["--out-dir", str(tmp_path / "out")]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("store failure: ") and err.count("\n") == 1, err
+        assert not (tmp_path / "out" / "record_changes.csv").exists()
+
     def test_store_failure_exits_4(self, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("not a directory")
@@ -417,6 +480,10 @@ def bad_input(changes, command="monitor", out_dir="out", *, id):
               id="malformed_resolver_fixture_step"),
     bad_input({"resolver_fixture": ("fixture.json", '{"flux.top": {"FOO": []}}')},
               id="fixture_key_not_an_rrtype"),
+    bad_input({"resolver_fixture": ("fixture.json", '{"flux..top": {}}')},
+              id="fixture_key_not_a_host"),
+    bad_input({"resolver_fixture": ("fixture.json", '{"flux.top": {}, "Flux.TOP": {}}')},
+              id="fixture_keys_normalize_alike"),
     bad_input({"concurrency": 64}, id="removed_key"),
     bad_input({"max_edit_distnace": 3}, id="misspelt_key"),
     bad_input({"vantage_config": ("vantages.json", "[]")}, id="no_vantages"),

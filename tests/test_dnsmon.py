@@ -79,8 +79,7 @@ class TestScriptedQuery:
 
     def test_scripted_nxdomain(self):
         resolver = ScriptedResolver({"a.com": {"A": ["nxdomain"]}})
-        with pytest.raises(NxDomain):
-            resolver.query(V1, "a.com", "A")
+        assert type(resolver.query(V1, "a.com", "A")) is NxDomain
 
     def test_empty_answer_for_missing_type(self):
         resolver = ScriptedResolver({"a.com": {"A": [{"values": ["192.0.2.1"], "ttl": 300}]}})
@@ -88,8 +87,7 @@ class TestScriptedQuery:
 
     def test_unknown_domain_is_nxdomain(self):
         resolver = ScriptedResolver({})
-        with pytest.raises(NxDomain):
-            resolver.query(V1, "missing.com", "A")
+        assert type(resolver.query(V1, "missing.com", "A")) is NxDomain
 
     def test_per_vantage_override(self):
         resolver = ScriptedResolver({
@@ -121,7 +119,11 @@ class TestRetryContract:
         assert snap.status == "failed"
         assert snap.attempts == 5
         assert snap.rrsets == ()
-        assert resolver.query_counts[("v1", "a.com", "A")] == 5  # retry bound
+        # retry bound: five attempts, each timed out, and the script's sixth answers
+        resolver = self.script(5)
+        (outcome,) = resolver.resolve([(V1, "a.com", "A")], clock(), backoff_delays(0.5, 8.0))
+        assert outcome == (None, 5, "A:timeout", False)
+        assert resolver.query(V1, "a.com", "A") == a_rrset("192.0.2.1")
 
     def test_backoff_nondecreasing_and_capped(self):
         c = clock()
@@ -174,6 +176,11 @@ class TestRetryContract:
     pytest.param({"a.com": {"A": [{"fail_count_before_success": True}]}}, id="bool_fails"),
     pytest.param({"a.com": {"FOO": []}}, id="key_not_an_rrtype"),
     pytest.param({"a.com": {"a": [{"values": ["192.0.2.1"]}]}}, id="lower_case_rrtype"),
+    pytest.param({"bad..com": {}}, id="key_not_a_host"),
+    pytest.param({"exa_mple.com@v1": {}}, id="override_key_not_a_host"),
+    pytest.param({"@v1": {}}, id="override_key_without_domain"),
+    pytest.param({"a.com": {}, "A.COM.": {}}, id="keys_normalize_alike"),
+    pytest.param({"a.com@v1": {}, "A.com@v1": {}}, id="override_keys_normalize_alike"),
 ])
 def test_fixture_shape_checked_on_load(script, tmp_path):
     with pytest.raises(ValueError):
@@ -193,10 +200,20 @@ def test_documented_fixture_shapes_load(tmp_path):
     path = tmp_path / "fixture.json"
     path.write_text(json.dumps(script))
     resolver = ScriptedResolver.from_file(path)
-    with pytest.raises(NxDomain):
-        resolver.query(V2, "a.com", "A")
+    assert type(resolver.query(V2, "a.com", "A")) is NxDomain
     assert resolver.query(V2, "a.com", "TXT") is None
     assert resolver.query(V1, "a.com", "A") is None
+
+
+def test_fixture_keys_normalized_like_monitored_domains():
+    resolver = ScriptedResolver({
+        "Flux.TOP": {"A": [{"values": ["192.0.2.1"], "ttl": 45}]},
+        "Flux.TOP.@v2": {"A": [{"values": ["198.51.100.1"], "ttl": 45}]},
+        "bücher.de": {"A": [{"values": ["192.0.2.2"], "ttl": 45}]},
+    })
+    assert resolver.query(V1, "flux.top", "A") == a_rrset("192.0.2.1", ttl=45)
+    assert resolver.query(V2, "flux.top", "A") == a_rrset("198.51.100.1", ttl=45)
+    assert resolver.query(V1, "xn--bcher-kva.de", "A") == a_rrset("192.0.2.2", ttl=45)
 
 
 def test_steps_compiled_once():

@@ -1,0 +1,263 @@
+"""The snapshot lines, scripted replay and change detection against oracles.
+
+Each oracle is the simple form the module had before its per-attempt and
+per-snapshot costs were cut: a snapshot line through ``json.dumps``, a
+replay that raises each query error and looks its state up in three dicts,
+and a change detection that sorts each snapshot's values once per diff.
+"""
+
+from __future__ import annotations
+
+import json
+from datetime import datetime, timedelta, timezone
+
+from hypothesis import example, given, settings, strategies as st
+
+from phishlife import dnsmon
+from phishlife.dnsmon import (
+    MAX_TTL, RRTYPES, DnsSnapshot, MismatchedSubject, NxDomain, QueryTimeout, RecordChange,
+    RrSet, ScriptedResolver, ServerFailure, SimulatedClock, SnapshotStore, VantagePoint,
+)
+from phishlife.timeutil import format_utc
+
+UTC = timezone.utc
+T0 = datetime(2024, 6, 6, tzinfo=UTC)
+BOUNDED = settings(max_examples=100, derandomize=True, deadline=None)
+
+# ------------------------------------------------------------------ oracles
+
+
+def oracle_to_json(snap: DnsSnapshot) -> str:
+    return json.dumps({
+        "registrable": snap.registrable,
+        "vantage_id": snap.vantage_id,
+        "taken_at": format_utc(snap.taken_at),
+        "rrsets": [
+            {"rrtype": r.rrtype, "values": list(r.values), "ttl": r.ttl}
+            for r in snap.rrsets
+        ],
+        "status": snap.status,
+        "attempts": snap.attempts,
+        "errors": list(snap.errors),
+        "nxdomain": snap.nxdomain,
+    }, sort_keys=True)
+
+
+class OracleResolver:
+    """Scripted replay that raises each query error, catches it and retries."""
+
+    def __init__(self, script: dict):
+        self._script = {key: {rrtype: [dnsmon._compile_step(key, rrtype, step) for step in steps]
+                              for rrtype, steps in entry.items()}
+                        for key, entry in script.items()}
+        self._cursor: dict = {}
+        self._fails: dict = {}
+
+    def _steps(self, vantage, domain, rrtype):
+        per_vantage = self._script.get(f"{domain}@{vantage.id}")
+        entry = per_vantage if per_vantage is not None else self._script.get(domain)
+        if entry is None:
+            raise NxDomain(domain)
+        return entry.get(rrtype)
+
+    def resolve(self, lookups, clock, delays):
+        outcomes = []
+        for lookup in lookups:
+            attempt = 1
+            while (outcome := dnsmon.settle(lookup[2], attempt, self._attempt(*lookup))) is None:
+                clock.sleep(delays[attempt - 1])
+                attempt += 1
+            outcomes.append(outcome)
+        return outcomes
+
+    def _attempt(self, vantage, domain, rrtype):
+        try:
+            return self.query(vantage, domain, rrtype)
+        except (QueryTimeout, ServerFailure, NxDomain) as exc:
+            return exc
+
+    def query(self, vantage, domain, rrtype):
+        key = (vantage.id, domain, rrtype)
+        steps = self._steps(vantage, domain, rrtype)
+        if not steps:
+            return None
+        idx = min(self._cursor.get(key, 0), len(steps) - 1)
+        step = steps[idx]
+        if step == "nxdomain":
+            self._cursor[key] = idx + 1
+            raise NxDomain(domain)
+        if step == "servfail":
+            raise ServerFailure(domain)
+        fails_needed, rrset = step
+        if self._fails.get(key, 0) < fails_needed:
+            self._fails[key] = self._fails.get(key, 0) + 1
+            raise QueryTimeout(f"{domain}/{rrtype} (scripted)")
+        self._cursor[key] = idx + 1
+        self._fails[key] = 0
+        return rrset
+
+
+def _oracle_values_by_type(snapshot):
+    merged: dict = {}
+    for rrset in snapshot.rrsets:
+        merged.setdefault(rrset.rrtype, []).extend(rrset.values)
+    return {t: sorted(v) for t, v in merged.items()}
+
+
+def oracle_diff(prev, nxt):
+    if prev.registrable != nxt.registrable or prev.vantage_id != nxt.vantage_id:
+        raise MismatchedSubject("subject")
+    if not prev.taken_at < nxt.taken_at:
+        raise MismatchedSubject("snapshots out of order")
+    before_map = _oracle_values_by_type(prev)
+    after_map = _oracle_values_by_type(nxt)
+    skip = ({e.split(":", 1)[0] for e in prev.errors}
+            | {e.split(":", 1)[0] for e in nxt.errors})
+    changes = []
+    for rrtype in sorted(set(before_map) | set(after_map)):
+        if rrtype in skip:
+            continue
+        before = before_map.get(rrtype, [])
+        after = after_map.get(rrtype, [])
+        if before != after:
+            changes.append(RecordChange(prev.registrable, rrtype, prev.vantage_id,
+                                        tuple(before), tuple(after), nxt.taken_at))
+    return changes
+
+
+def oracle_detect_changes(snapshots):
+    series: dict = {}
+    for snap in snapshots:
+        if snap.status != dnsmon.STATUS_OK:
+            continue
+        series.setdefault((snap.registrable, snap.vantage_id), []).append(snap)
+    changes = []
+    for key in sorted(series):
+        chain = sorted(series[key], key=lambda s: s.taken_at)
+        for prev, nxt in zip(chain, chain[1:]):
+            if prev.taken_at == nxt.taken_at:
+                continue
+            changes.extend(oracle_diff(prev, nxt))
+    return changes
+
+
+# ------------------------------------------------------------------ snapshot lines
+
+# non-ASCII text, quotes, backslashes and control characters
+TEXT = st.text(max_size=8) | st.sampled_from(['"', "\\", "\x00\x1f\x7f", "é", " ", "😀", ""])
+TTL = st.integers(0, MAX_TTL) | st.sampled_from([0, MAX_TTL])
+RRSET = st.builds(RrSet, st.sampled_from(RRTYPES), st.lists(TEXT, min_size=1, max_size=3).map(tuple),
+                  TTL)
+INSTANT = st.datetimes(min_value=datetime(2000, 1, 1), max_value=datetime(2100, 1, 1),
+                       timezones=st.just(UTC))  # microseconds included
+SNAPSHOT = st.builds(
+    DnsSnapshot,
+    registrable=TEXT, vantage_id=TEXT, taken_at=INSTANT,
+    rrsets=st.lists(RRSET, max_size=3).map(tuple),  # empty rrsets included
+    status=st.sampled_from([dnsmon.STATUS_OK, dnsmon.STATUS_FAILED]) | TEXT,
+    attempts=st.integers(0, 10**12),
+    errors=st.lists(TEXT, max_size=3).map(tuple),
+    nxdomain=st.booleans(),
+)
+
+
+@BOUNDED
+@given(SNAPSHOT)
+def test_to_json_equals_json_dumps_and_round_trips(snap):
+    line = snap.to_json()
+    assert line == oracle_to_json(snap)
+    assert DnsSnapshot.from_json(line) == snap
+    assert line == snap.to_json()  # the rrsets' cached text reads the same
+
+
+@settings(BOUNDED, max_examples=40)
+@given(st.lists(SNAPSHOT, min_size=1, max_size=6), st.lists(INSTANT, min_size=1, max_size=2))
+def test_append_many_writes_the_oracle_lines(tmp_path_factory, snaps, instants):
+    # a tick's snapshots share one taken_at, and rrset objects are shared
+    shared = [DnsSnapshot(s.registrable, s.vantage_id, instants[k % len(instants)],
+                          s.rrsets + snaps[0].rrsets, s.status, s.attempts, s.errors, s.nxdomain)
+              for k, s in enumerate(snaps)]
+    path = tmp_path_factory.getbasetemp() / "oracle_store.jsonl"
+    path.unlink(missing_ok=True)
+    SnapshotStore(path).append_many(shared)
+    assert path.read_text(encoding="utf-8") == "".join(oracle_to_json(s) + "\n" for s in shared)
+
+
+# ------------------------------------------------------------------ scripted replay
+
+VANTAGES = [VantagePoint("v1", "192.0.2.1:53", "us"), VantagePoint("v2", "192.0.2.2:53", "eu")]
+DOMAINS = ["a.com", "b.com", "unscripted.com"]
+TYPES = ["A", "NS", "TXT"]
+STEP = st.one_of(
+    st.sampled_from(["nxdomain", "servfail", {}, {"values": [], "ttl": 0}]),
+    st.fixed_dictionaries({"values": st.lists(st.sampled_from(["x", "y", "z"]), min_size=1,
+                                              max_size=2),
+                           "ttl": TTL,
+                           "fail_count_before_success": st.integers(0, 7)}),
+)
+ENTRY = st.dictionaries(st.sampled_from(TYPES), st.lists(STEP, max_size=3), max_size=3)
+SCRIPT = st.dictionaries(
+    st.sampled_from(["a.com", "b.com", "a.com@v2", "b.com@v1", "unscripted.com@v2"]),
+    ENTRY | st.just({}),  # an empty override {} still overrides the plain domain
+    max_size=5)
+ALL_LOOKUPS = [(v, d, t) for v in VANTAGES for d in DOMAINS for t in TYPES]
+# each tick looks every (vantage, domain, rrtype) up once, in a drawn order
+TICKS = st.lists(st.permutations(ALL_LOOKUPS), min_size=1, max_size=4)
+
+
+@BOUNDED
+@given(SCRIPT, TICKS)
+@example({"a.com": {"A": ["nxdomain", {"values": ["x"], "ttl": 1}],
+                    "NS": [{"values": ["y"], "fail_count_before_success": 3}, "servfail"]},
+          "a.com@v2": {}}, [ALL_LOOKUPS] * 3)
+def test_scripted_replay_equals_oracle(script, ticks):
+    resolver, oracle = ScriptedResolver(script), OracleResolver(script)
+    clock, oracle_clock = SimulatedClock(T0), SimulatedClock(T0)
+    delays = dnsmon.backoff_delays(0.5, 8.0)
+    for lookups in ticks:
+        assert resolver.resolve(lookups, clock, delays) == oracle.resolve(lookups, oracle_clock,
+                                                                          delays)
+    assert clock.sleeps == oracle_clock.sleeps
+    for lookup in ALL_LOOKUPS:  # one more attempt each, query by query
+        assert comparable(resolver.query(*lookup)) == comparable(oracle._attempt(*lookup))
+
+
+def comparable(result):
+    """An attempt's result; an error as its type and message, which is what it says."""
+    return (type(result), str(result)) if isinstance(result, Exception) else result
+
+
+# ------------------------------------------------------------------ change detection
+
+VALUES = st.lists(st.sampled_from(["x", "y", "z"]), min_size=1, max_size=3).map(tuple)
+SMALL_RRSET = st.builds(RrSet, st.sampled_from(["A", "NS"]), VALUES, st.sampled_from([60, 300]))
+STORED = st.builds(
+    DnsSnapshot,
+    registrable=st.sampled_from(["a.com", "b.com"]),
+    vantage_id=st.sampled_from(["v1", "v2"]),
+    taken_at=st.sampled_from([T0 + timedelta(minutes=m) for m in (0, 30, 60)]),  # repeated times
+    rrsets=st.lists(SMALL_RRSET, max_size=3).map(tuple),
+    status=st.sampled_from([dnsmon.STATUS_OK, dnsmon.STATUS_OK, dnsmon.STATUS_FAILED]),
+    attempts=st.just(1),
+    errors=st.lists(st.sampled_from(["A:timeout", "NS:servfail"]), max_size=1).map(tuple),
+)
+
+
+@BOUNDED
+@given(st.lists(STORED, max_size=14))
+def test_detect_changes_equals_oracle(store):
+    assert dnsmon.detect_changes(store) == oracle_detect_changes(store)
+
+
+@BOUNDED
+@given(STORED, STORED)
+def test_diff_snapshots_equals_oracle(prev, nxt):
+    try:
+        want = oracle_diff(prev, nxt)
+    except MismatchedSubject:
+        want = MismatchedSubject
+    try:
+        got = dnsmon.diff_snapshots(prev, nxt)
+    except MismatchedSubject:
+        got = MismatchedSubject
+    assert got == want
