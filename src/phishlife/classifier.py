@@ -8,7 +8,6 @@ MaliciousRegistration verdict; otherwise the domain is Compromised.
 
 from __future__ import annotations
 
-import enum
 import re
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
@@ -36,12 +35,6 @@ _STRIP_RE = re.compile(r"[0-9-]")
 
 class EmptyAllowlist(PhishlifeError):
     """The allowlist file parsed to zero domains."""
-
-
-class PrefilterResult(enum.Enum):
-    ALLOWLISTED = "allowlisted"
-    PLATFORM_SUBDOMAIN_ABUSE = "platform_subdomain_abuse"
-    CANDIDATE = "candidate"
 
 
 @dataclass(frozen=True)
@@ -82,7 +75,7 @@ class ClassifierContext:
     squat_index: SquatIndex
     word_list: frozenset[str]
     bulk_membership: Mapping[str, BulkCluster]
-    min_word_len: int = 4
+    min_word_len: int
 
 
 def load_allowlist(path: str | Path) -> frozenset[str]:
@@ -131,19 +124,6 @@ def load_registration_log(path: str | Path) -> list[RegistrationLogEntry]:
     return entries
 
 
-def prefilter(record: DomainRecord, allow: frozenset[str]) -> PrefilterResult:
-    """Apply the allowlist/platform filter before the four checks.
-
-    An allowlisted registrable seen only bare is legitimate; seen under any
-    subdomain it is platform abuse (a hosting or site-builder service).
-    """
-    if record.registrable not in allow:
-        return PrefilterResult.CANDIDATE
-    if record.subdomain or record.subdomain_count > 0:
-        return PrefilterResult.PLATFORM_SUBDOMAIN_ABUSE
-    return PrefilterResult.ALLOWLISTED
-
-
 def match_brand(record: DomainRecord, catalog: BrandCatalog) -> Optional[BrandHit]:
     """Search the top brand ids inside the domain's labels.
 
@@ -172,7 +152,7 @@ def match_brand(record: DomainRecord, catalog: BrandCatalog) -> Optional[BrandHi
     return BrandHit(brand_id=catalog.brands[best[0]].brand_id, location=best[1])
 
 
-def is_random_looking(record: DomainRecord, words: frozenset[str], min_word_len: int = 4) -> bool:
+def is_random_looking(record: DomainRecord, words: frozenset[str], min_word_len: int) -> bool:
     """True iff the second-level label contains no dictionary word.
 
     Digits and hyphens are stripped first; only words of at least
@@ -247,9 +227,9 @@ def _candidate_pairs(labels: list[str], max_edit_distance: int) -> list[tuple[in
 
 def cluster_bulk(
     log: list[RegistrationLogEntry],
-    window: timedelta = timedelta(hours=24),
-    max_edit_distance: int = 2,
-    min_cluster_size: int = 3,
+    window: timedelta,
+    max_edit_distance: int,
+    min_cluster_size: int,
 ) -> list[BulkCluster]:
     """Find groups of similar names registered together at one registrar.
 
@@ -309,15 +289,19 @@ def bulk_membership(clusters: list[BulkCluster]) -> dict[str, BulkCluster]:
 
 
 def classify(record: DomainRecord, ctx: ClassifierContext) -> ClassificationResult:
-    """Run the prefilter and the four checks over one domain record."""
-    pre = prefilter(record, ctx.allow)
-    if pre is PrefilterResult.ALLOWLISTED:
+    """Run the allowlist/platform prefilter, then the four checks, over one domain record.
+
+    An allowlisted registrable seen only bare is legitimate; seen under any
+    subdomain it is platform abuse (a hosting or site-builder service).
+    Neither goes on to the checks.
+    """
+    if record.registrable in ctx.allow:
+        if record.subdomain or record.subdomain_count > 0:
+            return ClassificationResult(
+                record.registrable, frozenset(), VERDICT_PLATFORM,
+                evidence=[("platform", f"subdomain of allowlisted {record.registrable}")],
+            )
         return ClassificationResult(record.registrable, frozenset(), VERDICT_ALLOWLISTED)
-    if pre is PrefilterResult.PLATFORM_SUBDOMAIN_ABUSE:
-        return ClassificationResult(
-            record.registrable, frozenset(), VERDICT_PLATFORM,
-            evidence=[("platform", f"subdomain of allowlisted {record.registrable}")],
-        )
 
     flags: set[str] = set()
     evidence: list[tuple[str, str]] = []

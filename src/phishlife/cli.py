@@ -36,8 +36,7 @@ EXIT_CONFIG = 2
 EXIT_EMPTY = 3
 EXIT_STORE = 4  # the snapshot store or an output file cannot be written
 
-DEFAULT_RRTYPES = ["A", "AAAA", "NS", "MX", "TXT"]
-DEFAULT_MONITOR_START = "2024-01-01T00:00:00Z"
+_MAX_HOURS = timedelta.max / timedelta(hours=1)
 
 
 class ConfigError(PhishlifeError):
@@ -54,7 +53,11 @@ class OutputFailure(PhishlifeError):
 
 @dataclass
 class PipelineConfig:
-    """Every config key; a field's type decides how its value is checked."""
+    """Every config key; a field's type decides how its value is checked.
+
+    Each tunable's default is here and nowhere else: the library functions
+    that use a tunable take it as a required argument.
+    """
 
     feeds: list[tuple[Path, str]] = field(default_factory=list)
     suffix_rules: Optional[Path] = None
@@ -75,10 +78,10 @@ class PipelineConfig:
     reference_source: str = "apwg"
     monitor_interval_minutes: float = 30.0
     monitor_duration_minutes: float = 60.0
-    monitor_start: str = DEFAULT_MONITOR_START
+    monitor_start: str = "2024-01-01T00:00:00Z"
     brand_top_n: int = 1000
     squat_top_n: int = 200
-    rrtypes: list[str] = field(default_factory=lambda: list(DEFAULT_RRTYPES))
+    rrtypes: list[str] = field(default_factory=lambda: ["A", "AAAA", "NS", "MX", "TXT"])
     backoff_base_ms: float = 500.0
     backoff_cap_ms: float = 8000.0
 
@@ -118,7 +121,10 @@ def _coerce(key: str, value: object, base: Path) -> object:
     if kind == Optional[Path]:
         return base / _checked(key, value, str, "a path string")
     if kind is float:
-        return float(_checked(key, value, (int, float), "a number"))
+        number = _checked(key, value, (int, float), "a number")
+        if not abs(number) <= sys.float_info.max:  # NaN, an infinity or an int past the float range
+            raise ConfigError(f"{key} must be a finite number")
+        return float(number)
     if kind is int:
         return _checked(key, value, int, "an integer")
     return _checked(key, value, str, "a string")
@@ -152,11 +158,15 @@ def load_config(path: Optional[str], args: argparse.Namespace) -> PipelineConfig
 
 def _validate_params(cfg: PipelineConfig) -> None:
     checks = [
-        (cfg.bulk_window_hours > 0, "bulk_window_hours must be positive"),
+        # cluster_bulk buckets by whole seconds of a timedelta
+        (1 / 3600 <= cfg.bulk_window_hours <= _MAX_HOURS,
+         f"bulk_window_hours must be from 1/3600 (one second) to {_MAX_HOURS:.2g}"),
         (cfg.max_edit_distance >= 0, "max_edit_distance must be >= 0"),
         (cfg.min_cluster_size >= 2, "min_cluster_size must be >= 2"),
         (cfg.min_word_length >= 1, "min_word_length must be >= 1"),
-        (cfg.monitor_interval_minutes > 0, "monitor_interval_minutes must be positive"),
+        # a timedelta rounds to whole microseconds, and run_schedule refuses a zero interval
+        (cfg.monitor_interval_minutes * 60e6 >= 1,
+         "monitor_interval_minutes must be at least one microsecond"),
         (cfg.monitor_duration_minutes >= 0, "monitor_duration_minutes must be >= 0"),
         (cfg.brand_top_n >= 1, "brand_top_n must be >= 1"),
         (0 <= cfg.squat_top_n <= cfg.brand_top_n, "squat_top_n must be in [0, brand_top_n]"),
@@ -168,10 +178,14 @@ def _validate_params(cfg: PipelineConfig) -> None:
     for ok, message in checks:
         if not ok:
             raise ConfigError(message)
-    try:
-        parse_utc(cfg.monitor_start)
+    try:  # a simulated run may schedule one interval past its end
+        end = parse_utc(cfg.monitor_start) + timedelta(minutes=cfg.monitor_duration_minutes)
+        end + timedelta(minutes=cfg.monitor_interval_minutes)
     except ValueError as exc:
         raise ConfigError(f"monitor_start: {exc}") from exc
+    except OverflowError as exc:
+        raise ConfigError("monitor_start + monitor_duration_minutes + monitor_interval_minutes "
+                          "must fall before year 10000") from exc
 
 
 def _require(cfg_value: Optional[Path], name: str) -> Path:
@@ -250,20 +264,14 @@ class Run:
     def ctx(self) -> classifier.ClassifierContext:
         cfg = self.cfg
         allow = classifier.load_allowlist(_require(cfg.allowlist, "allowlist"))
-        catalog = squatgen.load_catalog(
-            _require(cfg.brand_catalog, "brand_catalog"),
-            brand_top_n=cfg.brand_top_n, squat_top_n=cfg.squat_top_n,
-        )
+        catalog = squatgen.load_catalog(_require(cfg.brand_catalog, "brand_catalog"),
+                                        cfg.brand_top_n, cfg.squat_top_n)
         words = classifier.load_word_list(_require(cfg.word_list, "word_list"))
         clusters: list[classifier.BulkCluster] = []
         if cfg.registration_log is not None:
-            log = classifier.load_registration_log(_require(cfg.registration_log, "registration_log"))
-            clusters = classifier.cluster_bulk(
-                log,
-                window=timedelta(hours=cfg.bulk_window_hours),
-                max_edit_distance=cfg.max_edit_distance,
-                min_cluster_size=cfg.min_cluster_size,
-            )
+            log = classifier.load_registration_log(cfg.registration_log)
+            clusters = classifier.cluster_bulk(log, timedelta(hours=cfg.bulk_window_hours),
+                                               cfg.max_edit_distance, cfg.min_cluster_size)
         return classifier.ClassifierContext(
             allow=allow,
             catalog=catalog,
@@ -401,8 +409,7 @@ def cmd_monitor(run: Run, mode: str) -> None:
         interval=timedelta(minutes=cfg.monitor_interval_minutes),
         vantages=vantages,
         types=tuple(cfg.rrtypes),
-        backoff_base=cfg.backoff_base_ms / 1000.0,
-        backoff_cap=cfg.backoff_cap_ms / 1000.0,
+        delays=dnsmon.backoff_delays(cfg.backoff_base_ms / 1000.0, cfg.backoff_cap_ms / 1000.0),
     )
 
     if mode == "simulate":
@@ -495,10 +502,7 @@ def cmd_lifecycle(run: Run) -> None:
         rows,
     ))
 
-    plans = [("detection_delay", g) for g in ("brand", "tld", "flag_category", "verdict", "source")]
-    plans += [("takedown_delay", g) for g in ("brand", "tld", "flag_category", "verdict")]
-    plans += [("lag", "source")]
-    for metric, group in plans:
+    for metric, group in lifecycle.AGGREGATES:
         try:
             report = lifecycle.aggregate(records, metric, group, cfg.reference_source)
         except lifecycle.EmptyInput:

@@ -46,10 +46,6 @@ class NxDomain(PhishlifeError):
     """The name does not exist (feeds deregistration evidence)."""
 
 
-class MismatchedSubject(PhishlifeError):
-    """Snapshots being diffed are not for the same domain and vantage."""
-
-
 class NoObservations(PhishlifeError):
     """No Ok snapshot with TTL observations was supplied."""
 
@@ -107,12 +103,9 @@ class DnsSnapshot:
     errors: tuple[str, ...] = ()
     nxdomain: bool = False
 
-    def to_json(self) -> str:
-        """The snapshot as ``json.dumps`` of its fields with sorted keys writes it."""
-        return self._json(_json_str(format_utc(self.taken_at)))
-
     def _json(self, taken_at: str) -> str:
-        """``to_json`` with ``taken_at`` already formatted and quoted."""
+        """The snapshot as ``json.dumps`` of its fields with sorted keys writes
+        it, with ``taken_at`` already formatted and quoted."""
         return (f'{{"attempts": {self.attempts}, '
                 f'"errors": [{", ".join(map(_json_str, self.errors))}], '
                 f'"nxdomain": {"true" if self.nxdomain else "false"}, '
@@ -393,9 +386,8 @@ def backoff_delays(base: float, cap: float) -> list[float]:
 class MonitorConfig:
     interval: timedelta
     vantages: list[VantagePoint]
-    types: Sequence[str] = ("A", "AAAA", "NS", "MX", "TXT")
-    backoff_base: float = 0.5
-    backoff_cap: float = 8.0
+    types: Sequence[str]
+    delays: Sequence[float]  # the backoff between attempts, as ``backoff_delays`` gives it
 
 
 def _snapshot(domain: str, vantage: VantagePoint, at: datetime,
@@ -429,23 +421,20 @@ def collect_snapshots(
     types: Sequence[str],
     resolver: Resolver,
     clock: Clock,
-    taken_at: Optional[datetime] = None,
-    backoff_base: float = 0.5,
-    backoff_cap: float = 8.0,
+    taken_at: datetime,
+    delays: Sequence[float],
 ) -> list[DnsSnapshot]:
-    """One snapshot per (domain, vantage), in that order.
+    """One snapshot per (domain, vantage), in that order, each taken at ``taken_at``.
 
     Every (domain, vantage, rrtype) lookup goes to the resolver in one call,
     so a resolver that overlaps lookups can overlap all of them.
     """
-    if not vantages:
-        raise ValueError("vantages must be non-empty")
-    at = taken_at or clock.now()
     pairs = [(d, v) for d in domains for v in vantages]
     lookups = [(v, d, t) for d, v in pairs for t in types]
-    outcomes = resolver.resolve(lookups, clock, backoff_delays(backoff_base, backoff_cap))
+    outcomes = resolver.resolve(lookups, clock, delays)
     n = len(types)
-    return [_snapshot(d, v, at, outcomes[k * n:(k + 1) * n]) for k, (d, v) in enumerate(pairs)]
+    return [_snapshot(d, v, taken_at, outcomes[k * n:(k + 1) * n])
+            for k, (d, v) in enumerate(pairs)]
 
 
 class SnapshotStore:
@@ -507,30 +496,14 @@ def run_schedule(
         gap = (next_due - clock.now()).total_seconds()
         if gap > 0:
             clock.sleep(gap)
-        snapshots = collect_snapshots(
-            domains, config.vantages, config.types, resolver, clock, taken_at=next_due,
-            backoff_base=config.backoff_base, backoff_cap=config.backoff_cap,
-        )
+        snapshots = collect_snapshots(domains, config.vantages, config.types, resolver, clock,
+                                      next_due, config.delays)
         store.append_many(snapshots)
         if kept is not None:
             kept.extend(snapshots)
         next_due += config.interval
         ticks += 1
     return ticks
-
-
-def diff_snapshots(prev: DnsSnapshot, next: DnsSnapshot) -> list[RecordChange]:
-    """Changes between two snapshots of the same domain from one vantage.
-
-    One RecordChange per rrtype whose value multiset differs; TTL-only
-    drift and value reordering are not changes. Rrtypes whose query failed
-    on either side are skipped rather than reported as disappearances.
-    """
-    if prev.registrable != next.registrable or prev.vantage_id != next.vantage_id:
-        raise MismatchedSubject(f"{prev.registrable}/{prev.vantage_id} vs {next.registrable}/{next.vantage_id}")
-    if not prev.taken_at < next.taken_at:
-        raise MismatchedSubject("snapshots out of order")
-    return _diff(prev, _values(prev), next, _values(next))
 
 
 _Values = tuple[dict[str, list[str]], set[str]]  # each rrtype's sorted values, the failed rrtypes
@@ -548,7 +521,13 @@ def _values(snapshot: DnsSnapshot) -> _Values:
 
 def _diff(prev: DnsSnapshot, prev_values: _Values, next: DnsSnapshot,
           next_values: _Values) -> list[RecordChange]:
-    """The rule of ``diff_snapshots``, on each side's values."""
+    """Changes from one snapshot to the next of one domain from one vantage,
+    given each side's ``_values``.
+
+    One RecordChange per rrtype whose value multiset differs; TTL-only
+    drift and value reordering are not changes. Rrtypes whose query failed
+    on either side are skipped rather than reported as disappearances.
+    """
     (before_map, before_failed), (after_map, after_failed) = prev_values, next_values
     if before_map == after_map:
         return []
@@ -572,7 +551,7 @@ def _diff(prev: DnsSnapshot, prev_values: _Values, next: DnsSnapshot,
 
 
 def detect_changes(snapshots: Iterable[DnsSnapshot]) -> list[RecordChange]:
-    """Diff consecutive Ok snapshots per (domain, vantage) across a store.
+    """Diff consecutive Ok snapshots per (domain, vantage) across a store, by ``_diff``.
 
     Each series is sorted by time, and a pair with equal times is skipped,
     as when a second run into one store repeats the first run's times.

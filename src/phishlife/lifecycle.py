@@ -38,7 +38,12 @@ KIND_ORDER = {
 PRE_REGISTRATION_DETECTION = "pre_registration_detection"
 DEREGISTERED_BEFORE_DETECTION = "deregistered_before_detection"
 
-GROUP_KEYS = ("brand", "tld", "flag_category", "verdict", "source")
+# the (metric, group key) of each aggregate a lifecycle run writes, in order
+AGGREGATES = (
+    *[("detection_delay", g) for g in ("brand", "tld", "flag_category", "verdict", "source")],
+    *[("takedown_delay", g) for g in ("brand", "tld", "flag_category", "verdict")],
+    ("lag", "source"),
+)
 
 
 class NoRegistrationEvidence(PhishlifeError):
@@ -182,7 +187,7 @@ def build_lifecycle_records(
     domain_records: list[DomainRecord],
     classifications: Mapping[str, ClassificationResult],
     registrations: Mapping[str, RegistrationEvent],
-    reference_source: str = "apwg",
+    reference_source: str,
 ) -> list[LifecycleRecord]:
     """Join the domain table, classifications, and registration events."""
     records = []
@@ -209,18 +214,14 @@ def build_lifecycle_records(
     return records
 
 
-def _group_values(record: LifecycleRecord, group_key: str) -> list[str]:
-    if group_key == "brand":
-        return sorted(record.brands)
-    if group_key == "tld":
-        return [record.public_suffix]
-    if group_key == "flag_category":
-        return sorted(record.classification.flags)
-    if group_key == "verdict":
-        return [record.classification.verdict]
-    if group_key == "source":
-        return sorted(record.detections)
-    raise ValueError(f"unknown group key {group_key!r}")
+# each group key's values of a record
+_GROUP_VALUES = {
+    "brand": lambda record: sorted(record.brands),
+    "tld": lambda record: [record.public_suffix],
+    "flag_category": lambda record: sorted(record.classification.flags),
+    "verdict": lambda record: [record.classification.verdict],
+    "source": lambda record: sorted(record.detections),
+}
 
 
 def _metric_value(
@@ -230,56 +231,47 @@ def _metric_value(
         return to_days(record.detection_delay) if record.detection_delay is not None else None
     if metric == "takedown_delay":
         return to_days(record.takedown_delay) if record.takedown_delay is not None else None
-    if metric == "lag":
-        # group is a blocklist source; value is its lag behind the reference
-        if reference_source not in record.detections or group not in record.detections:
-            return None
-        return to_days(record.detections[group] - record.detections[reference_source])
-    raise ValueError(f"unknown metric {metric!r}")
+    # lag: group is a blocklist source; value is its lag behind the reference
+    if reference_source not in record.detections or group not in record.detections:
+        return None
+    return to_days(record.detections[group] - record.detections[reference_source])
 
 
 def aggregate(
     records: list[LifecycleRecord],
     metric: str,
     group_key: str,
-    reference_source: str = "apwg",
+    reference_source: str,
 ) -> AggregateReport:
     """Group records and compute count/mean/median of a delay metric.
 
-    Records lacking the metric are excluded from a row's statistics but
-    counted in its missing column; records lacking the grouping attribute
-    are tallied as ungrouped. Medians use lower interpolation. Rows sort by
-    count descending, then key.
+    ``(metric, group_key)`` is one of AGGREGATES. Records lacking the
+    metric are excluded from a row's statistics but counted in its missing
+    column; records lacking the grouping attribute are tallied as
+    ungrouped. EmptyInput is raised when no record is grouped, as when
+    there are none. Medians use lower interpolation. Rows sort by count
+    descending, then key.
     """
-    if not records:
-        raise EmptyInput("no records")
-    if group_key not in GROUP_KEYS:
-        raise ValueError(f"unknown group key {group_key!r}")
-    if metric == "lag" and group_key != "source":
-        raise ValueError("metric 'lag' requires group_key 'source'")
-
     values: dict[str, list[float]] = {}
     missing: dict[str, int] = {}
     ungrouped = 0
-    grouped_any = False
+    group_values = _GROUP_VALUES[group_key]
     for record in records:
-        groups = _group_values(record, group_key)
+        groups = group_values(record)
         if metric == "lag":
             groups = [g for g in groups if g != reference_source]
         if not groups:
             ungrouped += 1
             continue
-        grouped_any = True
         for group in groups:
             value = _metric_value(record, metric, group, reference_source)
+            kept = values.setdefault(group, [])
             if value is None:
                 missing[group] = missing.get(group, 0) + 1
-                values.setdefault(group, [])
             else:
-                values.setdefault(group, []).append(value)
-                missing.setdefault(group, 0)
+                kept.append(value)
 
-    if not grouped_any:
+    if not values:  # every group seen has a list, if an empty one
         raise EmptyInput(f"no record carries grouping attribute {group_key!r}")
 
     rows = []

@@ -97,8 +97,8 @@ class BrandCatalog:
     """
 
     brands: list[Brand]
-    brand_top_n: int = 1000
-    squat_top_n: int = 200
+    brand_top_n: int
+    squat_top_n: int
 
     def __post_init__(self) -> None:
         if self.squat_top_n > self.brand_top_n:
@@ -198,7 +198,7 @@ def generate(brand_domain: str) -> set[SquatCandidate]:
     return candidates
 
 
-def load_catalog(path: str | Path, brand_top_n: int = 1000, squat_top_n: int = 200) -> BrandCatalog:
+def load_catalog(path: str | Path, brand_top_n: int, squat_top_n: int) -> BrandCatalog:
     """Load a brand catalog CSV (``rank,brand_id,canonical_domain``, header required)."""
     rows = read_csv(path, ("rank", "brand_id", "canonical_domain"), "brand catalog")
     try:

@@ -33,13 +33,14 @@ def parse_utc(text: str) -> datetime:
 
 
 def format_utc(dt: datetime) -> str:
-    """Render a UTC instant as ISO-8601 with a Z suffix."""
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
-    dt = dt.astimezone(timezone.utc)
-    if dt.microsecond:
-        return dt.strftime("%Y-%m-%dT%H:%M:%S.%fZ")
-    return dt.strftime("%Y-%m-%dT%H:%M:%SZ")
+    """Render a UTC instant as ISO-8601 with a Z suffix and a four-digit year.
+
+    Microseconds are written only when non-zero. ``isoformat`` pads the
+    year, which ``strftime("%Y")`` does not below year 1000.
+    """
+    if dt.tzinfo is not None:
+        dt = dt.astimezone(timezone.utc).replace(tzinfo=None)
+    return dt.isoformat() + "Z"
 
 
 def to_days(delta: timedelta) -> float:

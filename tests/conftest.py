@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from datetime import timedelta
 from pathlib import Path
 
 import pytest
@@ -34,7 +35,7 @@ def catalog() -> squatgen.BrandCatalog:
 @pytest.fixture(scope="session")
 def classifier_ctx(catalog) -> ClassifierContext:
     log = classifier.load_registration_log(DATA / "registration_log.csv")
-    clusters = cluster_bulk(log)
+    clusters = cluster_bulk(log, timedelta(hours=24), max_edit_distance=2, min_cluster_size=3)
     return ClassifierContext(
         allow=classifier.load_allowlist(DATA / "allowlist.csv"),
         catalog=catalog,

@@ -24,6 +24,7 @@ DATA = Path(__file__).parent / "data"
 CONFIG = str(DATA / "config.json")
 UTC = timezone.utc
 T0 = datetime(2024, 6, 6, tzinfo=UTC)
+DELAYS = dnsmon.backoff_delays(0.5, 8.0)  # the backoff_base_ms and backoff_cap_ms defaults
 
 LABEL_ALPHABET = string.ascii_lowercase + string.digits
 
@@ -149,15 +150,15 @@ def test_retry_contract_and_backoff():
         ]}})
 
     clock = dnsmon.SimulatedClock(T0)
-    (snap,) = dnsmon.collect_snapshots(["a.com"], [vantage], ["A"], script(4), clock=clock)
+    (snap,) = dnsmon.collect_snapshots(["a.com"], [vantage], ["A"], script(4), clock, T0, DELAYS)
     assert snap.status == "ok" and snap.attempts == 5
 
     clock2 = dnsmon.SimulatedClock(T0)
-    (snap2,) = dnsmon.collect_snapshots(["a.com"], [vantage], ["A"], script(5), clock=clock2)
+    (snap2,) = dnsmon.collect_snapshots(["a.com"], [vantage], ["A"], script(5), clock2, T0,
+                                        DELAYS)
     assert snap2.status == "failed" and snap2.attempts == 5
     resolver = script(5)
-    (outcome,) = resolver.resolve([(vantage, "a.com", "A")], dnsmon.SimulatedClock(T0),
-                                  dnsmon.backoff_delays(0.5, 8.0))
+    (outcome,) = resolver.resolve([(vantage, "a.com", "A")], dnsmon.SimulatedClock(T0), DELAYS)
     assert outcome.attempts == 5 and outcome.error == "A:timeout"
     assert resolver.query(vantage, "a.com", "A").values == ("192.0.2.1",)  # no sixth attempt
     assert clock2.sleeps == sorted(clock2.sleeps)
@@ -174,7 +175,7 @@ def test_scheduler_three_rounds_in_ninety_minutes(tmp_path):
     store = dnsmon.SnapshotStore(tmp_path / "snaps.jsonl")
     clock = dnsmon.SimulatedClock(T0)
     config = dnsmon.MonitorConfig(interval=timedelta(minutes=30), vantages=vantages,
-                                  types=("A",))
+                                  types=("A",), delays=DELAYS)
     ticks = dnsmon.run_schedule(["a.com", "b.com"], config, store, clock, resolver,
                                 until=T0 + timedelta(minutes=90))
     assert ticks == 3
@@ -192,7 +193,7 @@ def test_change_detection_fixture(tmp_path):
     store = dnsmon.SnapshotStore(tmp_path / "snaps.jsonl")
     clock = dnsmon.SimulatedClock(T0)
     config = dnsmon.MonitorConfig(interval=timedelta(minutes=30), vantages=vantages,
-                                  types=("A", "NS"))
+                                  types=("A", "NS"), delays=DELAYS)
     domains = ["flux.top", "static1.com", "static2.com", "static3.com"]
     dnsmon.run_schedule(domains, config, store, clock, resolver,
                         until=T0 + timedelta(minutes=60))
@@ -247,12 +248,12 @@ def test_lifecycle_identity_and_planted_medians(corpus_table, classifier_ctx):
         total = rec.registration.deregistered_at - rec.registration.registered_at
         assert rec.detection_delay + rec.takedown_delay == total  # exact identity
 
-    detection = lifecycle.aggregate(records, "detection_delay", "verdict")
+    detection = lifecycle.aggregate(records, "detection_delay", "verdict", "apwg")
     medians = {row.key: row.median_days for row in detection.rows}
     assert medians["MaliciousRegistration"] == pytest.approx(16.3, abs=0.05)
     assert medians["Compromised"] == pytest.approx(86.0, abs=0.05)
 
-    takedown = lifecycle.aggregate(records, "takedown_delay", "verdict")
+    takedown = lifecycle.aggregate(records, "takedown_delay", "verdict", "apwg")
     take_medians = {row.key: row.median_days for row in takedown.rows}
     assert take_medians["MaliciousRegistration"] == pytest.approx(11.5, abs=0.05)
     ok(f"delay identity exact on {len(complete)} records; planted medians 16.3/86/11.5 reproduced")

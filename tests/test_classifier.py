@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import random
 import string
 from datetime import datetime, timedelta, timezone
@@ -12,8 +13,8 @@ from phishlife import classifier
 from phishlife.classifier import (
     ClassifierContext,
     EmptyAllowlist,
-    PrefilterResult,
     RegistrationLogEntry,
+    VERDICT_ALLOWLISTED,
     VERDICT_COMPROMISED,
     VERDICT_MALICIOUS,
     VERDICT_PLATFORM,
@@ -26,7 +27,6 @@ from phishlife.classifier import (
     load_registration_log,
     match_brand,
     ordered_flags,
-    prefilter,
 )
 from phishlife.ingest import DomainRecord
 from phishlife.squatgen import Brand, BrandCatalog
@@ -118,15 +118,22 @@ ALLOW = frozenset({"blogspot.com", "facebook.com"})
 
 
 class TestPrefilter:
-    def test_platform_subdomain(self):
+    """classify's allowlist/platform prefilter, which runs before the four checks."""
+
+    @pytest.fixture
+    def ctx(self, classifier_ctx):
+        return dataclasses.replace(classifier_ctx, allow=ALLOW)
+
+    def test_platform_subdomain(self, ctx):
         rec = record("blogspot.com", subdomain="usps-tracking-service")
-        assert prefilter(rec, ALLOW) is PrefilterResult.PLATFORM_SUBDOMAIN_ABUSE
+        assert classify(rec, ctx).verdict == VERDICT_PLATFORM
 
-    def test_allowlisted_bare(self):
-        assert prefilter(record("facebook.com"), ALLOW) is PrefilterResult.ALLOWLISTED
+    def test_allowlisted_bare(self, ctx):
+        assert classify(record("facebook.com"), ctx).verdict == VERDICT_ALLOWLISTED
 
-    def test_candidate(self):
-        assert prefilter(record("faceb0ok.com"), ALLOW) is PrefilterResult.CANDIDATE
+    def test_candidate(self, ctx):
+        assert classify(record("faceb0ok.com"), ctx).verdict in (
+            VERDICT_MALICIOUS, VERDICT_COMPROMISED)
 
 
 def match_brand_oracle(record, catalog):

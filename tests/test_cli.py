@@ -191,6 +191,18 @@ class TestMonitorCommand:
             "static3.com,8,3600,3600.00,5400.00\n")
         assert capsys.readouterr().out.count("(1 of 4, 1 changes)") == 2
 
+    def test_rerun_into_one_store_before_year_1000(self, tmp_path, capsys):
+        # the store's times carry a four-digit year, so the second run loads them
+        config = config_copy(tmp_path, {"monitor_start": "0999-01-01T00:00:00Z"})
+        args = ["monitor", "--config", config, "--out-dir", str(tmp_path / "out")]
+        assert main(args) == 0
+        assert main(args) == 0
+        stored = [json.loads(line)["taken_at"]
+                  for line in (tmp_path / "out" / "snapshots.jsonl").read_text().splitlines()]
+        assert sorted(set(stored)) == ["0999-01-01T00:30:00Z", "0999-01-01T01:00:00Z"]
+        assert len(stored) == 16
+        assert capsys.readouterr().err == ""
+
     def test_fixture_key_normalized(self, tmp_path):
         # the fixture key Flux.TOP answers for the monitored domain flux.top
         fixture = json.loads((DATA / "resolver_fixture.json").read_text())
@@ -504,6 +516,16 @@ def bad_input(changes, command="monitor", out_dir="out", *, id):
                                     "bad..com,2024-05-01T10:00:00Z,alibaba\n")},
               "classify", id="registration_log_name_not_a_host"),
     bad_input({}, out_dir="config.json", id="out_dir_is_a_file"),
+    bad_input({"bulk_window_hours": 1e400}, "classify", id="bulk_window_hours_1e400"),
+    bad_input({"bulk_window_hours": 1e300}, "classify", id="bulk_window_hours_1e300"),
+    bad_input({"bulk_window_hours": 1e-4}, "classify", id="bulk_window_hours_under_a_second"),
+    bad_input({"bulk_window_hours": float("nan")}, "classify", id="bulk_window_hours_nan"),
+    bad_input({"monitor_interval_minutes": float("inf")}, id="monitor_interval_infinity"),
+    bad_input({"monitor_interval_minutes": 1e-300}, id="monitor_interval_under_a_microsecond"),
+    bad_input({"monitor_interval_minutes": 1e10}, id="monitor_interval_past_year_9999"),
+    bad_input({"monitor_duration_minutes": 1e300}, id="monitor_duration_1e300"),
+    bad_input({"monitor_duration_minutes": 1e10}, id="monitor_duration_past_year_9999"),
+    bad_input({"backoff_base_ms": 10**400}, id="backoff_base_past_float_range"),
 ])
 def test_bad_config_input_exits_2(changes, command, out_dir, tmp_path, capsys):
     if changes is None:

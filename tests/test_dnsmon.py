@@ -7,7 +7,6 @@ import pytest
 
 from phishlife.dnsmon import (
     DnsSnapshot,
-    MismatchedSubject,
     MonitorConfig,
     NoObservations,
     NxDomain,
@@ -19,7 +18,6 @@ from phishlife.dnsmon import (
     backoff_delays,
     collect_snapshots,
     detect_changes,
-    diff_snapshots,
     parse_resolver_address,
     run_schedule,
     ttl_stats,
@@ -28,6 +26,7 @@ from phishlife.errors import IoFailure
 
 UTC = timezone.utc
 T0 = datetime(2024, 6, 6, tzinfo=UTC)
+DELAYS = backoff_delays(0.5, 8.0)  # the backoff_base_ms and backoff_cap_ms defaults
 
 V1 = VantagePoint("v1", "192.0.2.1:53", "us")
 V2 = VantagePoint("v2", "192.0.2.2:53", "eu")
@@ -107,7 +106,7 @@ class TestRetryContract:
 
     def test_four_failures_then_success(self):
         c = clock()
-        (snap,) = collect_snapshots(["a.com"], [V1], ["A"], self.script(4), clock=c)
+        (snap,) = collect_snapshots(["a.com"], [V1], ["A"], self.script(4), c, T0, DELAYS)
         assert snap.status == "ok"
         assert snap.attempts == 5
         assert snap.rrsets[0].values == ("192.0.2.1",)
@@ -115,20 +114,19 @@ class TestRetryContract:
     def test_five_failures_is_failed(self):
         c = clock()
         resolver = self.script(5)
-        (snap,) = collect_snapshots(["a.com"], [V1], ["A"], resolver, clock=c)
+        (snap,) = collect_snapshots(["a.com"], [V1], ["A"], resolver, c, T0, DELAYS)
         assert snap.status == "failed"
         assert snap.attempts == 5
         assert snap.rrsets == ()
         # retry bound: five attempts, each timed out, and the script's sixth answers
         resolver = self.script(5)
-        (outcome,) = resolver.resolve([(V1, "a.com", "A")], clock(), backoff_delays(0.5, 8.0))
+        (outcome,) = resolver.resolve([(V1, "a.com", "A")], clock(), DELAYS)
         assert outcome == (None, 5, "A:timeout", False)
         assert resolver.query(V1, "a.com", "A") == a_rrset("192.0.2.1")
 
     def test_backoff_nondecreasing_and_capped(self):
         c = clock()
-        collect_snapshots(["a.com"], [V1], ["A"], self.script(5), clock=c,
-                         backoff_base=0.5, backoff_cap=8.0)
+        collect_snapshots(["a.com"], [V1], ["A"], self.script(5), c, T0, DELAYS)
         assert c.sleeps == sorted(c.sleeps)
         assert c.sleeps == [0.5, 1.0, 2.0, 4.0]
         assert max(c.sleeps) <= 8.0
@@ -141,23 +139,23 @@ class TestRetryContract:
             "A": [{"values": ["192.0.2.1"], "ttl": 300}],
             "NS": ["servfail"],
         }})
-        (snap,) = collect_snapshots(["a.com"], [V1], ["A", "NS"], resolver, clock=clock())
+        (snap,) = collect_snapshots(["a.com"], [V1], ["A", "NS"], resolver, clock(), T0, DELAYS)
         assert snap.status == "ok"
         assert [r.rrtype for r in snap.rrsets] == ["A"]
         assert snap.errors == ("NS:servfail",)
 
     def test_nxdomain_recorded(self):
         resolver = ScriptedResolver({})
-        (snap,) = collect_snapshots(["gone.com"], [V1], ["A"], resolver, clock=clock())
+        (snap,) = collect_snapshots(["gone.com"], [V1], ["A"], resolver, clock(), T0, DELAYS)
         assert snap.status == "ok"
         assert snap.nxdomain
         assert snap.rrsets == ()
 
     def test_three_vantages_share_taken_at(self):
         resolver = ScriptedResolver({"a.com": {"A": [{"values": ["192.0.2.1"], "ttl": 60}]}})
-        snaps = collect_snapshots(["a.com"], [V1, V2, V3], ["A"], resolver, clock=clock())
+        snaps = collect_snapshots(["a.com"], [V1, V2, V3], ["A"], resolver, clock(), T0, DELAYS)
         assert len(snaps) == 3
-        assert len({s.taken_at for s in snaps}) == 1
+        assert {s.taken_at for s in snaps} == {T0}
         assert all(s.status == "ok" for s in snaps)
 
 
@@ -233,7 +231,8 @@ class TestScheduler:
     def run(self, domains, minutes, tmp_path=None):
         c = clock()
         store = SnapshotStore(tmp_path / "snaps.jsonl")
-        config = MonitorConfig(interval=timedelta(minutes=30), vantages=[V1, V2], types=("A",))
+        config = MonitorConfig(interval=timedelta(minutes=30), vantages=[V1, V2], types=("A",),
+                               delays=DELAYS)
         resolver = ScriptedResolver(self.RESOLVER_SCRIPT)
         ticks = run_schedule(domains, config, store, c, resolver,
                              until=T0 + timedelta(minutes=minutes))
@@ -261,18 +260,18 @@ class TestScheduler:
             (-s.taken_at.timestamp(), s.registrable, s.vantage_id) for s in snaps)
         assert len(snaps) == 4
 
-    def test_parallel_matches_serial(self, tmp_path):
+    def test_one_call_per_tick_matches_each_domain_apart(self, tmp_path):
         # one tick hands every lookup to the resolver at once; the snapshots
         # equal those of collecting each domain on its own
         _, together = self.run(["a.com", "b.com"], 60, tmp_path=tmp_path)
         resolver = ScriptedResolver(self.RESOLVER_SCRIPT)
         apart = [snap for minute in (30, 60) for domain in ("a.com", "b.com")
                  for snap in collect_snapshots([domain], [V1, V2], ["A"], resolver, clock(),
-                                               taken_at=T0 + timedelta(minutes=minute))]
+                                               T0 + timedelta(minutes=minute), DELAYS)]
         assert together == apart
 
     def test_interval_validation(self, tmp_path):
-        config = MonitorConfig(interval=timedelta(0), vantages=[V1])
+        config = MonitorConfig(interval=timedelta(0), vantages=[V1], types=("A",), delays=DELAYS)
         with pytest.raises(ValueError):
             run_schedule([], config, SnapshotStore(tmp_path / "x.jsonl"), clock(),
                          ScriptedResolver({}), until=T0)
@@ -299,10 +298,12 @@ def test_bad_resolver_address_rejected(address):
 
 
 class TestDiff:
+    """The change rule, on two-snapshot series of one domain and vantage."""
+
     def test_ns_provider_change(self):
         prev = snapshot("a.com", "v1", 0, [ns_rrset("ns1.cloudflare.example")])
         nxt = snapshot("a.com", "v1", 30, [ns_rrset("ns1.google.example")])
-        (change,) = diff_snapshots(prev, nxt)
+        (change,) = detect_changes([prev, nxt])
         assert change.rrtype == "NS"
         assert change.before == ("ns1.cloudflare.example",)
         assert change.after == ("ns1.google.example",)
@@ -311,36 +312,28 @@ class TestDiff:
     def test_ttl_only_drift_is_no_change(self):
         prev = snapshot("a.com", "v1", 0, [a_rrset("192.0.2.1", ttl=300)])
         nxt = snapshot("a.com", "v1", 30, [a_rrset("192.0.2.1", ttl=290)])
-        assert diff_snapshots(prev, nxt) == []
+        assert detect_changes([prev, nxt]) == []
 
     def test_reorder_is_no_change(self):
         prev = snapshot("a.com", "v1", 0, [a_rrset("192.0.2.1", "192.0.2.2")])
         nxt = snapshot("a.com", "v1", 30, [a_rrset("192.0.2.2", "192.0.2.1")])
-        assert diff_snapshots(prev, nxt) == []
+        assert detect_changes([prev, nxt]) == []
 
     def test_identical_is_empty(self):
         prev = snapshot("a.com", "v1", 0, [a_rrset("192.0.2.1"), ns_rrset("ns1.x")])
         nxt = snapshot("a.com", "v1", 30, [a_rrset("192.0.2.1"), ns_rrset("ns1.x")])
-        assert diff_snapshots(prev, nxt) == []
+        assert detect_changes([prev, nxt]) == []
 
     def test_disappearance_is_a_change(self):
         prev = snapshot("a.com", "v1", 0, [a_rrset("192.0.2.1"), ns_rrset("ns1.x")])
         nxt = snapshot("a.com", "v1", 30, [ns_rrset("ns1.x")])
-        (change,) = diff_snapshots(prev, nxt)
+        (change,) = detect_changes([prev, nxt])
         assert change.rrtype == "A" and change.after == ()
 
     def test_failed_type_not_reported(self):
         prev = snapshot("a.com", "v1", 0, [a_rrset("192.0.2.1"), ns_rrset("ns1.x")])
         nxt = snapshot("a.com", "v1", 30, [ns_rrset("ns1.x")], errors=("A:timeout",))
-        assert diff_snapshots(prev, nxt) == []
-
-    def test_mismatched_subject(self):
-        with pytest.raises(MismatchedSubject):
-            diff_snapshots(snapshot("a.com", "v1", 0, [a_rrset("x")]),
-                           snapshot("b.com", "v1", 30, [a_rrset("x")]))
-        with pytest.raises(MismatchedSubject):
-            diff_snapshots(snapshot("a.com", "v1", 30, [a_rrset("x")]),
-                           snapshot("a.com", "v1", 0, [a_rrset("x")]))
+        assert detect_changes([prev, nxt]) == []
 
     def test_detect_changes_across_store(self):
         snaps = [

@@ -403,7 +403,7 @@ class TestLiveTick:
             monkeypatch.setattr(dnswire.socket, "socket", CountedSocket)
             clock = SystemClock()
             config = MonitorConfig(interval=timedelta(milliseconds=10), vantages=[server.vantage],
-                                   types=("A",), backoff_base=0.01, backoff_cap=0.02)
+                                   types=("A",), delays=dnsmon.backoff_delays(0.01, 0.02))
             store = SnapshotStore(tmp_path / "snaps.jsonl")
             ticks = run_schedule(sorted(ANSWERS), config, store, clock, UdpResolver(timeout=0.5),
                                  until=clock.now() + timedelta(milliseconds=15))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import json
 import re
 from datetime import datetime, timezone
@@ -385,7 +386,8 @@ COM_RULES = SuffixRules(frozenset({"com"}), frozenset(), frozenset())
 
 # the loaders that read a header-checked CSV through ingest.read_csv, by data file
 CSV_LOADERS = {
-    "brands.csv": (squatgen.load_catalog, "rank,brand_id,canonical_domain"),
+    "brands.csv": (functools.partial(squatgen.load_catalog, brand_top_n=10, squat_top_n=10),
+                   "rank,brand_id,canonical_domain"),
     "registration_log.csv": (classifier.load_registration_log,
                              "registrable,registered_at,registrar"),
     "timestamp_sources.csv": (lifecycle.load_timestamp_sources, "registrable,kind,at"),

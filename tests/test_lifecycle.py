@@ -144,13 +144,14 @@ class TestDelays:
         reg = RegistrationEvent("a.com", ts("2024-01-01T00:00:00"), KIND_RDAP,
                                 deregistered_at=ts("2024-03-01T00:00:00"))
         classification = ClassificationResult("a.com", frozenset(), VERDICT_COMPROMISED)
-        (life,) = build_lifecycle_records([rec], {"a.com": classification}, {"a.com": reg})
+        (life,) = build_lifecycle_records([rec], {"a.com": classification}, {"a.com": reg},
+                                          "apwg")
         assert life.takedown_delay == timedelta(days=-1)
         assert DEREGISTERED_BEFORE_DETECTION in life.data_flags
 
 
 class TestBlocklistLag:
-    """Per-source lag behind the reference list: aggregate(records, "lag", "source")."""
+    """Per-source lag behind the reference list: aggregate(records, "lag", "source", reference)."""
 
     @staticmethod
     def lag_rows(*detections, reference="apwg"):
@@ -196,7 +197,7 @@ class TestAggregate:
             lifecycle_record(f"d{i}.com", VERDICT_MALICIOUS, detection=d)
             for i, d in enumerate([1, 1, 2, 10, 100])
         ]
-        report = aggregate(records, "detection_delay", "verdict")
+        report = aggregate(records, "detection_delay", "verdict", "apwg")
         (row,) = report.rows
         assert row.count == 5
         assert row.mean_days == pytest.approx(22.8)
@@ -207,7 +208,7 @@ class TestAggregate:
             lifecycle_record("m.com", VERDICT_MALICIOUS, detection=16.3),
             lifecycle_record("c.com", VERDICT_COMPROMISED, detection=86),
         ]
-        report = aggregate(records, "detection_delay", "verdict")
+        report = aggregate(records, "detection_delay", "verdict", "apwg")
         medians = {row.key: row.median_days for row in report.rows}
         assert medians[VERDICT_MALICIOUS] == pytest.approx(16.3)
         assert medians[VERDICT_COMPROMISED] == pytest.approx(86)
@@ -218,7 +219,7 @@ class TestAggregate:
             lifecycle_record("b.com", VERDICT_MALICIOUS),           # missing metric
             lifecycle_record("c.com", VERDICT_COMPROMISED),
         ]
-        report = aggregate(records, "detection_delay", "verdict")
+        report = aggregate(records, "detection_delay", "verdict", "apwg")
         totals = sum(r.count + r.missing for r in report.rows) + report.ungrouped
         assert totals == len(records)
 
@@ -227,21 +228,21 @@ class TestAggregate:
             [lifecycle_record(f"a{i}.com", VERDICT_MALICIOUS, detection=1) for i in range(3)]
             + [lifecycle_record("z.com", VERDICT_COMPROMISED, detection=2)]
         )
-        report = aggregate(records, "detection_delay", "verdict")
+        report = aggregate(records, "detection_delay", "verdict", "apwg")
         assert [r.key for r in report.rows] == [VERDICT_MALICIOUS, VERDICT_COMPROMISED]
 
     def test_grouping_attribute_absent(self):
         records = [lifecycle_record("a.com", VERDICT_MALICIOUS, detection=1)]
         with pytest.raises(EmptyInput):
-            aggregate(records, "detection_delay", "brand")
+            aggregate(records, "detection_delay", "brand", "apwg")
 
     def test_empty_records(self):
         with pytest.raises(EmptyInput):
-            aggregate([], "detection_delay", "verdict")
+            aggregate([], "detection_delay", "verdict", "apwg")
 
     def test_single_record_mean_equals_median(self):
         records = [lifecycle_record("a.com", VERDICT_MALICIOUS, detection=7.25)]
-        (row,) = aggregate(records, "detection_delay", "verdict").rows
+        (row,) = aggregate(records, "detection_delay", "verdict", "apwg").rows
         assert row.mean_days == row.median_days == pytest.approx(7.25)
 
     def test_median_invariant_under_duplication(self):
@@ -249,29 +250,25 @@ class TestAggregate:
             lifecycle_record(f"d{i}.com", VERDICT_MALICIOUS, detection=d)
             for i, d in enumerate([1, 2, 50])
         ]
-        once = aggregate(records, "detection_delay", "verdict").rows[0].median_days
-        twice = aggregate(records + records, "detection_delay", "verdict").rows[0].median_days
-        assert once == twice
+        once = aggregate(records, "detection_delay", "verdict", "apwg").rows[0]
+        twice = aggregate(records + records, "detection_delay", "verdict", "apwg").rows[0]
+        assert once.median_days == twice.median_days
 
     def test_brand_grouping_multi_membership(self):
         records = [
             lifecycle_record("a.com", VERDICT_MALICIOUS, detection=3,
                              brands=("facebook", "usps")),
         ]
-        report = aggregate(records, "detection_delay", "brand")
+        report = aggregate(records, "detection_delay", "brand", "apwg")
         assert {r.key for r in report.rows} == {"facebook", "usps"}
 
     def test_lag_by_source(self):
         record = lifecycle_record("a.com", VERDICT_MALICIOUS, sources=("apwg", "phishtank"))
         record.detections["phishtank"] = record.detections["apwg"] + timedelta(days=4.4)
-        report = aggregate([record], "lag", "source")
+        report = aggregate([record], "lag", "source", "apwg")
         (row,) = report.rows
         assert row.key == "phishtank"
         assert row.median_days == pytest.approx(4.4)
-
-    def test_lag_requires_source_grouping(self):
-        with pytest.raises(ValueError):
-            aggregate([lifecycle_record("a.com", VERDICT_MALICIOUS)], "lag", "verdict")
 
 
 class TestIdentity:

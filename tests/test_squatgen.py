@@ -310,7 +310,8 @@ class TestCatalog:
 
     def test_rank_monotonicity_enforced(self):
         with pytest.raises(ValueError):
-            BrandCatalog([Brand("a", "a.com", 2), Brand("b", "b.com", 1)])
+            BrandCatalog([Brand("a", "a.com", 2), Brand("b", "b.com", 1)],
+                         brand_top_n=2, squat_top_n=2)
 
     def test_cutoff_ordering_enforced(self):
         with pytest.raises(ValueError):

@@ -1,0 +1,69 @@
+"""Every public name the package defines is used inside the package.
+
+The test parses each module of ``src/phishlife`` with ``ast``. It collects
+the public top-level functions and classes, and the public methods of
+those classes. Each must be referenced by name, as a variable or as an
+attribute, somewhere in ``src/phishlife``. A definition that only tests
+call has no command behind it, so it should be wired in or deleted.
+``cli.main`` is exempt, because it is the console entry point.
+
+Matching by name is coarse. A use of any attribute called ``load``
+counts for every method of that name, and a name used only in its own
+body counts as used. So the test can miss an unused definition, but a
+definition it flags is used by name nowhere in the package.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "phishlife"
+ENTRY_POINTS = {"cli.main"}
+
+
+def public_definitions(tree: ast.Module, module: str) -> list[tuple[str, str]]:
+    """(qualified name, bare name) of each public top-level function, class and method."""
+    found = []
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        found.append((f"{module}.{node.name}", node.name))
+        if isinstance(node, ast.ClassDef):
+            found += [(f"{module}.{node.name}.{item.name}", item.name) for item in node.body
+                      if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")]
+    return found
+
+
+def referenced_names(tree: ast.Module) -> set[str]:
+    """Every variable name and attribute name the module uses."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def unreferenced(src: Path) -> list[str]:
+    definitions, used = [], set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        definitions += public_definitions(tree, path.stem)
+        used |= referenced_names(tree)
+    return [qualified for qualified, name in definitions
+            if name not in used and qualified not in ENTRY_POINTS]
+
+
+def test_every_public_definition_is_referenced():
+    assert unreferenced(SRC) == []
+
+
+def test_an_unused_definition_is_flagged(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "def used():\n    return 1\n\n"
+        "def unused():\n    return used()\n\n"
+        "class Box:\n    def open(self):\n        pass\n\n    def _hidden(self):\n        pass\n\n"
+        "def main():\n    return Box()\n")
+    assert unreferenced(tmp_path) == ["mod.unused", "mod.Box.open", "mod.main"]
