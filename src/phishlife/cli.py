@@ -23,7 +23,7 @@ import os
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
-from datetime import timedelta
+from datetime import datetime, timedelta
 from functools import cached_property
 from pathlib import Path
 from typing import Optional, get_origin, get_type_hints
@@ -178,14 +178,21 @@ def _validate_params(cfg: PipelineConfig) -> None:
     for ok, message in checks:
         if not ok:
             raise ConfigError(message)
-    try:  # a simulated run may schedule one interval past its end
-        end = parse_utc(cfg.monitor_start) + timedelta(minutes=cfg.monitor_duration_minutes)
-        end + timedelta(minutes=cfg.monitor_interval_minutes)
+    try:
+        _monitor_end(cfg, parse_utc(cfg.monitor_start), "monitor_start")
     except ValueError as exc:
         raise ConfigError(f"monitor_start: {exc}") from exc
+
+
+def _monitor_end(cfg: PipelineConfig, start: datetime, start_name: str) -> datetime:
+    """A run's end from its start; ConfigError unless one interval past it is before year 10000."""
+    try:
+        end = start + timedelta(minutes=cfg.monitor_duration_minutes)
+        end + timedelta(minutes=cfg.monitor_interval_minutes)
     except OverflowError as exc:
-        raise ConfigError("monitor_start + monitor_duration_minutes + monitor_interval_minutes "
+        raise ConfigError(f"{start_name} + monitor_duration_minutes + monitor_interval_minutes "
                           "must fall before year 10000") from exc
+    return end
 
 
 def _require(cfg_value: Optional[Path], name: str) -> Path:
@@ -421,9 +428,10 @@ def cmd_monitor(run: Run, mode: str) -> None:
         from .dnswire import UdpResolver
         resolver = UdpResolver()
         clock = dnsmon.SystemClock()
-    until = None  # a live run without a duration lasts until interrupted
-    if mode == "simulate" or cfg.monitor_duration_minutes > 0:
-        until = clock.now() + timedelta(minutes=cfg.monitor_duration_minutes)
+    # a live run starts now, not at monitor_start, so its end is checked again here
+    until = _monitor_end(cfg, clock.now(), "monitor_start" if mode == "simulate" else "now")
+    if mode == "live" and cfg.monitor_duration_minutes == 0:
+        until = None  # a live run without a duration lasts until interrupted
 
     # the prior snapshots, then this run's; a torn store fails before any query
     snapshots = store.load()

@@ -7,7 +7,8 @@ hands all of its (domain x vantage x rrtype) lookups to the resolver at
 once: the scripted resolver answers them one after another, and
 ``dnswire.UdpResolver`` keeps up to ``dnswire.WINDOW`` of them in flight on
 one selector loop. Both retry a failed lookup by the one policy in
-``settle``: exponential backoff, up to five attempts.
+``settle``, up to five attempts. Only ``UdpResolver`` waits the backoff
+between them, and the clock only spaces the ticks of ``run_schedule``.
 """
 
 from __future__ import annotations
@@ -185,6 +186,8 @@ class TtlSummary:
 
 
 class Clock(Protocol):
+    """What ``run_schedule`` spaces its ticks by."""
+
     def now(self) -> datetime: ...
     def sleep(self, seconds: float) -> None: ...
 
@@ -194,30 +197,22 @@ class SystemClock:
         return datetime.now(tz=timezone.utc)
 
     def sleep(self, seconds: float) -> None:
-        if seconds > 0:
-            _time.sleep(seconds)
+        _time.sleep(seconds)
 
 
 class SimulatedClock:
-    """Deterministic clock for tests and simulate mode.
-
-    sleep() advances simulated time instead of blocking; every sleep is
-    recorded so backoff schedules can be asserted.
-    """
+    """Deterministic clock for tests and simulate mode: sleep() advances
+    simulated time instead of blocking."""
 
     def __init__(self, start: datetime):
         if start.tzinfo is None:
             start = start.replace(tzinfo=timezone.utc)
         self._now = start
-        self.sleeps: list[float] = []
 
     def now(self) -> datetime:
         return self._now
 
     def sleep(self, seconds: float) -> None:
-        if seconds < 0:
-            return
-        self.sleeps.append(seconds)
         self._now += timedelta(seconds=seconds)
 
 
@@ -252,11 +247,10 @@ def settle(rrtype: str, attempt: int, result: AttemptResult) -> Optional[Outcome
 
 
 class Resolver(Protocol):
-    def resolve(self, lookups: Sequence[Lookup], clock: Clock,
-                delays: Sequence[float]) -> list[Outcome]:
+    def resolve(self, lookups: Sequence[Lookup], delays: Sequence[float]) -> list[Outcome]:
         """Each lookup's outcome under ``settle``, in the order given.
 
-        ``delays[k]`` is the backoff between attempts k + 1 and k + 2.
+        ``delays[k]`` is the backoff between attempts k + 1 and k + 2 that take time.
         """
 
 
@@ -298,15 +292,14 @@ class ScriptedResolver:
         except ValueError as exc:
             raise IoFailure(f"malformed resolver fixture {path}: {exc}") from exc
 
-    def resolve(self, lookups: Sequence[Lookup], clock: Clock,
-                delays: Sequence[float]) -> list[Outcome]:
-        """Each lookup's outcome, one attempt after another; backoff sleeps ``clock``."""
+    def resolve(self, lookups: Sequence[Lookup], delays: Sequence[float]) -> list[Outcome]:
+        """Each lookup's outcome, one attempt after another; a scripted attempt
+        takes no time, so no backoff is waited and ``delays`` goes unread."""
         query = self.query
         outcomes = []
         for vantage, domain, rrtype in lookups:
             attempt = 1
             while (outcome := settle(rrtype, attempt, query(vantage, domain, rrtype))) is None:
-                clock.sleep(delays[attempt - 1])
                 attempt += 1
             outcomes.append(outcome)
         return outcomes
@@ -378,7 +371,7 @@ def _compile_script(script: object) -> dict[str, dict[str, list[Step]]]:
 
 
 def backoff_delays(base: float, cap: float) -> list[float]:
-    """Delays slept between attempts: base, 2*base, ... capped at cap."""
+    """Delays waited between live attempts: base, 2*base, ... capped at cap."""
     return [min(base * (2 ** k), cap) for k in range(MAX_ATTEMPTS - 1)]
 
 
@@ -420,7 +413,6 @@ def collect_snapshots(
     vantages: Sequence[VantagePoint],
     types: Sequence[str],
     resolver: Resolver,
-    clock: Clock,
     taken_at: datetime,
     delays: Sequence[float],
 ) -> list[DnsSnapshot]:
@@ -431,7 +423,7 @@ def collect_snapshots(
     """
     pairs = [(d, v) for d in domains for v in vantages]
     lookups = [(v, d, t) for d, v in pairs for t in types]
-    outcomes = resolver.resolve(lookups, clock, delays)
+    outcomes = resolver.resolve(lookups, delays)
     n = len(types)
     return [_snapshot(d, v, taken_at, outcomes[k * n:(k + 1) * n])
             for k, (d, v) in enumerate(pairs)]
@@ -496,8 +488,8 @@ def run_schedule(
         gap = (next_due - clock.now()).total_seconds()
         if gap > 0:
             clock.sleep(gap)
-        snapshots = collect_snapshots(domains, config.vantages, config.types, resolver, clock,
-                                      next_due, config.delays)
+        snapshots = collect_snapshots(domains, config.vantages, config.types, resolver, next_due,
+                                      config.delays)
         store.append_many(snapshots)
         if kept is not None:
             kept.extend(snapshots)

@@ -32,7 +32,7 @@ from collections import deque
 from typing import Callable, Iterator, Optional, Sequence
 
 from .dnsmon import (
-    MAX_TTL, AttemptResult, Clock, Lookup, NxDomain, Outcome, QueryTimeout, RrSet,
+    MAX_TTL, AttemptResult, Lookup, NxDomain, Outcome, QueryTimeout, RrSet,
     ServerFailure, VantagePoint, settle,
 )
 
@@ -202,9 +202,8 @@ class UdpResolver:
             raise results[0]
         return results[0]
 
-    def resolve(self, lookups: Sequence[Lookup], clock: Clock,
-                delays: Sequence[float]) -> list[Outcome]:
-        """Each lookup's outcome, all on one loop; the backoff runs on timers, not ``clock``."""
+    def resolve(self, lookups: Sequence[Lookup], delays: Sequence[float]) -> list[Outcome]:
+        """Each lookup's outcome, all on one loop; the backoff runs on its timers."""
         outcomes: list[Optional[Outcome]] = [None] * len(lookups)
 
         def done(i: int, number: int, result: AttemptResult) -> Optional[float]:

@@ -295,6 +295,35 @@ class TestMonitorCommand:
         assert err.startswith("error: ") and err.count("\n") == 1 and domain in err, err
         assert not (tmp_path / "out" / "snapshots.jsonl").exists()
 
+    def test_live_end_past_year_9999_exits_2(self, tmp_path, capsys):
+        # the end is within year 9999 from monitor_start, but a live run starts now
+        config = config_copy(tmp_path, {"vantage_config": vantage_file("127.0.0.1:9")})
+        code = main(["monitor", "--live", "--config", config, "--out-dir", str(tmp_path / "out"),
+                     "--monitor-start", "2024-01-01T00:00:00Z",
+                     "--monitor-duration-minutes", "4194969000"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: now + ") and err.count("\n") == 1, err
+        assert not (tmp_path / "out" / "snapshots.jsonl").exists()
+
+    @pytest.mark.parametrize("backoff_ms", [1e14, 1e300])
+    def test_years_long_backoff_changes_no_simulated_output(self, backoff_ms, tmp_path, capsys):
+        # a scripted attempt takes no time, so a simulated run waits no backoff
+        fixture = json.loads((DATA / "resolver_fixture.json").read_text())
+        fixture["static1.com"]["A"][0]["fail_count_before_success"] = 4
+        long_backoff = {"backoff_base_ms": backoff_ms, "backoff_cap_ms": backoff_ms}
+        runs = {}
+        for name, backoff in [("default", {}), ("long", long_backoff)]:
+            config = config_copy(tmp_path, {
+                "resolver_fixture": ("fixture.json", json.dumps(fixture)), **backoff})
+            out = tmp_path / name
+            code = main(["monitor", "--config", config, "--out-dir", str(out)])
+            runs[name] = code, capsys.readouterr(), {p.name: p.read_bytes() for p in out.iterdir()}
+        assert runs["long"] == runs["default"]
+        code, captured, outputs = runs["default"]
+        assert code == 0 and captured.err == ""
+        assert b'"attempts": 5' in outputs["snapshots.jsonl"]  # the four timeouts were retried
+
     @pytest.mark.parametrize("domain", ["bad..com", "exa_mple.com", "a" * 64 + ".com"])
     def test_simulated_domain_not_a_host_exits_2(self, domain, tmp_path, capsys):
         config = config_copy(tmp_path, {"monitor_domains": ("domains.txt", f"ok.com\n{domain}\n")})
@@ -311,9 +340,9 @@ class TestMonitorCommand:
         scripted_resolve = dnsmon.ScriptedResolver.resolve
         looked_up = set()
 
-        def resolve(self, lookups, clock, delays):
+        def resolve(self, lookups, delays):
             looked_up.update(domain for _vantage, domain, _rrtype in lookups)
-            return scripted_resolve(scripted, lookups, clock, delays)
+            return scripted_resolve(scripted, lookups, delays)
 
         monkeypatch.setattr(dnswire.UdpResolver if live else dnsmon.ScriptedResolver,
                             "resolve", resolve)

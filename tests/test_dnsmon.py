@@ -105,31 +105,28 @@ class TestRetryContract:
         })
 
     def test_four_failures_then_success(self):
-        c = clock()
-        (snap,) = collect_snapshots(["a.com"], [V1], ["A"], self.script(4), c, T0, DELAYS)
+        (snap,) = collect_snapshots(["a.com"], [V1], ["A"], self.script(4), T0, DELAYS)
         assert snap.status == "ok"
         assert snap.attempts == 5
         assert snap.rrsets[0].values == ("192.0.2.1",)
 
     def test_five_failures_is_failed(self):
-        c = clock()
         resolver = self.script(5)
-        (snap,) = collect_snapshots(["a.com"], [V1], ["A"], resolver, c, T0, DELAYS)
+        (snap,) = collect_snapshots(["a.com"], [V1], ["A"], resolver, T0, DELAYS)
         assert snap.status == "failed"
         assert snap.attempts == 5
         assert snap.rrsets == ()
         # retry bound: five attempts, each timed out, and the script's sixth answers
         resolver = self.script(5)
-        (outcome,) = resolver.resolve([(V1, "a.com", "A")], clock(), DELAYS)
+        (outcome,) = resolver.resolve([(V1, "a.com", "A")], DELAYS)
         assert outcome == (None, 5, "A:timeout", False)
         assert resolver.query(V1, "a.com", "A") == a_rrset("192.0.2.1")
 
     def test_backoff_nondecreasing_and_capped(self):
-        c = clock()
-        collect_snapshots(["a.com"], [V1], ["A"], self.script(5), c, T0, DELAYS)
-        assert c.sleeps == sorted(c.sleeps)
-        assert c.sleeps == [0.5, 1.0, 2.0, 4.0]
-        assert max(c.sleeps) <= 8.0
+        # one delay between each two of the five attempts; only a live resolver waits them
+        assert DELAYS == sorted(DELAYS)
+        assert DELAYS == [0.5, 1.0, 2.0, 4.0]
+        assert max(DELAYS) <= 8.0
 
     def test_cap_applies(self):
         assert backoff_delays(3.0, 8.0) == [3.0, 6.0, 8.0, 8.0]
@@ -139,21 +136,21 @@ class TestRetryContract:
             "A": [{"values": ["192.0.2.1"], "ttl": 300}],
             "NS": ["servfail"],
         }})
-        (snap,) = collect_snapshots(["a.com"], [V1], ["A", "NS"], resolver, clock(), T0, DELAYS)
+        (snap,) = collect_snapshots(["a.com"], [V1], ["A", "NS"], resolver, T0, DELAYS)
         assert snap.status == "ok"
         assert [r.rrtype for r in snap.rrsets] == ["A"]
         assert snap.errors == ("NS:servfail",)
 
     def test_nxdomain_recorded(self):
         resolver = ScriptedResolver({})
-        (snap,) = collect_snapshots(["gone.com"], [V1], ["A"], resolver, clock(), T0, DELAYS)
+        (snap,) = collect_snapshots(["gone.com"], [V1], ["A"], resolver, T0, DELAYS)
         assert snap.status == "ok"
         assert snap.nxdomain
         assert snap.rrsets == ()
 
     def test_three_vantages_share_taken_at(self):
         resolver = ScriptedResolver({"a.com": {"A": [{"values": ["192.0.2.1"], "ttl": 60}]}})
-        snaps = collect_snapshots(["a.com"], [V1, V2, V3], ["A"], resolver, clock(), T0, DELAYS)
+        snaps = collect_snapshots(["a.com"], [V1, V2, V3], ["A"], resolver, T0, DELAYS)
         assert len(snaps) == 3
         assert {s.taken_at for s in snaps} == {T0}
         assert all(s.status == "ok" for s in snaps)
@@ -266,7 +263,7 @@ class TestScheduler:
         _, together = self.run(["a.com", "b.com"], 60, tmp_path=tmp_path)
         resolver = ScriptedResolver(self.RESOLVER_SCRIPT)
         apart = [snap for minute in (30, 60) for domain in ("a.com", "b.com")
-                 for snap in collect_snapshots([domain], [V1, V2], ["A"], resolver, clock(),
+                 for snap in collect_snapshots([domain], [V1, V2], ["A"], resolver,
                                                T0 + timedelta(minutes=minute), DELAYS)]
         assert together == apart
 

@@ -5,6 +5,7 @@ import selectors
 import socket
 import struct
 import threading
+import time
 from collections import Counter
 from datetime import timedelta
 
@@ -425,6 +426,22 @@ class TestLiveTick:
         assert asked["silent.example"] == 5
         assert sockets == {"open": 0, "peak": 3}  # the window filled, and held
 
+    def test_backoff_waited_between_attempts(self):
+        arrivals = []  # when each datagram reached the server
+
+        def on_udp(query: bytes) -> list[bytes]:
+            arrivals.append(time.monotonic())
+            if len(arrivals) == 1:  # SERVFAIL to the first query
+                return [header(qid=struct.unpack("!H", query[:2])[0], flags=0x8182) + query[12:]]
+            return [a_reply(query, "192.0.2.3")]
+
+        with LoopbackServer(on_udp=on_udp) as server:
+            (outcome,) = UdpResolver(timeout=5).resolve(
+                [(server.vantage, "servfail.example", "A")], [0.3] * 4)
+        assert outcome.attempts == 2 and outcome.rrset.values == ("192.0.2.3",)
+        assert len(arrivals) == 2
+        assert arrivals[1] - arrivals[0] >= 0.3  # only the lower bound: the host may be slow
+
     def test_each_address_parsed_once(self, tmp_path, monkeypatch):
         parsed: Counter = Counter()
 
@@ -442,7 +459,7 @@ class TestLiveTick:
             vantages = dnsmon.load_vantages(path)
             lookups = [(v, name, "A") for v in vantages
                        for name in ("servfail.example", "plain.example")]
-            outcomes = UdpResolver(timeout=2).resolve(lookups, SystemClock(), [0.01] * 4)
+            outcomes = UdpResolver(timeout=2).resolve(lookups, [0.01] * 4)
         # servfail.example takes a second attempt from each vantage
         assert [o.attempts for o in outcomes] == [2, 1, 2, 1]
         assert parsed == {v.resolver_address: 1 for v in vantages}
