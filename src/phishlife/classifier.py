@@ -189,10 +189,17 @@ def levenshtein(a: str, b: str) -> int:
     return previous[-1]
 
 
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+
+
 def _window_start(at: datetime, window: timedelta) -> datetime:
-    seconds = int(window.total_seconds())
-    bucket = int(at.timestamp()) // seconds
-    return datetime.fromtimestamp(bucket * seconds, tz=timezone.utc)
+    """The start of the whole-second window, counted from the epoch, that
+    holds ``at``; a start before year 1 is ``datetime.min`` in UTC."""
+    width = timedelta(seconds=int(window.total_seconds()))
+    try:
+        return at - (at - _EPOCH) % width  # timedelta % floors, also before the epoch
+    except OverflowError:
+        return datetime.min.replace(tzinfo=timezone.utc)
 
 
 def _candidate_pairs(labels: list[str], max_edit_distance: int) -> list[tuple[int, int]]:

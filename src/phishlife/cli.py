@@ -23,7 +23,7 @@ import os
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
 from functools import cached_property
 from pathlib import Path
 from typing import Optional, get_origin, get_type_hints
@@ -407,37 +407,34 @@ def cmd_classify(run: Run) -> None:
                  _csv_text(["rank", "registrar", "domains", "share"], registrar_rows))
 
 
-def cmd_monitor(run: Run, mode: str) -> None:
+def cmd_monitor(run: Run, live: bool) -> None:
     cfg, out_dir = run.cfg, run.out_dir
     vantages = dnsmon.load_vantages(_require(cfg.vantage_config, "vantage_config"))
     domains = run.monitor_domains
     store = dnsmon.SnapshotStore(cfg.snapshot_store or out_dir / "snapshots.jsonl")
-    monitor_cfg = dnsmon.MonitorConfig(
-        interval=timedelta(minutes=cfg.monitor_interval_minutes),
-        vantages=vantages,
-        types=tuple(cfg.rrtypes),
-        delays=dnsmon.backoff_delays(cfg.backoff_base_ms / 1000.0, cfg.backoff_cap_ms / 1000.0),
-    )
 
-    if mode == "simulate":
-        resolver = dnsmon.ScriptedResolver.from_file(
-            _require(cfg.resolver_fixture, "resolver_fixture"))
-        clock = dnsmon.SimulatedClock(parse_utc(cfg.monitor_start))
-    else:
+    if live:
         # every domain is a normalized host, so it goes on the wire as it is
         from .dnswire import UdpResolver
         resolver = UdpResolver()
-        clock = dnsmon.SystemClock()
+        start = datetime.now(timezone.utc)
+    else:
+        resolver = dnsmon.ScriptedResolver.from_file(
+            _require(cfg.resolver_fixture, "resolver_fixture"))
+        start = parse_utc(cfg.monitor_start)
     # a live run starts now, not at monitor_start, so its end is checked again here
-    until = _monitor_end(cfg, clock.now(), "monitor_start" if mode == "simulate" else "now")
-    if mode == "live" and cfg.monitor_duration_minutes == 0:
+    until = _monitor_end(cfg, start, "now" if live else "monitor_start")
+    if live and cfg.monitor_duration_minutes == 0:
         until = None  # a live run without a duration lasts until interrupted
 
     # the prior snapshots, then this run's; a torn store fails before any query
     snapshots = store.load()
     try:
-        ticks = dnsmon.run_schedule(domains, monitor_cfg, store, clock, resolver, until=until,
-                                    kept=snapshots)
+        ticks = dnsmon.run_schedule(
+            domains, vantages, tuple(cfg.rrtypes),
+            dnsmon.backoff_delays(cfg.backoff_base_ms / 1000.0, cfg.backoff_cap_ms / 1000.0),
+            resolver, store, start, timedelta(minutes=cfg.monitor_interval_minutes), until,
+            kept=snapshots, live=live)
         rounds = str(ticks)
     except KeyboardInterrupt:  # pragma: no cover - live mode only
         rounds = "interrupted"
@@ -543,7 +540,7 @@ def cmd_report(run: Run) -> None:
     cmd_classify(run)
     cmd_lifecycle(run)
     if run.cfg.resolver_fixture is not None:
-        cmd_monitor(run, mode="simulate")
+        cmd_monitor(run, live=False)
 
 
 # ---------------------------------------------------------------- argparse
@@ -598,7 +595,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         elif args.command == "classify":
             cmd_classify(run)
         elif args.command == "monitor":
-            cmd_monitor(run, mode="live" if args.live else "simulate")
+            cmd_monitor(run, live=args.live)
         elif args.command == "lifecycle":
             cmd_lifecycle(run)
         elif args.command == "report":

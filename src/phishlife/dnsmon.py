@@ -2,13 +2,16 @@
 
 Collects snapshots of tracked domains through a pluggable resolver (a
 scripted in-memory one for tests and simulation, a real stub client for
-operation), detects record changes, and computes TTL analytics. Each tick
-hands all of its (domain x vantage x rrtype) lookups to the resolver at
-once: the scripted resolver answers them one after another, and
+operation), detects record changes, and computes TTL analytics.
+``run_schedule`` ticks at ``start + interval``, ``start + 2 * interval``,
+and so on: a live run sleeps until each tick is due on the wall clock, and
+a simulated run never sleeps, so its tick times are arithmetic alone. Each
+tick hands all of its (domain x vantage x rrtype) lookups to the resolver
+at once: the scripted resolver answers them one after another, and
 ``dnswire.UdpResolver`` keeps up to ``dnswire.WINDOW`` of them in flight on
 one selector loop. Both retry a failed lookup by the one policy in
-``settle``, up to five attempts. Only ``UdpResolver`` waits the backoff
-between them, and the clock only spaces the ticks of ``run_schedule``.
+``settle``, up to five attempts; only ``UdpResolver`` waits the backoff
+between them.
 """
 
 from __future__ import annotations
@@ -185,37 +188,6 @@ class TtlSummary:
     overall_mean_ttl: float
 
 
-class Clock(Protocol):
-    """What ``run_schedule`` spaces its ticks by."""
-
-    def now(self) -> datetime: ...
-    def sleep(self, seconds: float) -> None: ...
-
-
-class SystemClock:
-    def now(self) -> datetime:
-        return datetime.now(tz=timezone.utc)
-
-    def sleep(self, seconds: float) -> None:
-        _time.sleep(seconds)
-
-
-class SimulatedClock:
-    """Deterministic clock for tests and simulate mode: sleep() advances
-    simulated time instead of blocking."""
-
-    def __init__(self, start: datetime):
-        if start.tzinfo is None:
-            start = start.replace(tzinfo=timezone.utc)
-        self._now = start
-
-    def now(self) -> datetime:
-        return self._now
-
-    def sleep(self, seconds: float) -> None:
-        self._now += timedelta(seconds=seconds)
-
-
 Lookup = tuple[VantagePoint, str, str]  # (vantage, domain, rrtype)
 # what one attempt gave: an rrset, None for an empty answer, or a query error
 AttemptResult = Union[RrSet, None, QueryTimeout, ServerFailure, NxDomain]
@@ -375,14 +347,6 @@ def backoff_delays(base: float, cap: float) -> list[float]:
     return [min(base * (2 ** k), cap) for k in range(MAX_ATTEMPTS - 1)]
 
 
-@dataclass
-class MonitorConfig:
-    interval: timedelta
-    vantages: list[VantagePoint]
-    types: Sequence[str]
-    delays: Sequence[float]  # the backoff between attempts, as ``backoff_delays`` gives it
-
-
 def _snapshot(domain: str, vantage: VantagePoint, at: datetime,
               outcomes: Sequence[Outcome]) -> DnsSnapshot:
     """One vantage's snapshot of a domain from its rrtypes' outcomes.
@@ -467,33 +431,37 @@ class SnapshotStore:
 
 def run_schedule(
     domains: Sequence[str],
-    config: MonitorConfig,
-    store: SnapshotStore,
-    clock: Clock,
+    vantages: Sequence[VantagePoint],
+    types: Sequence[str],
+    delays: Sequence[float],
     resolver: Resolver,
-    until: Optional[datetime] = None,
-    kept: Optional[list[DnsSnapshot]] = None,
+    store: SnapshotStore,
+    start: datetime,
+    interval: timedelta,
+    until: Optional[datetime],
+    kept: list[DnsSnapshot],
+    live: bool,
 ) -> int:
-    """Collect every domain once per interval tick until ``until`` passes.
+    """Collect every domain at each tick ``start + k * interval``, k = 1, 2, ...,
+    while the tick is not after ``until`` (None: no end).
 
-    Ticks fire after each full interval elapses; each tick's snapshots are
-    appended to the store, and to ``kept`` if given, in (domain, vantage)
-    order so runs are deterministic. Returns the number of completed ticks.
+    A live run sleeps until each tick is due on the wall clock; a simulated
+    run never sleeps. Each tick's snapshots are appended to the store and to
+    ``kept`` in (domain, vantage) order, taken at the tick, so runs are
+    deterministic. Returns the number of completed ticks.
     """
-    if config.interval <= timedelta(0):
-        raise ValueError("interval must be positive")
-    next_due = clock.now() + config.interval
+    if interval <= timedelta(0):
+        raise ValueError("interval must be positive")  # else the loop would never end
+    due = start + interval
     ticks = 0
-    while until is None or next_due <= until:
-        gap = (next_due - clock.now()).total_seconds()
-        if gap > 0:
-            clock.sleep(gap)
-        snapshots = collect_snapshots(domains, config.vantages, config.types, resolver, next_due,
-                                      config.delays)
+    while until is None or due <= until:
+        # a sleep that ends early by the wall clock is resumed, so no tick runs before it is due
+        while live and (gap := (due - datetime.now(timezone.utc)).total_seconds()) > 0:
+            _time.sleep(gap)
+        snapshots = collect_snapshots(domains, vantages, types, resolver, due, delays)
         store.append_many(snapshots)
-        if kept is not None:
-            kept.extend(snapshots)
-        next_due += config.interval
+        kept.extend(snapshots)
+        due += interval
         ticks += 1
     return ticks
 

@@ -1,35 +1,38 @@
 """UTC timestamp parsing and formatting.
 
 All timestamps in the toolkit are timezone-aware UTC datetimes. Feeds and
-CSVs must carry ISO-8601 instants; naive values are interpreted as UTC,
-non-zero offsets are rejected.
+CSVs carry ISO-8601 instants of one fixed grammar (``parse_utc``); values
+without an offset are UTC, non-zero offsets are rejected.
 """
 
 from __future__ import annotations
 
+import re
 from datetime import datetime, timedelta, timezone
 
 SECONDS_PER_DAY = 86400.0
 
+# the one grammar of a timestamp; an offset other than zero is no match
+_TIMESTAMP = re.compile(
+    r"([0-9]{4}-[0-9]{2}-[0-9]{2})"
+    r"([T ][0-9]{2}(?::[0-9]{2}(?::[0-9]{2}(?:\.[0-9]{3}|\.[0-9]{6})?)?)?)?"
+    r"(?:Z|z|[+-]00:00)?")
 
 def parse_utc(text: str) -> datetime:
-    """Parse an ISO-8601 date or datetime as a UTC instant.
+    """Parse a date or datetime as a UTC instant, by one grammar on every Python.
 
-    Accepts ``YYYY-MM-DD``, ``YYYY-MM-DDTHH:MM:SS[.ffffff]`` with an
-    optional ``Z`` or ``+00:00`` suffix. Raises ValueError for anything
-    else, including non-UTC offsets.
+    Accepts ``YYYY-MM-DD``, optionally followed by ``T`` or a space and
+    ``HH[:MM[:SS[.fff|.ffffff]]]``, then an optional ``Z``, ``z``,
+    ``+00:00`` or ``-00:00``; digits are ASCII and surrounding blanks are
+    ignored. A value without a suffix is UTC. Raises ValueError for
+    anything else, a non-zero offset included, and for a date or time out
+    of range.
     """
-    cleaned = text.strip()
-    if not cleaned:
-        raise ValueError("empty timestamp")
-    if cleaned.endswith(("Z", "z")):
-        cleaned = cleaned[:-1] + "+00:00"
-    dt = datetime.fromisoformat(cleaned)
-    if dt.tzinfo is None:
-        return dt.replace(tzinfo=timezone.utc)
-    if dt.utcoffset() != timedelta(0):
-        raise ValueError(f"non-UTC offset in timestamp: {text!r}")
-    return dt.astimezone(timezone.utc)
+    match = _TIMESTAMP.fullmatch(text.strip())
+    if match is None:
+        raise ValueError(f"timestamp {text!r} is not YYYY-MM-DD[THH[:MM[:SS[.fff]]]] in UTC")
+    # every Python from 3.10 on reads a date, a time and a zero offset alike
+    return datetime.fromisoformat(f"{match[1]}{match[2] or 'T00'}+00:00")
 
 
 def format_utc(dt: datetime) -> str:

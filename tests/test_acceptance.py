@@ -171,11 +171,8 @@ def test_scheduler_three_rounds_in_ninety_minutes(tmp_path):
         "b.com": {"A": [{"values": ["192.0.2.2"], "ttl": 60}]},
     })
     store = dnsmon.SnapshotStore(tmp_path / "snaps.jsonl")
-    clock = dnsmon.SimulatedClock(T0)
-    config = dnsmon.MonitorConfig(interval=timedelta(minutes=30), vantages=vantages,
-                                  types=("A",), delays=DELAYS)
-    ticks = dnsmon.run_schedule(["a.com", "b.com"], config, store, clock, resolver,
-                                until=T0 + timedelta(minutes=90))
+    ticks = dnsmon.run_schedule(["a.com", "b.com"], vantages, ("A",), DELAYS, resolver, store,
+                                T0, timedelta(minutes=30), T0 + timedelta(minutes=90), [], False)
     assert ticks == 3
     per_key: dict = {}
     for snap in store.load():
@@ -189,12 +186,9 @@ def test_change_detection_fixture(tmp_path):
     vantages = dnsmon.load_vantages(DATA / "vantages.json")
     resolver = dnsmon.ScriptedResolver.from_file(DATA / "resolver_fixture.json")
     store = dnsmon.SnapshotStore(tmp_path / "snaps.jsonl")
-    clock = dnsmon.SimulatedClock(T0)
-    config = dnsmon.MonitorConfig(interval=timedelta(minutes=30), vantages=vantages,
-                                  types=("A", "NS"), delays=DELAYS)
     domains = ["flux.top", "static1.com", "static2.com", "static3.com"]
-    dnsmon.run_schedule(domains, config, store, clock, resolver,
-                        until=T0 + timedelta(minutes=60))
+    dnsmon.run_schedule(domains, vantages, ("A", "NS"), DELAYS, resolver, store,
+                        T0, timedelta(minutes=30), T0 + timedelta(minutes=60), [], False)
 
     changes = dnsmon.detect_changes(store.load())
     assert len(changes) == 1

@@ -394,6 +394,30 @@ class TestClusterBulk:
                 )
 
 
+class TestWindowStart:
+    def test_floors_before_the_epoch(self):
+        at = datetime(1969, 12, 31, 23, 59, 59, 500000, tzinfo=UTC)
+        day = classifier._window_start(at, timedelta(hours=24))
+        assert day == datetime(1969, 12, 31, tzinfo=UTC)
+        assert classifier._window_start(at, timedelta(seconds=1)) == at.replace(microsecond=0)
+
+    def test_start_before_year_one_is_datetime_min(self):
+        at = datetime(1, 1, 1, tzinfo=UTC)  # a WHOIS placeholder date
+        start = classifier._window_start(at, timedelta(hours=168))
+        assert start == datetime.min.replace(tzinfo=UTC) and start.tzinfo is UTC
+
+    @given(st.datetimes(min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31, 23, 59, 59)),
+           st.integers(1, 10**9))
+    def test_window_holds_its_times(self, at, seconds):
+        at = at.replace(tzinfo=UTC)
+        width = timedelta(seconds=seconds)
+        start = classifier._window_start(at, width)
+        assert start <= at and (at - start < width or start == datetime.min.replace(tzinfo=UTC))
+        if at.year >= 1970 and at.microsecond == 0:  # as the float timestamp bucketed it
+            bucket = int(at.timestamp()) // seconds * seconds
+            assert start == datetime.fromtimestamp(bucket, tz=UTC)
+
+
 class TestClassify:
     def test_homoglyph_is_malicious(self, classifier_ctx):
         result = classify(record("faceb0ok.com"), classifier_ctx)

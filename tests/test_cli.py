@@ -142,6 +142,15 @@ class TestClassifyCommand:
         rows = read_csv(tmp_path / "out" / "flag_summary.csv")
         assert all(r["domains"] == "0" and r["pct_of_candidates"] == "" for r in rows)
 
+    def test_year_one_registration_date_is_bucketed(self, tmp_path, capsys):
+        # many WHOIS dumps give 0001-01-01 as a placeholder date
+        log = ((DATA / "registration_log.csv").read_text()
+               + "placeholder.com,0001-01-01T00:00:00Z,RegA\n")
+        config = config_copy(tmp_path, {"registration_log": ("registration_log.csv", log)})
+        code = main(["classify", "--config", config, "--bulk-window-hours", "168",
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 0, capsys.readouterr().err
+
 
 class TestMonitorCommand:
     def test_simulate_fixture(self, tmp_path, capsys):

@@ -5,14 +5,13 @@ from datetime import datetime, timedelta, timezone
 
 import pytest
 
+from phishlife import dnsmon
 from phishlife.dnsmon import (
     DnsSnapshot,
-    MonitorConfig,
     NoObservations,
     NxDomain,
     RrSet,
     ScriptedResolver,
-    SimulatedClock,
     SnapshotStore,
     VantagePoint,
     backoff_delays,
@@ -31,10 +30,6 @@ DELAYS = backoff_delays(0.5, 8.0)  # the backoff_base_ms and backoff_cap_ms defa
 V1 = VantagePoint("v1", "192.0.2.1:53", "us")
 V2 = VantagePoint("v2", "192.0.2.2:53", "eu")
 V3 = VantagePoint("v3", "192.0.2.3:53", "apac")
-
-
-def clock():
-    return SimulatedClock(T0)
 
 
 def snapshot(domain, vantage, minute, rrsets, status="ok", errors=(), attempts=1):
@@ -226,13 +221,10 @@ class TestScheduler:
     }
 
     def run(self, domains, minutes, tmp_path=None):
-        c = clock()
         store = SnapshotStore(tmp_path / "snaps.jsonl")
-        config = MonitorConfig(interval=timedelta(minutes=30), vantages=[V1, V2], types=("A",),
-                               delays=DELAYS)
         resolver = ScriptedResolver(self.RESOLVER_SCRIPT)
-        ticks = run_schedule(domains, config, store, c, resolver,
-                             until=T0 + timedelta(minutes=minutes))
+        ticks = run_schedule(domains, [V1, V2], ("A",), DELAYS, resolver, store, T0,
+                             timedelta(minutes=30), T0 + timedelta(minutes=minutes), [], False)
         return ticks, store.load()
 
     def test_ninety_minutes_three_rounds(self, tmp_path):
@@ -267,11 +259,52 @@ class TestScheduler:
                                                T0 + timedelta(minutes=minute), DELAYS)]
         assert together == apart
 
+    def test_ticks_fall_at_start_plus_multiples_of_the_interval(self, tmp_path):
+        kept, resolver = [], ScriptedResolver(self.RESOLVER_SCRIPT)
+        ticks = run_schedule(["a.com"], [V1], ("A",), DELAYS, resolver,
+                             SnapshotStore(tmp_path / "snaps.jsonl"), T0, timedelta(minutes=7),
+                             T0 + timedelta(minutes=20), kept, False)
+        assert ticks == 2
+        assert [s.taken_at for s in kept] == [T0 + timedelta(minutes=7), T0 + timedelta(minutes=14)]
+        assert kept == SnapshotStore(tmp_path / "snaps.jsonl").load()
+
+    def test_simulated_run_never_sleeps(self, tmp_path, monkeypatch):
+        def no_sleep(seconds):
+            raise AssertionError(f"slept {seconds} s")
+        monkeypatch.setattr(dnsmon._time, "sleep", no_sleep)
+        # the ticks lie in the future, so a run that slept until each was due would sleep
+        start = datetime.now(UTC) + timedelta(days=1)
+        resolver = ScriptedResolver(self.RESOLVER_SCRIPT)
+        ticks = run_schedule(["a.com"], [V1], ("A",), DELAYS, resolver,
+                             SnapshotStore(tmp_path / "snaps.jsonl"), start, timedelta(minutes=30),
+                             start + timedelta(minutes=90), [], False)
+        assert ticks == 3
+
+    def test_live_run_resolves_no_earlier_than_each_tick(self, tmp_path):
+        calls = []  # the wall-clock time of each resolve call
+
+        class Recorder(ScriptedResolver):
+            def resolve(self, lookups, delays):
+                calls.append(datetime.now(UTC))
+                return super().resolve(lookups, delays)
+
+        interval = timedelta(milliseconds=50)
+        start = datetime.now(UTC)
+        kept = []
+        ticks = run_schedule(["a.com"], [V1], ("A",), DELAYS, Recorder(self.RESOLVER_SCRIPT),
+                             SnapshotStore(tmp_path / "snaps.jsonl"), start, interval,
+                             start + 3 * interval, kept, True)
+        assert ticks == 3
+        taken = [s.taken_at for s in kept]
+        assert taken == [start + k * interval for k in (1, 2, 3)]
+        # only the lower bound: the host may be slow
+        assert all(called >= at for called, at in zip(calls, taken)) and len(calls) == 3
+
     def test_interval_validation(self, tmp_path):
-        config = MonitorConfig(interval=timedelta(0), vantages=[V1], types=("A",), delays=DELAYS)
-        with pytest.raises(ValueError):
-            run_schedule([], config, SnapshotStore(tmp_path / "x.jsonl"), clock(),
-                         ScriptedResolver({}), until=T0)
+        for interval in (timedelta(0), timedelta(minutes=-1)):
+            with pytest.raises(ValueError):
+                run_schedule([], [V1], ("A",), DELAYS, ScriptedResolver({}),
+                             SnapshotStore(tmp_path / "x.jsonl"), T0, interval, None, [], False)
 
 
 @pytest.mark.parametrize("address, expected", [

@@ -7,15 +7,14 @@ import struct
 import threading
 import time
 from collections import Counter
-from datetime import timedelta
+from datetime import datetime, timedelta, timezone
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 from phishlife import dnsmon, dnswire
 from phishlife.dnsmon import (
-    MonitorConfig, QueryTimeout, ServerFailure, SnapshotStore, SystemClock, VantagePoint,
-    parse_resolver_address, run_schedule,
+    QueryTimeout, ServerFailure, SnapshotStore, VantagePoint, parse_resolver_address, run_schedule,
 )
 from phishlife.dnswire import (
     TYPE_CODES,
@@ -402,12 +401,12 @@ class TestLiveTick:
                             on_tcp=lambda q: a_reply(q, ANSWERS["tc.example"])) as server:
             monkeypatch.setattr(dnswire, "WINDOW", 3)
             monkeypatch.setattr(dnswire.socket, "socket", CountedSocket)
-            clock = SystemClock()
-            config = MonitorConfig(interval=timedelta(milliseconds=10), vantages=[server.vantage],
-                                   types=("A",), delays=dnsmon.backoff_delays(0.01, 0.02))
             store = SnapshotStore(tmp_path / "snaps.jsonl")
-            ticks = run_schedule(sorted(ANSWERS), config, store, clock, UdpResolver(timeout=0.5),
-                                 until=clock.now() + timedelta(milliseconds=15))
+            start = datetime.now(timezone.utc)
+            ticks = run_schedule(sorted(ANSWERS), [server.vantage], ("A",),
+                                 dnsmon.backoff_delays(0.01, 0.02), UdpResolver(timeout=0.5), store,
+                                 start, timedelta(milliseconds=10),
+                                 start + timedelta(milliseconds=15), [], True)
 
         assert ticks == 1
         snaps = {s.registrable: s for s in store.load()}
