@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import gc
 import io
 import json
 import os
@@ -26,11 +27,16 @@ from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from functools import cached_property
 from pathlib import Path
-from typing import Optional, get_origin, get_type_hints
+from typing import TYPE_CHECKING, Optional, get_origin, get_type_hints
 
-from . import classifier, dnsmon, ingest, lifecycle, squatgen
+# classifier, squatgen and lifecycle are imported by the stages and commands
+# that use them, so a command loads only its own modules
+from . import dnsmon, ingest
 from .errors import PhishlifeError
 from .timeutil import format_utc, parse_utc, to_days
+
+if TYPE_CHECKING:
+    from . import classifier, lifecycle
 
 EXIT_CONFIG = 2
 EXIT_EMPTY = 3
@@ -251,13 +257,14 @@ class Run:
     out_dir: Path
 
     @cached_property
-    def entries(self) -> list[ingest.FeedEntry]:
+    def feeds(self) -> list[tuple[Path, ingest.FeedLoadResult]]:
         if not self.cfg.feeds:
             raise ConfigError("no feeds configured")
-        entries: list[ingest.FeedEntry] = []
-        for path, fmt in self.cfg.feeds:
-            entries.extend(ingest.load_feed(_require(path, "feed"), fmt).entries)
-        return entries
+        return [(path, ingest.load_feed(path, fmt)) for path, fmt in self.cfg.feeds]
+
+    @cached_property
+    def entries(self) -> list[ingest.FeedEntry]:
+        return [entry for _, feed in self.feeds for entry in feed.entries]
 
     @cached_property
     def table(self) -> ingest.DomainTable:
@@ -269,6 +276,7 @@ class Run:
 
     @cached_property
     def ctx(self) -> classifier.ClassifierContext:
+        from . import classifier, squatgen
         cfg = self.cfg
         allow = classifier.load_allowlist(_require(cfg.allowlist, "allowlist"))
         catalog = squatgen.load_catalog(_require(cfg.brand_catalog, "brand_catalog"),
@@ -290,10 +298,12 @@ class Run:
 
     @cached_property
     def results(self) -> list[classifier.ClassificationResult]:
+        from . import classifier
         return classifier.classify_all(self.table.records, self.ctx)
 
     @cached_property
     def registrations(self) -> dict[str, lifecycle.RegistrationEvent]:
+        from . import lifecycle
         sources, _skipped = lifecycle.load_timestamp_sources(
             _require(self.cfg.timestamp_sources, "timestamp_sources"))
         return lifecycle.merge_all_registrations(sources)
@@ -346,9 +356,12 @@ def cmd_ingest(run: Run) -> None:
         print(f"  {source}: {urls_by_source[source]} URLs, "
               f"{domains_by_source.get(source, 0)} domains, "
               f"{len(tlds_by_source.get(source, ()))} TLDs")
+    for path, feed in run.feeds:
+        print(f"  {path}: {feed.skipped} malformed records skipped")
 
 
 def cmd_classify(run: Run) -> None:
+    from . import classifier
     results = run.results
     out_dir = run.out_dir
 
@@ -429,6 +442,7 @@ def cmd_monitor(run: Run, live: bool) -> None:
 
     # the prior snapshots, then this run's; a torn store fails before any query
     snapshots = store.load()
+    gc.freeze()  # the fixture and store live to the end: no collection in the rounds scans them
     try:
         ticks = dnsmon.run_schedule(
             domains, vantages, tuple(cfg.rrtypes),
@@ -438,6 +452,8 @@ def cmd_monitor(run: Run, live: bool) -> None:
         rounds = str(ticks)
     except KeyboardInterrupt:  # pragma: no cover - live mode only
         rounds = "interrupted"
+    finally:
+        gc.unfreeze()
 
     if not snapshots:
         raise EmptyOutput("no snapshots collected")
@@ -446,12 +462,13 @@ def cmd_monitor(run: Run, live: bool) -> None:
     except dnsmon.NoObservations as exc:
         raise EmptyOutput(f"no answered record: {exc}") from exc
 
+    # the changes and the domains of every snapshot analysed, the store's prior ones included
     changes = dnsmon.detect_changes(snapshots)
     changed_domains = {c.registrable for c in changes}
-    rate = 100.0 * len(changed_domains) / len(domains) if domains else 0.0
+    observed = len({s.registrable for s in snapshots})
     print(f"{rounds} collection rounds over {len(domains)} domains")
-    print(f"{rate:.1f}% of domains exhibit record changes "
-          f"({len(changed_domains)} of {len(domains)}, {len(changes)} changes)")
+    print(f"{100.0 * len(changed_domains) / observed:.1f}% of domains exhibit record changes "
+          f"({len(changed_domains)} of {observed}, {len(changes)} changes)")
 
     change_rows = [
         [c.registrable, c.rrtype, c.vantage_id,
@@ -481,6 +498,7 @@ def cmd_monitor(run: Run, live: bool) -> None:
 
 
 def cmd_lifecycle(run: Run) -> None:
+    from . import classifier, lifecycle
     cfg, out_dir = run.cfg, run.out_dir
     classifications = {r.registrable: r for r in run.results}
     records = lifecycle.build_lifecycle_records(
@@ -523,6 +541,7 @@ def cmd_lifecycle(run: Run) -> None:
 
 
 def cmd_squatgen_dump(brand_domain: Optional[str]) -> None:
+    from . import squatgen
     writer = csv.writer(sys.stdout, lineterminator="\n")
     if brand_domain:
         writer.writerow(["label", "technique"])

@@ -252,7 +252,7 @@ class ScriptedResolver:
     def __init__(self, script: object):
         self._script = _compile_script(script)
         # (vantage id, domain, rrtype) -> [its steps, index of the step to
-        # replay, timeouts given on that step so far]
+        # replay, timeouts given on that step so far, the settled outcome or None]
         self._replays: dict[tuple[str, str, str], list] = {}
 
     @classmethod
@@ -266,13 +266,27 @@ class ScriptedResolver:
 
     def resolve(self, lookups: Sequence[Lookup], delays: Sequence[float]) -> list[Outcome]:
         """Each lookup's outcome, one attempt after another; a scripted attempt
-        takes no time, so no backoff is waited and ``delays`` goes unread."""
-        query = self.query
+        takes no time, so no backoff is waited and ``delays`` goes unread.
+
+        A lookup that starts and ends on its key's last step with no timeouts
+        owed is settled: every later one replays the same attempts, so they
+        return its outcome without a query, until a direct ``query`` of the key.
+        """
+        query, replays = self.query, self._replays
         outcomes = []
         for vantage, domain, rrtype in lookups:
+            key = (vantage.id, domain, rrtype)
+            replay = replays.get(key)
+            if replay is not None and replay[3] is not None:
+                outcomes.append(replay[3])
+                continue
+            start = (0, 0) if replay is None else (replay[1], replay[2])
             attempt = 1
             while (outcome := settle(rrtype, attempt, query(vantage, domain, rrtype))) is None:
                 attempt += 1
+            replay = replays[key]
+            if start == (replay[1], replay[2]) == (len(replay[0]) - 1, 0):
+                replay[3] = outcome
             outcomes.append(outcome)
         return outcomes
 
@@ -285,8 +299,10 @@ class ScriptedResolver:
             if entry is None:  # an empty override {} still overrides
                 entry = self._script.get(domain)
             steps = _UNSCRIPTED if entry is None else entry.get(rrtype) or _NO_RECORDS
-            replay = self._replays[key] = [steps, 0, 0]
-        steps, idx, fails = replay
+            replay = self._replays[key] = [steps, 0, 0, None]
+        else:  # a direct query may move a settled key off its settled state
+            replay[3] = None
+        steps, idx, fails, _ = replay
         step = steps[idx]
         if step == "servfail":
             return ServerFailure(domain)
@@ -311,8 +327,8 @@ def _compile_step(key: str, rrtype: str, step: object) -> Step:
         values, ttl = step.get("values", []), step.get("ttl", 0)
         fails = step.get("fail_count_before_success", 0)
         # a count is a non-negative int; JSON true and false load as bool, an int subclass
-        if (isinstance(values, list) and all(isinstance(v, str) for v in values)
-                and all(type(n) is int and n >= 0 for n in (ttl, fails)) and ttl <= MAX_TTL):
+        if (isinstance(values, list) and all([isinstance(v, str) for v in values])
+                and type(ttl) is int and type(fails) is int and 0 <= ttl <= MAX_TTL and fails >= 0):
             return fails, RrSet(rrtype, tuple(values), ttl) if values else None
     raise ValueError(f"{key}/{rrtype}: bad step {json.dumps(step)}")
 
@@ -466,11 +482,8 @@ def run_schedule(
     return ticks
 
 
-_Values = tuple[dict[str, list[str]], set[str]]  # each rrtype's sorted values, the failed rrtypes
-
-
-def _values(snapshot: DnsSnapshot) -> _Values:
-    """What a diff reads of a snapshot, computed once per snapshot."""
+def _values(snapshot: DnsSnapshot) -> tuple[dict[str, list[str]], set[str]]:
+    """What a diff reads of a snapshot: each rrtype's sorted values, and the failed rrtypes."""
     merged: dict[str, list[str]] = {}
     for rrset in snapshot.rrsets:
         merged.setdefault(rrset.rrtype, []).extend(rrset.values)
@@ -479,16 +492,14 @@ def _values(snapshot: DnsSnapshot) -> _Values:
     return merged, {err.split(":", 1)[0] for err in snapshot.errors}
 
 
-def _diff(prev: DnsSnapshot, prev_values: _Values, next: DnsSnapshot,
-          next_values: _Values) -> list[RecordChange]:
-    """Changes from one snapshot to the next of one domain from one vantage,
-    given each side's ``_values``.
+def _diff(prev: DnsSnapshot, next: DnsSnapshot) -> list[RecordChange]:
+    """Changes from one snapshot to the next of one domain from one vantage.
 
     One RecordChange per rrtype whose value multiset differs; TTL-only
     drift and value reordering are not changes. Rrtypes whose query failed
     on either side are skipped rather than reported as disappearances.
     """
-    (before_map, before_failed), (after_map, after_failed) = prev_values, next_values
+    (before_map, before_failed), (after_map, after_failed) = _values(prev), _values(next)
     if before_map == after_map:
         return []
     skip = before_failed | after_failed
@@ -525,10 +536,10 @@ def detect_changes(snapshots: Iterable[DnsSnapshot]) -> list[RecordChange]:
     changes: list[RecordChange] = []
     for key in sorted(series):
         chain = sorted(series[key], key=lambda s: s.taken_at)
-        values = [_values(snap) for snap in chain]
-        for k in range(1, len(chain)):
-            if chain[k - 1].taken_at != chain[k].taken_at:
-                changes.extend(_diff(chain[k - 1], values[k - 1], chain[k], values[k]))
+        for prev, nxt in zip(chain, chain[1:]):
+            # equal rrsets have equal values, so only a pair whose rrsets differ is diffed
+            if prev.taken_at != nxt.taken_at and prev.rrsets != nxt.rrsets:
+                changes.extend(_diff(prev, nxt))
     return changes
 
 

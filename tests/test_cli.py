@@ -4,6 +4,8 @@ import csv
 import errno
 import json
 import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -63,6 +65,23 @@ class TestIngestCommand:
         a_com = records[0]
         assert a_com["url_count"] == 2
         assert a_com["first_detections"]["apwg"] == "2024-06-01T00:00:00Z"
+
+    def test_malformed_records_counted_per_feed_file(self, tmp_path, capsys):
+        # two records whose timestamps are not in the grammar; the summary
+        # line counts the URLs whose host failed, so it reads as without them
+        feed = tmp_path / "corpus40_feed.tsv"
+        feed.write_text((DATA / "corpus40_feed.tsv").read_text()
+                        + "2024-03-01T00:00:00.5Z\thttp://late.com/\tapwg\tnone\n"
+                        + "20240101T000000Z\thttp://compact.com/\tapwg\tnone\n")
+        other = DATA / "feed_b.json"
+        config = config_copy(tmp_path, {"feeds": [str(feed), str(other)]})
+        assert main(["ingest", "--config", config, "--out-dir", str(tmp_path / "out")]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[-2:] == [f"  {feed}: 2 malformed records skipped",
+                            f"  {other}: 0 malformed records skipped"]
+        clean = config_copy(tmp_path, {"feeds": [str(DATA / "corpus40_feed.tsv"), str(other)]})
+        assert main(["ingest", "--config", clean, "--out-dir", str(tmp_path / "clean")]) == 0
+        assert capsys.readouterr().out.splitlines()[:-2] == out[:-2]
 
     def test_empty_feed_exits_3(self, tmp_path, capsys):
         feed = tmp_path / "empty.tsv"
@@ -199,6 +218,20 @@ class TestMonitorCommand:
             "static2.com,8,290,300.00,1947.50\n"
             "static3.com,8,3600,3600.00,5400.00\n")
         assert capsys.readouterr().out.count("(1 of 4, 1 changes)") == 2
+
+    def test_change_rate_counts_the_domains_of_the_store(self, tmp_path, capsys):
+        # a second run over one domain reads the first run's four from the
+        # store; the rate divides the changed domains by all that the store holds
+        store = str(tmp_path / "s.jsonl")
+        assert main(["monitor", "--config", CONFIG, "--snapshot-store", store,
+                     "--out-dir", str(tmp_path / "first")]) == 0
+        capsys.readouterr()
+        one = config_copy(tmp_path, {"monitor_domains": ("one.txt", "static1.com\n")})
+        assert main(["monitor", "--config", one, "--snapshot-store", store,
+                     "--out-dir", str(tmp_path / "second")]) == 0
+        assert capsys.readouterr().out == (
+            "2 collection rounds over 1 domains\n"
+            "25.0% of domains exhibit record changes (1 of 4, 1 changes)\n")
 
     def test_rerun_into_one_store_before_year_1000(self, tmp_path, capsys):
         # the store's times carry a four-digit year, so the second run loads them
@@ -494,6 +527,25 @@ class TestOnePass:
             monkeypatch.setattr(module, name, counted)
         assert main(["report", "--config", pipeline_config, "--out-dir", str(tmp_path / "out")]) == 0
         assert calls == {name: 1 for _, name in self.STAGES}
+
+
+@pytest.mark.parametrize("command, absent", [
+    ("monitor", ["phishlife.classifier", "phishlife.lifecycle", "phishlife.squatgen"]),
+    ("classify", ["phishlife.lifecycle"]),
+])
+def test_command_imports_only_its_own_modules(command, absent, tmp_path):
+    # a fresh interpreter, so that no other test's imports count
+    script = ("import json, sys\n"
+              "from phishlife.cli import main\n"
+              f"code = main([{command!r}, '--config', {CONFIG!r}, '--out-dir', {str(tmp_path)!r}])\n"
+              "print(json.dumps([code, sorted(sys.modules)]))\n")
+    paths = [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    code, modules = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0 and "phishlife.cli" in modules
+    assert [m for m in absent if m in modules] == []
 
 
 DUPLICATE_VANTAGES = [{"id": "v1", "resolver_address": "192.0.2.1:53"},

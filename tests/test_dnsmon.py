@@ -214,6 +214,41 @@ def test_steps_compiled_once():
     assert resolver.query(V1, "a.com", "A") is first and resolver.query(V2, "a.com", "A") is first
 
 
+class TestSettledLookups:
+    """A lookup that starts and ends on its last step with no timeouts owed
+    is settled: later lookups of the key return its outcome with no query."""
+
+    def queries_per_tick(self, steps, ticks):
+        """The queries each of ``ticks`` lookups of a.com/A makes."""
+        calls = []
+
+        class Counting(ScriptedResolver):
+            def query(self, *lookup):
+                calls.append(lookup)
+                return super().query(*lookup)
+
+        resolver = Counting({"a.com": {"A": steps}})
+        counts = []
+        for _ in range(ticks):
+            before = len(calls)
+            resolver.resolve([(V1, "a.com", "A")], DELAYS)
+            counts.append(len(calls) - before)
+        return counts
+
+    @pytest.mark.parametrize("steps, counts", [
+        ([{"values": ["192.0.2.1"], "fail_count_before_success": 2}], [3, 0, 0]),
+        (["servfail"], [5, 0, 0]),
+        (["nxdomain"], [1, 0, 0]),
+        ([], [1, 0, 0]),  # an empty answer
+        ([{"values": ["192.0.2.1"]}, "nxdomain", {"values": ["192.0.2.2"]}], [1, 1, 1, 0]),
+        # five timeouts or more carry over into the next lookup, so the key never settles
+        ([{"values": ["192.0.2.1"], "fail_count_before_success": 5}], [5, 1, 5, 1]),
+        ([{"values": ["192.0.2.1"], "fail_count_before_success": 7}], [5, 3, 5, 3]),
+    ])
+    def test_queries_per_tick(self, steps, counts):
+        assert self.queries_per_tick(steps, len(counts)) == counts
+
+
 class TestScheduler:
     RESOLVER_SCRIPT = {
         "a.com": {"A": [{"values": ["192.0.2.1"], "ttl": 60}]},
