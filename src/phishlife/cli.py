@@ -9,7 +9,8 @@ atomically into --out-dir, and identical inputs always produce
 byte-identical outputs.
 
 Exit codes: 2 config error, 3 empty output, 4 snapshot-store or output
-write failure.
+write failure. A closed stdout is not an error: the outputs are still
+written and the exit code is 0.
 """
 
 from __future__ import annotations
@@ -237,6 +238,21 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
+def _print(text: str, end: str = "\n") -> None:
+    """print() to stdout and flush; a closed stdout does not end the run."""
+    try:
+        print(text, end=end, flush=True)
+    except BrokenPipeError:
+        # the reader has gone: as in the Python documentation's note on SIGPIPE,
+        # point stdout at os.devnull, so later writes and the flush at exit go
+        # nowhere, and the run goes on to write its outputs and exit 0
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        finally:
+            os.close(devnull)
+
+
 def _fmt_days(value: Optional[float]) -> str:
     return "" if value is None else f"{value:.6f}"
 
@@ -302,11 +318,12 @@ class Run:
         return classifier.classify_all(self.table.records, self.ctx)
 
     @cached_property
-    def registrations(self) -> dict[str, lifecycle.RegistrationEvent]:
+    def registrations(self) -> tuple[dict[str, lifecycle.RegistrationEvent], int]:
+        """Each domain's registration event, and the count of timestamp rows skipped."""
         from . import lifecycle
-        sources, _skipped = lifecycle.load_timestamp_sources(
+        sources, skipped = lifecycle.load_timestamp_sources(
             _require(self.cfg.timestamp_sources, "timestamp_sources"))
-        return lifecycle.merge_all_registrations(sources)
+        return lifecycle.merge_all_registrations(sources), skipped
 
     @cached_property
     def monitor_domains(self) -> list[str]:
@@ -350,14 +367,14 @@ def cmd_ingest(run: Run) -> None:
             tlds_by_source.setdefault(source, set()).add(rec.public_suffix)
 
     tld_count = len({r.public_suffix for r in records})
-    print(f"{len(records)} domains, {tld_count} TLDs "
-          f"({sum(urls_by_source.values())} URLs, {run.table.skipped_urls} skipped)")
+    _print(f"{len(records)} domains, {tld_count} TLDs "
+           f"({sum(urls_by_source.values())} URLs, {run.table.skipped_urls} skipped)")
     for source in sorted(urls_by_source):
-        print(f"  {source}: {urls_by_source[source]} URLs, "
-              f"{domains_by_source.get(source, 0)} domains, "
-              f"{len(tlds_by_source.get(source, ()))} TLDs")
+        _print(f"  {source}: {urls_by_source[source]} URLs, "
+               f"{domains_by_source.get(source, 0)} domains, "
+               f"{len(tlds_by_source.get(source, ()))} TLDs")
     for path, feed in run.feeds:
-        print(f"  {path}: {feed.skipped} malformed records skipped")
+        _print(f"  {path}: {feed.skipped} malformed records skipped")
 
 
 def cmd_classify(run: Run) -> None:
@@ -393,15 +410,15 @@ def cmd_classify(run: Run) -> None:
     # malicious/compromised percentages
     for verdict in (classifier.VERDICT_ALLOWLISTED, classifier.VERDICT_PLATFORM):
         n = sum(1 for r in results if r.verdict == verdict)
-        print(f"{verdict}: {n}")
+        _print(f"{verdict}: {n}")
     summary_rows = []
-    print(f"candidates after allowlist removal: {base}")
+    _print(f"candidates after allowlist removal: {base}")
     for flag in classifier.FLAG_ORDER:
         n = sum(1 for r in candidates if flag in r.flags)
         summary_rows.append([flag, n, pct(n)])
-        print(f"  {flag}: {n} ({pct(n)}%)")
+        _print(f"  {flag}: {n} ({pct(n)}%)")
     summary_rows.append(["malicious_total", len(malicious), pct(len(malicious))])
-    print(f"  malicious_total: {len(malicious)} ({pct(len(malicious))}%)")
+    _print(f"  malicious_total: {len(malicious)} ({pct(len(malicious))}%)")
     write_atomic(out_dir / "flag_summary.csv",
                  _csv_text(["flag", "domains", "pct_of_candidates"], summary_rows))
 
@@ -466,9 +483,9 @@ def cmd_monitor(run: Run, live: bool) -> None:
     changes = dnsmon.detect_changes(snapshots)
     changed_domains = {c.registrable for c in changes}
     observed = len({s.registrable for s in snapshots})
-    print(f"{rounds} collection rounds over {len(domains)} domains")
-    print(f"{100.0 * len(changed_domains) / observed:.1f}% of domains exhibit record changes "
-          f"({len(changed_domains)} of {observed}, {len(changes)} changes)")
+    _print(f"{rounds} collection rounds over {len(domains)} domains")
+    _print(f"{100.0 * len(changed_domains) / observed:.1f}% of domains exhibit record changes "
+           f"({len(changed_domains)} of {observed}, {len(changes)} changes)")
 
     change_rows = [
         [c.registrable, c.rrtype, c.vantage_id,
@@ -501,8 +518,9 @@ def cmd_lifecycle(run: Run) -> None:
     from . import classifier, lifecycle
     cfg, out_dir = run.cfg, run.out_dir
     classifications = {r.registrable: r for r in run.results}
+    registrations, skipped = run.registrations
     records = lifecycle.build_lifecycle_records(
-        run.table.records, classifications, run.registrations, cfg.reference_source)
+        run.table.records, classifications, registrations, cfg.reference_source)
     if not records:
         raise EmptyOutput("no lifecycle records")
 
@@ -510,7 +528,7 @@ def cmd_lifecycle(run: Run) -> None:
     for rec in records:
         reg = rec.registration
         rows.append([
-            rec.registrable,
+            rec.domain.registrable,
             format_utc(reg.registered_at) if reg else "",
             reg.provenance if reg else "",
             format_utc(reg.deregistered_at) if reg and reg.deregistered_at else "",
@@ -536,22 +554,20 @@ def cmd_lifecycle(run: Run) -> None:
         ]
         write_atomic(out_dir / f"agg_{metric}_{group}.csv",
                      _csv_text(["key", "count", "mean_days", "median_days", "missing"], agg_rows))
-    print(f"{len(records)} lifecycle records "
-          f"({sum(1 for r in records if r.detection_delay is not None)} with detection delay)")
+    _print(f"{len(records)} lifecycle records "
+           f"({sum(1 for r in records if r.detection_delay is not None)} with detection delay)")
+    _print(f"  {cfg.timestamp_sources}: {skipped} timestamp rows skipped")
 
 
 def cmd_squatgen_dump(brand_domain: Optional[str]) -> None:
     from . import squatgen
-    writer = csv.writer(sys.stdout, lineterminator="\n")
     if brand_domain:
-        writer.writerow(["label", "technique"])
-        candidates = squatgen.generate(brand_domain)
-        for cand in sorted(candidates, key=lambda c: (c.label, c.technique.value)):
-            writer.writerow([cand.label, cand.technique.value])
+        rows = sorted([c.label, c.technique.value] for c in squatgen.generate(brand_domain))
+        text = _csv_text(["label", "technique"], rows)
     else:
-        writer.writerow(["character", "replacements"])
-        for char in sorted(squatgen.HOMOGLYPHS):
-            writer.writerow([char, ";".join(squatgen.HOMOGLYPHS[char])])
+        rows = [[char, ";".join(squatgen.HOMOGLYPHS[char])] for char in sorted(squatgen.HOMOGLYPHS)]
+        text = _csv_text(["character", "replacements"], rows)
+    _print(text, end="")
 
 
 def cmd_report(run: Run) -> None:

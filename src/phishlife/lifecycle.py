@@ -46,10 +46,6 @@ AGGREGATES = (
 )
 
 
-class NoRegistrationEvidence(PhishlifeError):
-    """Only last-seen data (or nothing) is available for the domain."""
-
-
 class EmptyInput(PhishlifeError):
     """No records, or no record carries the grouping attribute."""
 
@@ -71,14 +67,11 @@ class RegistrationEvent:
 
 @dataclass
 class LifecycleRecord:
-    registrable: str
+    domain: DomainRecord  # the domain table's record itself, not a copy
     registration: Optional[RegistrationEvent]
-    detections: dict[str, datetime]
     detection_delay: Optional[timedelta]
     takedown_delay: Optional[timedelta]
     classification: ClassificationResult
-    brands: frozenset[str] = frozenset()
-    public_suffix: str = ""
     data_flags: frozenset[str] = frozenset()
 
 
@@ -120,45 +113,25 @@ def load_timestamp_sources(path: str | Path) -> tuple[list[TimestampSource], int
     return sources, skipped
 
 
-def merge_registration(sources: list[TimestampSource]) -> RegistrationEvent:
-    """Merge one domain's timestamp sources into a registration event.
-
-    registered_at is the earliest instant among the non-last-seen kinds
-    (ties broken by kind order); deregistered_at is the latest
-    zone_last_seen when present.
-    """
-    if not sources:
-        raise NoRegistrationEvidence("no sources supplied")
-    subjects = {s.registrable for s in sources}
-    if len(subjects) != 1:
-        raise ValueError(f"sources span multiple domains: {sorted(subjects)}")
-
-    reg_sources = [s for s in sources if s.kind != KIND_ZONE_LAST]
-    if not reg_sources:
-        raise NoRegistrationEvidence(f"only last-seen data for {sources[0].registrable}")
-    best = min(reg_sources, key=lambda s: (s.at, KIND_ORDER[s.kind]))
-
-    last_seen = [s.at for s in sources if s.kind == KIND_ZONE_LAST]
-    return RegistrationEvent(
-        registrable=best.registrable,
-        registered_at=best.at,
-        provenance=best.kind,
-        deregistered_at=max(last_seen) if last_seen else None,
-    )
-
-
 def merge_all_registrations(sources: Iterable[TimestampSource]) -> dict[str, RegistrationEvent]:
-    """Group sources per domain and merge; domains without registration evidence are omitted."""
-    grouped: dict[str, list[TimestampSource]] = {}
+    """Fold timestamp sources into one registration event per domain, in one pass.
+
+    registered_at is the earliest instant among a domain's non-last-seen
+    kinds (ties broken by kind order); deregistered_at is its latest
+    zone_last_seen when present. A domain with only last-seen rows has no
+    registration evidence and gets no event.
+    """
+    earliest: dict[str, tuple[datetime, int, str]] = {}
+    latest_seen: dict[str, datetime] = {}
     for src in sources:
-        grouped.setdefault(src.registrable, []).append(src)
-    events: dict[str, RegistrationEvent] = {}
-    for registrable, group in grouped.items():
-        try:
-            events[registrable] = merge_registration(group)
-        except NoRegistrationEvidence:
-            continue
-    return events
+        domain = src.registrable
+        if src.kind == KIND_ZONE_LAST:
+            latest_seen[domain] = max(latest_seen.get(domain, src.at), src.at)
+        else:
+            rank = (src.at, KIND_ORDER[src.kind], src.kind)
+            earliest[domain] = min(earliest.get(domain, rank), rank)
+    return {domain: RegistrationEvent(domain, at, kind, latest_seen.get(domain))
+            for domain, (at, _, kind) in earliest.items()}
 
 
 def detection_delay(
@@ -201,14 +174,11 @@ def build_lifecycle_records(
         if take is not None and take < timedelta(0):
             data_flags.add(DEREGISTERED_BEFORE_DETECTION)
         records.append(LifecycleRecord(
-            registrable=rec.registrable,
+            domain=rec,
             registration=reg,
-            detections=dict(rec.first_detections),
             detection_delay=det,
             takedown_delay=take,
             classification=classifications[rec.registrable],
-            brands=frozenset(rec.brands),
-            public_suffix=rec.public_suffix,
             data_flags=frozenset(data_flags),
         ))
     return records
@@ -216,11 +186,11 @@ def build_lifecycle_records(
 
 # each group key's values of a record
 _GROUP_VALUES = {
-    "brand": lambda record: sorted(record.brands),
-    "tld": lambda record: [record.public_suffix],
+    "brand": lambda record: sorted(record.domain.brands),
+    "tld": lambda record: [record.domain.public_suffix],
     "flag_category": lambda record: sorted(record.classification.flags),
     "verdict": lambda record: [record.classification.verdict],
-    "source": lambda record: sorted(record.detections),
+    "source": lambda record: sorted(record.domain.first_detections),
 }
 
 
@@ -232,9 +202,10 @@ def _metric_value(
     if metric == "takedown_delay":
         return to_days(record.takedown_delay) if record.takedown_delay is not None else None
     # lag: group is a blocklist source; value is its lag behind the reference
-    if reference_source not in record.detections or group not in record.detections:
+    detections = record.domain.first_detections
+    if reference_source not in detections or group not in detections:
         return None
-    return to_days(record.detections[group] - record.detections[reference_source])
+    return to_days(detections[group] - detections[reference_source])
 
 
 def aggregate(

@@ -233,7 +233,7 @@ def test_lifecycle_identity_and_planted_medians(corpus_table, classifier_ctx):
         r for r in records
         if r.registration is not None
         and r.registration.deregistered_at is not None
-        and "apwg" in r.detections
+        and "apwg" in r.domain.first_detections
     ]
     assert complete, "fixture must contain fully-timestamped records"
     for rec in complete:

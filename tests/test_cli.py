@@ -445,6 +445,22 @@ class TestLifecycleCommand:
         assert float(lag["phishtank"]["median_days"]) == pytest.approx(4.4)
         assert float(lag["openphish"]["median_days"]) == pytest.approx(4.1)
 
+    def test_skipped_timestamp_rows_counted(self, tmp_path, capsys):
+        # one row of an unknown kind and one whose timestamp is not in the grammar
+        text = ((DATA / "timestamp_sources.csv").read_text()
+                + "late.com,carrier_pigeon,2024-01-01T00:00:00Z\n"
+                + "compact.com,whois,20240101T000000Z\n")
+        config = config_copy(tmp_path, {"timestamp_sources": ("timestamp_sources.csv", text)})
+        assert main(["lifecycle", "--config", config, "--out-dir", str(tmp_path / "out")]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[-1] == f"  {tmp_path / 'timestamp_sources.csv'}: 2 timestamp rows skipped"
+        assert main(["lifecycle", "--config", CONFIG, "--out-dir", str(tmp_path / "clean")]) == 0
+        clean = capsys.readouterr().out.splitlines()
+        assert clean[-1] == f"  {DATA / 'timestamp_sources.csv'}: 0 timestamp rows skipped"
+        assert clean[:-1] == out[:-1]
+        for name in os.listdir(tmp_path / "clean"):
+            assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "clean" / name).read_bytes()
+
     def test_aggregate_totals(self, tmp_path):
         main(["lifecycle", "--config", CONFIG, "--out-dir", str(tmp_path)])
         rows = read_csv(tmp_path / "agg_detection_delay_verdict.csv")
@@ -546,6 +562,39 @@ def test_command_imports_only_its_own_modules(command, absent, tmp_path):
     code, modules = json.loads(proc.stdout.splitlines()[-1])
     assert code == 0 and "phishlife.cli" in modules
     assert [m for m in absent if m in modules] == []
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [
+    ["report", "--config", CONFIG],
+    ["squatgen", "dump", "--brand-domain", "example.com"],
+], ids=["report", "squatgen-dump"])
+def test_closed_stdout_ends_the_run_cleanly(argv, unbuffered, tmp_path):
+    paths = [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+
+    def run(stdout, out_dir: Path) -> subprocess.CompletedProcess:
+        extra = ["--out-dir", str(out_dir)] if argv[0] == "report" else []
+        return subprocess.run([sys.executable, "-m", "phishlife.cli", *argv, *extra],
+                              stdout=stdout, stderr=subprocess.PIPE, env=env, text=True)
+
+    # stdout is a pipe whose reader has gone before the first write
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = run(write_end, tmp_path / "closed")
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, "")  # no traceback, no "Exception ignored"
+    if argv[0] == "report":
+        assert run(subprocess.DEVNULL, tmp_path / "normal").returncode == 0
+        names = sorted(os.listdir(tmp_path / "normal"))
+        assert sorted(os.listdir(tmp_path / "closed")) == names and len(names) == 20
+        for name in names:
+            assert (tmp_path / "closed" / name).read_bytes() == (tmp_path / "normal" / name).read_bytes()
 
 
 DUPLICATE_VANTAGES = [{"id": "v1", "resolver_address": "192.0.2.1:53"},

@@ -146,6 +146,14 @@ class TestNormalizeHost:
         with pytest.raises(InvalidLabel):
             normalize_host(host)
 
+    @pytest.mark.parametrize("host, expected", [
+        ("faß.de", "fass.de"),         # IDNA2008 gives xn--fa-hia.de
+        ("a\u200db.com", "ab.com"),    # IDNA2008 rejects a bare zero-width joiner
+    ])
+    def test_idna2003_mapping_is_kept(self, host, expected):
+        # the README's decision: nameprep pins Unicode 3.2, so no Python version changes this
+        assert normalize_host(host) == expected
+
 
 class TestSuffixRules:
     def test_single_rule(self, tmp_path):

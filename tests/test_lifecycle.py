@@ -3,24 +3,25 @@ from __future__ import annotations
 from datetime import datetime, timedelta, timezone
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from phishlife.classifier import (
     ClassificationResult,
     VERDICT_COMPROMISED,
     VERDICT_MALICIOUS,
 )
+from phishlife.ingest import DomainRecord
 from phishlife.lifecycle import (
     DEREGISTERED_BEFORE_DETECTION,
     EmptyInput,
     KIND_CT,
+    KIND_ORDER,
     KIND_PDNS,
     KIND_RDAP,
     KIND_WHOIS,
     KIND_ZONE_FIRST,
     KIND_ZONE_LAST,
     LifecycleRecord,
-    NoRegistrationEvidence,
     RegistrationEvent,
     TimestampSource,
     aggregate,
@@ -28,7 +29,6 @@ from phishlife.lifecycle import (
     detection_delay,
     load_timestamp_sources,
     merge_all_registrations,
-    merge_registration,
     takedown_delay,
 )
 from phishlife.timeutil import to_days
@@ -44,23 +44,77 @@ def src(kind, at, registrable="a.com"):
     return TimestampSource(kind=kind, registrable=registrable, at=ts(at))
 
 
+def domain_record(registrable, detections=None, brands=(), suffix="com"):
+    return DomainRecord(
+        registrable=registrable, public_suffix=suffix, subdomain="", subdomain_count=0,
+        first_detections=dict(detections or {}), brands=set(brands), url_count=1)
+
+
 def lifecycle_record(registrable, verdict, detection=None, takedown=None,
                      brands=(), suffix="com", flags=frozenset(), sources=("apwg",)):
     return LifecycleRecord(
-        registrable=registrable,
+        domain=domain_record(registrable, {s: ts("2024-01-01T00:00:00") for s in sources},
+                             brands, suffix),
         registration=None,
-        detections={s: ts("2024-01-01T00:00:00") for s in sources},
         detection_delay=timedelta(days=detection) if detection is not None else None,
         takedown_delay=timedelta(days=takedown) if takedown is not None else None,
         classification=ClassificationResult(registrable, frozenset(flags), verdict),
-        brands=frozenset(brands),
-        public_suffix=suffix,
     )
+
+
+def merge_one(sources):
+    """The event merge_all_registrations gives a.com, or None when it gives none."""
+    events = merge_all_registrations(sources)
+    assert set(events) <= {"a.com"}
+    return events.get("a.com")
+
+
+def oracle_registrations(sources):
+    """Sort each domain's rows: the first registration row and the last zone_last_seen win."""
+    events = {}
+    for domain in {s.registrable for s in sources}:
+        rows = [s for s in sources if s.registrable == domain and s.kind != KIND_ZONE_LAST]
+        seen = sorted(s.at for s in sources if s.registrable == domain and s.kind == KIND_ZONE_LAST)
+        if rows:
+            first = sorted(rows, key=lambda s: (s.at, KIND_ORDER[s.kind]))[0]
+            events[domain] = RegistrationEvent(domain, first.at, first.kind,
+                                               seen[-1] if seen else None)
+    return events
+
+
+BASE = ts("2024-01-01T00:00:00")
+
+
+@st.composite
+def source_rows(draw):
+    """Rows over four domains and five instants, some repeated, and the same rows reordered.
+
+    With so few domains and instants, rows tie on their instant (kind order
+    breaks the tie) and some domains have only last-seen rows.
+    """
+    row = st.builds(
+        TimestampSource,
+        kind=st.sampled_from(sorted(KIND_ORDER)),
+        registrable=st.sampled_from(["a.com", "b.com", "c.net", "d.org"]),
+        at=st.integers(min_value=0, max_value=4).map(lambda d: BASE + timedelta(days=d)),
+    )
+    rows = draw(st.lists(row, max_size=12))
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=4))
+    return rows, draw(st.permutations(rows))
+
+
+# a tie on the instant, two last-seen rows, and a domain with last-seen rows only
+TIE_AND_LAST_SEEN = [
+    src(KIND_RDAP, "2024-01-01T00:00:00"), src(KIND_WHOIS, "2024-01-01T00:00:00"),
+    src(KIND_ZONE_LAST, "2024-02-01T00:00:00"), src(KIND_ZONE_LAST, "2024-03-01T00:00:00"),
+    src(KIND_ZONE_LAST, "2024-02-01T00:00:00", "b.com"),
+]
 
 
 class TestMergeRegistration:
     def test_zone_first_beats_later_rdap(self):
-        event = merge_registration([
+        event = merge_one([
             src(KIND_RDAP, "2024-01-05T00:00:00"),
             src(KIND_ZONE_FIRST, "2024-01-04T00:00:00"),
         ])
@@ -68,18 +122,17 @@ class TestMergeRegistration:
         assert event.provenance == KIND_ZONE_FIRST
 
     def test_only_last_seen_is_no_evidence(self):
-        with pytest.raises(NoRegistrationEvidence):
-            merge_registration([src(KIND_ZONE_LAST, "2024-02-01T00:00:00")])
+        assert merge_all_registrations([src(KIND_ZONE_LAST, "2024-02-01T00:00:00")]) == {}
 
     def test_tie_broken_by_kind_order(self):
-        event = merge_registration([
+        event = merge_one([
             src(KIND_RDAP, "2024-01-05T00:00:00"),
             src(KIND_WHOIS, "2024-01-05T00:00:00"),
         ])
         assert event.provenance == KIND_WHOIS
 
     def test_latest_last_seen_wins(self):
-        event = merge_registration([
+        event = merge_one([
             src(KIND_WHOIS, "2024-01-01T00:00:00"),
             src(KIND_ZONE_LAST, "2024-02-01T00:00:00"),
             src(KIND_ZONE_LAST, "2024-03-01T00:00:00"),
@@ -94,15 +147,8 @@ class TestMergeRegistration:
             src(KIND_CT, "2024-01-06T00:00:00"),
             src(KIND_ZONE_LAST, "2024-03-01T00:00:00"),
         ]
-        reference = merge_registration(sources)
-        assert merge_registration([sources[i] for i in order]) == reference
-
-    def test_mixed_domains_rejected(self):
-        with pytest.raises(ValueError):
-            merge_registration([
-                src(KIND_WHOIS, "2024-01-01T00:00:00", "a.com"),
-                src(KIND_WHOIS, "2024-01-01T00:00:00", "b.com"),
-            ])
+        reference = merge_one(sources)
+        assert merge_one([sources[i] for i in order]) == reference
 
     def test_merge_all_skips_dereg_only_domains(self):
         events = merge_all_registrations([
@@ -110,6 +156,15 @@ class TestMergeRegistration:
             src(KIND_ZONE_LAST, "2024-02-01T00:00:00", "b.com"),
         ])
         assert set(events) == {"a.com"}
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(source_rows())
+    @example((TIE_AND_LAST_SEEN, TIE_AND_LAST_SEEN[::-1]))
+    def test_merge_all_equals_oracle(self, drawn):
+        rows, reordered = drawn
+        expected = oracle_registrations(rows)
+        assert merge_all_registrations(rows) == expected
+        assert merge_all_registrations(reordered) == expected
 
 
 class TestDelays:
@@ -136,11 +191,7 @@ class TestDelays:
         assert takedown_delay(reg, {"apwg": ts("2024-03-01T00:00:00")}, "apwg") is None
 
     def test_negative_takedown_flagged_in_records(self, rules):
-        from phishlife.ingest import DomainRecord
-        rec = DomainRecord(
-            registrable="a.com", public_suffix="com", subdomain="",
-            subdomain_count=0, url_count=1, brands=set(),
-            first_detections={"apwg": ts("2024-03-02T00:00:00")})
+        rec = domain_record("a.com", {"apwg": ts("2024-03-02T00:00:00")})
         reg = RegistrationEvent("a.com", ts("2024-01-01T00:00:00"), KIND_RDAP,
                                 deregistered_at=ts("2024-03-01T00:00:00"))
         classification = ClassificationResult("a.com", frozenset(), VERDICT_COMPROMISED)
@@ -158,7 +209,7 @@ class TestBlocklistLag:
         records = []
         for i, by_source in enumerate(detections):
             record = lifecycle_record(f"d{i}.com", VERDICT_MALICIOUS)
-            record.detections = {s: ts(at) for s, at in by_source.items()}
+            record.domain.first_detections = {s: ts(at) for s, at in by_source.items()}
             records.append(record)
         report = aggregate(records, "lag", "source", reference)
         return {row.key: row for row in report.rows}, report.ungrouped
@@ -264,7 +315,8 @@ class TestAggregate:
 
     def test_lag_by_source(self):
         record = lifecycle_record("a.com", VERDICT_MALICIOUS, sources=("apwg", "phishtank"))
-        record.detections["phishtank"] = record.detections["apwg"] + timedelta(days=4.4)
+        detections = record.domain.first_detections
+        detections["phishtank"] = detections["apwg"] + timedelta(days=4.4)
         report = aggregate([record], "lag", "source", "apwg")
         (row,) = report.rows
         assert row.key == "phishtank"
