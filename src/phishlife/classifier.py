@@ -171,22 +171,32 @@ def is_random_looking(record: DomainRecord, words: frozenset[str], min_word_len:
 
 
 def levenshtein(a: str, b: str) -> int:
-    """Edit distance between two strings (two-row dynamic program)."""
+    """Edit distance: Myers' bit-vector algorithm (JACM 1999) in Hyyrö's form.
+
+    Bit i of the ints ``pv``/``mv`` marks a rise/fall of the DP column over
+    the longer string from row i to i + 1; the loop walks the shorter string."""
     if len(a) < len(b):
         a, b = b, a
     if not b:
         return len(a)
-    previous = list(range(len(b) + 1))
-    for i, ca in enumerate(a):
-        current = [i + 1]
-        for j, cb in enumerate(b):
-            current.append(min(
-                previous[j + 1] + 1,        # deletion
-                current[j] + 1,             # insertion
-                previous[j] + (ca != cb),   # substitution
-            ))
-        previous = current
-    return previous[-1]
+    peq: dict[str, int] = {}  # each character's positions in a
+    for i, ch in enumerate(a):
+        peq[ch] = peq.get(ch, 0) | 1 << i
+    mask, last = (1 << len(a)) - 1, 1 << (len(a) - 1)
+    pv, mv, score = mask, 0, len(a)
+    for ch in b:
+        x = peq.get(ch, 0) | mv
+        d0 = (((x & pv) + pv) ^ pv) | x
+        hp = mv | ~(d0 | pv)
+        hn = pv & d0
+        if hp & last:
+            score += 1
+        elif hn & last:
+            score -= 1
+        hp = (hp << 1) | 1  # the top row rises by one per column
+        pv = ((hn << 1) | ~(d0 | hp)) & mask
+        mv = hp & d0
+    return score
 
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
@@ -202,33 +212,37 @@ def _window_start(at: datetime, window: timedelta) -> datetime:
         return datetime.min.replace(tzinfo=timezone.utc)
 
 
-def _candidate_pairs(labels: list[str], max_edit_distance: int) -> list[tuple[int, int]]:
-    """Index pairs (i < j) that may lie within max_edit_distance, sorted.
+def _candidate_pairs(labels: list[str], k: int) -> list[tuple[int, int]]:
+    """Index pairs (i < j) that may lie within k edits, sorted.
 
-    Partition filter (Pass-Join, Li et al., VLDB 2011): each label is cut into
-    max_edit_distance + 1 near-equal segments. An edit touches at most one
-    segment, so a label within max_edit_distance edits of another contains
-    one of its segments intact. A label no longer than max_edit_distance is
-    cut into its characters plus one empty segment, which every label
-    contains, so it pairs with all the others. The filter is exact: it drops
-    only pairs farther apart than max_edit_distance.
+    Partition filter (Pass-Join, Li et al., VLDB 2011): a label longer than k
+    is cut into k + 1 segments. An edit touches at most one segment and
+    moves the later ones by at most one place, so a label within k edits,
+    and so within k in length, holds a segment intact at most k places from
+    its start. Each label probes only those substrings of the earlier
+    labels' segments. A label no longer than k has one empty segment, which
+    every label holds. The filter drops only pairs more than k apart.
     """
-    index: dict[str, set[int]] = {}
-    for i, label in enumerate(labels):
-        parts = min(max_edit_distance, len(label)) + 1
-        cuts = [len(label) * n // parts for n in range(parts + 1)]
-        for start, end in zip(cuts, cuts[1:]):
-            index.setdefault(label[start:end], set()).add(i)
-    lengths = {len(segment) for segment in index}
-
-    pairs: set[tuple[int, int]] = set()
+    # label length -> (start, end, segment -> label indices) of each of its segments
+    index: dict[int, list[tuple[int, int, dict[str, list[int]]]]] = {}
+    pairs: list[tuple[int, int]] = []
     for j, label in enumerate(labels):
-        probes = {label[start:start + length]
-                  for length in lengths for start in range(len(label) - length + 1)}
-        for probe in probes:
-            for i in index.get(probe, ()):
-                if i != j and abs(len(labels[i]) - len(label)) <= max_edit_distance:
-                    pairs.add((min(i, j), max(i, j)))
+        size = len(label)
+        near: set[int] = set()
+        for length, segments in index.items():
+            if abs(length - size) <= k:
+                for start, end, seen in segments:
+                    width = end - start
+                    first = max(0, start - k)
+                    last = min(size - width, start + k) if width else first  # one probe finds ""
+                    for at in range(first, last + 1):
+                        near.update(seen.get(label[at:at + width], ()))
+        pairs += [(i, j) for i in near]
+        if size not in index:
+            cuts = [size * n // (k + 1) for n in range(k + 2)] if size > k else [0, 0]
+            index[size] = [(start, end, {}) for start, end in zip(cuts, cuts[1:])]
+        for start, end, seen in index[size]:
+            seen.setdefault(label[start:end], []).append(j)
     return sorted(pairs)
 
 

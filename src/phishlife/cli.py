@@ -30,10 +30,10 @@ from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, get_origin, get_type_hints
 
-# classifier, squatgen and lifecycle are imported by the stages and commands
-# that use them, so a command loads only its own modules
-from . import dnsmon, ingest
-from .errors import PhishlifeError
+# classifier, squatgen, lifecycle and dnsmon are imported by the stages and
+# commands that use them, so a command loads only its own modules
+from . import ingest
+from .errors import RRTYPES, PhishlifeError, StoreFailure
 from .timeutil import format_utc, parse_utc, to_days
 
 if TYPE_CHECKING:
@@ -180,7 +180,7 @@ def _validate_params(cfg: PipelineConfig) -> None:
         (cfg.backoff_base_ms > 0, "backoff_base_ms must be positive"),
         (cfg.backoff_cap_ms >= cfg.backoff_base_ms, "backoff_cap_ms must be >= backoff_base_ms"),
         (bool(cfg.reference_source.strip()), "reference_source must be non-empty"),
-        (all(t in dnsmon.RRTYPES for t in cfg.rrtypes), f"rrtypes must be among {dnsmon.RRTYPES}"),
+        (all(t in RRTYPES for t in cfg.rrtypes), f"rrtypes must be among {RRTYPES}"),
     ]
     for ok, message in checks:
         if not ok:
@@ -438,6 +438,7 @@ def cmd_classify(run: Run) -> None:
 
 
 def cmd_monitor(run: Run, live: bool) -> None:
+    from . import dnsmon
     cfg, out_dir = run.cfg, run.out_dir
     vantages = dnsmon.load_vantages(_require(cfg.vantage_config, "vantage_config"))
     domains = run.monitor_domains
@@ -636,7 +637,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         elif args.command == "report":
             cmd_report(run)
         return 0
-    except dnsmon.StoreFailure as exc:
+    except StoreFailure as exc:
         print(f"store failure: {exc}", file=sys.stderr)
         return EXIT_STORE
     except OutputFailure as exc:

@@ -17,7 +17,6 @@ between them.
 from __future__ import annotations
 
 import json
-import statistics
 import time as _time
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
@@ -26,11 +25,10 @@ from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional, Protocol, Sequence, Union
 
-from .errors import IoFailure, PhishlifeError
+from .errors import RRTYPES, IoFailure, PhishlifeError, StoreFailure
 from .ingest import normalize_host, read_json
-from .timeutil import format_utc, parse_utc
+from .timeutil import fmean, format_utc, median_low, parse_utc
 
-RRTYPES = ("A", "AAAA", "CNAME", "NS", "MX", "TXT", "SOA")
 MAX_TTL = 2**31 - 1
 MAX_ATTEMPTS = 5
 
@@ -52,10 +50,6 @@ class NxDomain(PhishlifeError):
 
 class NoObservations(PhishlifeError):
     """No Ok snapshot with TTL observations was supplied."""
-
-
-class StoreFailure(PhishlifeError):
-    """The snapshot store could not be written."""
 
 
 @dataclass(frozen=True)
@@ -564,8 +558,8 @@ def ttl_stats(snapshots: Iterable[DnsSnapshot]) -> TtlSummary:
             registrable=registrable,
             observations=len(ttls),
             min_ttl=low,
-            median_ttl=float(statistics.median_low(ttls)),
-            mean_ttl=statistics.fmean(ttls),
+            median_ttl=float(median_low(ttls)),
+            mean_ttl=fmean(ttls),
         ))
         if low < 60:
             under_60 += 1
@@ -583,8 +577,8 @@ def ttl_stats(snapshots: Iterable[DnsSnapshot]) -> TtlSummary:
         under_3600s=under_3600,
         over_43200s=over_43200,
         between_43200s_and_86400s=between,
-        overall_median_ttl=float(statistics.median_low(medians)),
-        overall_mean_ttl=statistics.fmean(medians),
+        overall_median_ttl=float(median_low(medians)),
+        overall_mean_ttl=fmean(medians),
     )
 
 

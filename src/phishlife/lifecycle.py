@@ -7,7 +7,6 @@ and computes detection-delay, takedown-delay, and blocklist-lag aggregates.
 
 from __future__ import annotations
 
-import statistics
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -16,7 +15,7 @@ from typing import Iterable, Mapping, Optional
 from .classifier import ClassificationResult
 from .errors import PhishlifeError
 from .ingest import DomainRecord, normalize_host, read_csv
-from .timeutil import parse_utc, to_days
+from .timeutil import fmean, median_low, parse_utc, to_days
 
 KIND_WHOIS = "whois"
 KIND_RDAP = "rdap"
@@ -251,8 +250,8 @@ def aggregate(
         rows.append(AggregateRow(
             key=key,
             count=len(vals),
-            mean_days=statistics.fmean(vals) if vals else None,
-            median_days=float(statistics.median_low(vals)) if vals else None,
+            mean_days=fmean(vals) if vals else None,
+            median_days=float(median_low(vals)) if vals else None,
             missing=missing.get(key, 0),
         ))
     rows.sort(key=lambda r: (-r.count, r.key))

@@ -1,4 +1,4 @@
-"""UTC timestamp parsing and formatting.
+"""UTC timestamp parsing and formatting, and the mean and median of durations.
 
 All timestamps in the toolkit are timezone-aware UTC datetimes. Feeds and
 CSVs carry ISO-8601 instants of one fixed grammar (``parse_utc``); values
@@ -7,6 +7,7 @@ without an offset are UTC, non-zero offsets are rejected.
 
 from __future__ import annotations
 
+import math
 import re
 from datetime import datetime, timedelta, timezone
 
@@ -49,3 +50,13 @@ def format_utc(dt: datetime) -> str:
 def to_days(delta: timedelta) -> float:
     """Express a duration as fractional days with seconds precision."""
     return delta.total_seconds() / SECONDS_PER_DAY
+
+
+def fmean(values: list[float]) -> float:
+    """The mean of a non-empty list, as ``statistics.fmean`` computes it."""
+    return math.fsum(values) / len(values)
+
+
+def median_low(values: list[float]) -> float:
+    """The lower median of a non-empty list, as ``statistics.median_low`` picks it."""
+    return sorted(values)[(len(values) - 1) // 2]

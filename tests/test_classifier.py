@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import random
 import string
+import time
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -33,6 +34,8 @@ from phishlife.squatgen import Brand, BrandCatalog
 
 UTC = timezone.utc
 WORD_STRAT = st.text(alphabet="abcdefghijklmnopqrstuvwxyz-", min_size=0, max_size=12)
+# past one 64-bit word, from a small alphabet so that distances vary, with non-ASCII characters
+LONG_STRAT = st.text(alphabet="ab-éж漢😀", max_size=150)
 
 
 def record(registrable, subdomain="", suffix=None, sub_count=None):
@@ -251,7 +254,7 @@ class TestLevenshtein:
     def test_known_values(self, a, b, expected):
         assert levenshtein(a, b) == expected
 
-    @given(WORD_STRAT, WORD_STRAT)
+    @given(st.one_of(WORD_STRAT, LONG_STRAT), st.one_of(WORD_STRAT, LONG_STRAT))
     def test_equals_oracle(self, a, b):
         assert levenshtein(a, b) == levenshtein_oracle(a, b)
 
@@ -358,6 +361,28 @@ class TestClusterBulk:
         log = [log_entry(f"{label}.{tld}", "2024-05-01T10:00:00", "r") for label, tld in names]
         got = {c.members for c in cluster_bulk(log, self.WINDOW, max_dist, 2)}
         assert got == clusters_oracle(log, self.WINDOW, max_dist, 2)
+
+    @settings(derandomize=True, max_examples=300)
+    @given(st.lists(st.text(alphabet="ab-", max_size=9), min_size=1, max_size=20)
+           .map(lambda labels: labels + labels[::3]),  # some labels twice
+           st.integers(0, 5))
+    def test_candidate_pairs_hold_every_close_pair(self, labels, max_dist):
+        pairs = classifier._candidate_pairs(labels, max_dist)
+        assert pairs == sorted(set(pairs)) and all(i < j for i, j in pairs)
+        close = {(i, j) for j in range(len(labels)) for i in range(j)
+                 if levenshtein_oracle(labels[i], labels[j]) <= max_dist}
+        assert close <= set(pairs)
+
+    def test_huge_max_edit_distance_gives_all_pairs_quickly(self):
+        rng = random.Random(3)
+        labels = {"".join(rng.choices(string.ascii_lowercase, k=rng.randint(1, 40)))
+                  for _ in range(300)}
+        log = [log_entry(f"{label}.com", "2024-05-01T10:00:00", "r") for label in labels]
+        started = time.perf_counter()
+        clusters = cluster_bulk(log, self.WINDOW, 10**9, 2)
+        assert time.perf_counter() - started < 1.0
+        # every pair is within 10**9 edits, so the whole bucket is one cluster
+        assert [c.members for c in clusters] == [{e.registrable for e in log}]
 
     def test_distance_computed_for_few_pairs(self, monkeypatch):
         calls = []

@@ -547,7 +547,9 @@ class TestOnePass:
 
 @pytest.mark.parametrize("command, absent", [
     ("monitor", ["phishlife.classifier", "phishlife.lifecycle", "phishlife.squatgen"]),
-    ("classify", ["phishlife.lifecycle"]),
+    ("classify", ["phishlife.dnsmon", "phishlife.lifecycle"]),
+    ("ingest", ["phishlife.dnsmon"]),
+    ("lifecycle", ["phishlife.dnsmon"]),
 ])
 def test_command_imports_only_its_own_modules(command, absent, tmp_path):
     # a fresh interpreter, so that no other test's imports count
@@ -617,6 +619,8 @@ def bad_input(changes, command="monitor", out_dir="out", *, id):
     bad_input({"max_edit_distance": "2"}, id="string_for_int"),
     bad_input({"brand_top_n": True}, id="bool_for_int"),
     bad_input({"rrtypes": "A,NS"}, id="string_for_list"),
+    *[bad_input({"rrtypes": ["A", "FOO"]}, command, id=f"unknown_rrtype_{command}")
+      for command in ("ingest", "classify", "monitor", "lifecycle", "report")],
     bad_input({"feeds": [{"format": "lines"}]}, id="feed_without_path"),
     bad_input(None, id="top_level_array"),
     bad_input({"vantage_config": ("vantages.json", json.dumps(DUPLICATE_VANTAGES))},

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import statistics
 from datetime import datetime, timezone
 
 import pytest
+from hypothesis import given, strategies as st
 
-from phishlife.timeutil import parse_utc
+from phishlife.timeutil import fmean, median_low, parse_utc
 
 UTC = timezone.utc
 
@@ -73,3 +75,13 @@ def test_rejected_forms(text):
     with pytest.raises(ValueError):
         parse_utc(text)
 
+
+# floats far below the overflow of a sum, where both sides would raise
+NUMBERS = st.one_of(st.lists(st.integers(-10**12, 10**12), min_size=1),
+                    st.lists(st.floats(-1e100, 1e100), min_size=1))
+
+
+@given(NUMBERS)
+def test_mean_and_median_equal_the_statistics_module(values):
+    assert fmean(values) == statistics.fmean(values)
+    assert median_low(values) == statistics.median_low(values)
