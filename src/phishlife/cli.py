@@ -279,13 +279,10 @@ class Run:
         return [(path, ingest.load_feed(path, fmt)) for path, fmt in self.cfg.feeds]
 
     @cached_property
-    def entries(self) -> list[ingest.FeedEntry]:
-        return [entry for _, feed in self.feeds for entry in feed.entries]
-
-    @cached_property
     def table(self) -> ingest.DomainTable:
         rules = ingest.load_suffix_rules(_require(self.cfg.suffix_rules, "suffix_rules"))
-        table = ingest.build_domain_table(self.entries, rules)
+        table = ingest.build_domain_table(
+            (entry for _, feed in self.feeds for entry in feed.entries), rules)
         if not table.records:
             raise EmptyOutput("domain table is empty")
         return table
@@ -321,9 +318,8 @@ class Run:
     def registrations(self) -> tuple[dict[str, lifecycle.RegistrationEvent], int]:
         """Each domain's registration event, and the count of timestamp rows skipped."""
         from . import lifecycle
-        sources, skipped = lifecycle.load_timestamp_sources(
+        return lifecycle.load_timestamp_sources(
             _require(self.cfg.timestamp_sources, "timestamp_sources"))
-        return lifecycle.merge_all_registrations(sources), skipped
 
     @cached_property
     def monitor_domains(self) -> list[str]:
@@ -358,7 +354,7 @@ def cmd_ingest(run: Run) -> None:
     write_atomic(run.out_dir / "domains.jsonl",
                  "".join(_domain_record_json(r) + "\n" for r in records))
 
-    urls_by_source = Counter(e.source for e in run.entries)
+    urls_by_source = run.table.urls_by_source
     domains_by_source: Counter = Counter()
     tlds_by_source: dict[str, set] = {}
     for rec in records:

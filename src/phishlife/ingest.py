@@ -11,7 +11,7 @@ import csv
 import io
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -105,6 +105,8 @@ class FeedLoadResult:
 class DomainTable:
     records: list[DomainRecord]
     skipped_urls: int = 0
+    # every entry's source, counted whether or not its URL gave a host
+    urls_by_source: dict[str, int] = field(default_factory=dict)
 
 
 def _normalize_label(label: str) -> str:
@@ -349,16 +351,19 @@ def build_domain_table(entries: Iterable[FeedEntry], rules: SuffixRules) -> Doma
 
     first_detections holds per-source minima, brands the union; duplicate
     URLs count toward url_count. Output order is lexicographic by
-    registrable, and the merge is independent of input order.
+    registrable, and the merge is independent of input order. Every
+    entry's source is counted in urls_by_source, its URL's host good or not.
     """
     records: dict[str, DomainRecord] = {}
     # first-seen subdomain tracked as a (detected_at, subdomain) minimum so
     # the result is stable under permutation of the input
     first_sub: dict[str, tuple[datetime, str]] = {}
     subdomains_seen: dict[str, set[str]] = {}
+    urls_by_source: dict[str, int] = {}
     skipped = 0
 
     for entry in entries:
+        urls_by_source[entry.source] = urls_by_source.get(entry.source, 0) + 1
         try:
             parts = split_registrable(parse_url(entry.url), rules)
         except PhishlifeError:
@@ -397,4 +402,4 @@ def build_domain_table(entries: Iterable[FeedEntry], rules: SuffixRules) -> Doma
         rec.subdomain_count = len(subdomains_seen[registrable])
 
     ordered = [records[k] for k in sorted(records)]
-    return DomainTable(records=ordered, skipped_urls=skipped)
+    return DomainTable(records=ordered, skipped_urls=skipped, urls_by_source=urls_by_source)

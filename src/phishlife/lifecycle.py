@@ -1,8 +1,9 @@
 """Domain lifecycle reconciliation and delay statistics.
 
-Merges registration and deregistration timestamps from heterogeneous
-sources, joins them with blocklist detections and classification verdicts,
-and computes detection-delay, takedown-delay, and blocklist-lag aggregates.
+Folds the registration and deregistration timestamps of heterogeneous
+sources into one event per domain as the rows are read, joins the events
+with blocklist detections and classification verdicts, and computes
+detection-delay, takedown-delay, and blocklist-lag aggregates.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
-from typing import Iterable, Mapping, Optional
+from typing import Mapping, Optional
 
 from .classifier import ClassificationResult
 from .errors import PhishlifeError
@@ -50,13 +51,6 @@ class EmptyInput(PhishlifeError):
 
 
 @dataclass(frozen=True)
-class TimestampSource:
-    kind: str
-    registrable: str
-    at: datetime
-
-
-@dataclass(frozen=True)
 class RegistrationEvent:
     registrable: str
     registered_at: datetime
@@ -89,48 +83,36 @@ class AggregateReport:
     ungrouped: int = 0
 
 
-def load_timestamp_sources(path: str | Path) -> tuple[list[TimestampSource], int]:
-    """Load a timestamp-source CSV (``registrable,kind,at``, header required).
+def load_timestamp_sources(path: str | Path) -> tuple[dict[str, RegistrationEvent], int]:
+    """Fold a timestamp-source CSV (``registrable,kind,at``, header required) as it is read.
 
-    Domains are normalized like feed hosts. Rows with a domain that is not
-    a host, an unknown kind or an unparseable timestamp are skipped and
-    counted.
+    Returns each domain's registration event and the count of rows skipped.
+    An event takes the earliest of the domain's registration kinds (ties
+    broken by kind order) and its latest zone_last_seen; a domain with only
+    last-seen rows gets none. Domains are normalized like feed hosts. Rows
+    with a domain that is not a host, an unknown kind or an unparseable
+    timestamp are skipped.
     """
-    sources: list[TimestampSource] = []
+    earliest: dict[str, tuple[datetime, int, str]] = {}
+    latest_seen: dict[str, datetime] = {}
     skipped = 0
     for row in read_csv(path, ("registrable", "kind", "at"), "timestamp sources"):
         kind = row["kind"].strip()
         try:
             if kind not in KIND_ORDER:
                 raise ValueError(f"unknown kind {kind!r}")
-            sources.append(TimestampSource(
-                kind=kind, registrable=normalize_host(row["registrable"].strip()),
-                at=parse_utc(row["at"]),
-            ))
+            domain = normalize_host(row["registrable"].strip())
+            at = parse_utc(row["at"])
         except (PhishlifeError, ValueError):
             skipped += 1
-    return sources, skipped
-
-
-def merge_all_registrations(sources: Iterable[TimestampSource]) -> dict[str, RegistrationEvent]:
-    """Fold timestamp sources into one registration event per domain, in one pass.
-
-    registered_at is the earliest instant among a domain's non-last-seen
-    kinds (ties broken by kind order); deregistered_at is its latest
-    zone_last_seen when present. A domain with only last-seen rows has no
-    registration evidence and gets no event.
-    """
-    earliest: dict[str, tuple[datetime, int, str]] = {}
-    latest_seen: dict[str, datetime] = {}
-    for src in sources:
-        domain = src.registrable
-        if src.kind == KIND_ZONE_LAST:
-            latest_seen[domain] = max(latest_seen.get(domain, src.at), src.at)
+            continue
+        if kind == KIND_ZONE_LAST:
+            latest_seen[domain] = max(latest_seen.get(domain, at), at)
         else:
-            rank = (src.at, KIND_ORDER[src.kind], src.kind)
+            rank = (at, KIND_ORDER[kind], kind)
             earliest[domain] = min(earliest.get(domain, rank), rank)
-    return {domain: RegistrationEvent(domain, at, kind, latest_seen.get(domain))
-            for domain, (at, _, kind) in earliest.items()}
+    return ({domain: RegistrationEvent(domain, at, kind, latest_seen.get(domain))
+             for domain, (at, _, kind) in earliest.items()}, skipped)
 
 
 def detection_delay(

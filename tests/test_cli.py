@@ -1,15 +1,19 @@
 from __future__ import annotations
 
+import contextlib
 import csv
 import errno
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phishlife import classifier, dnsmon, dnswire, ingest, squatgen
 from phishlife.cli import main
@@ -767,3 +771,62 @@ def test_failed_output_write_exits_4(call, tmp_path, capsys, monkeypatch):
     assert err.startswith("output failure: ") and err.count("\n") == 1, err
     assert "classification.csv" in err and "No space left on device" in err, err
     assert list(out.iterdir()) == []  # the temp file is gone too
+
+
+# (command, config key, data file, field separator, fields per line, has a header row)
+MUTATED_INPUTS = [
+    ("lifecycle", "timestamp_sources", "timestamp_sources.csv", b",", 3, True),
+    ("ingest", "feeds", "corpus40_feed.tsv", b"\t", 4, False),
+]
+
+
+@st.composite
+def mutated(draw, data: bytes, sep: bytes, fields: int, header: bool) -> bytes:
+    """``data`` with one drawn mutation.
+
+    A feed has no header row, so swapping two header names swaps those two
+    fields on every line, which is what a swapped header would mean.
+    """
+    kind = draw(st.sampled_from(["truncate", "non_utf8", "nul", "drop_column", "crlf",
+                                 "swap_header"]))
+    at = draw(st.integers(0, len(data)))
+    if kind == "truncate":
+        return data[:at]
+    if kind in ("non_utf8", "nul"):
+        return data[:at] + (b"\xff" if kind == "non_utf8" else b"\0") + data[at:]
+    if kind == "crlf":
+        return data.replace(b"\n", b"\r\n")
+    lines = [line.split(sep) for line in data.split(b"\n")]
+    if kind == "drop_column":
+        column = draw(st.integers(0, fields - 1))
+        lines = [[f for k, f in enumerate(line) if k != column] for line in lines]
+    else:
+        i, j = draw(st.lists(st.integers(0, fields - 1), min_size=2, max_size=2, unique=True))
+        for line in lines[:1] if header else lines:
+            if len(line) > max(i, j):
+                line[i], line[j] = line[j], line[i]
+    return b"\n".join(sep.join(line) for line in lines)
+
+
+@pytest.mark.parametrize("command,key,name,sep,fields,header", MUTATED_INPUTS,
+                         ids=[m[2] for m in MUTATED_INPUTS])
+def test_mutated_input_keeps_exit_code_contract(command, key, name, sep, fields, header):
+    # each example runs main in-process: it returns 0, 2 or 3, writes at
+    # most one stderr line and lets no exception out
+    data = (DATA / name).read_bytes()
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(mutated(data, sep, fields, header))
+    def check(text):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            (tmp / name).write_bytes(text)
+            config = config_copy(tmp, {key: [str(tmp / name)] if key == "feeds" else name})
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([command, "--config", config, "--out-dir", str(tmp / "out")])
+        assert code in (0, 2, 3)
+        assert err.getvalue().count("\n") <= 1, err.getvalue()
+        assert "Traceback" not in out.getvalue() + err.getvalue()
+
+    check()

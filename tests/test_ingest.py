@@ -431,8 +431,8 @@ class TestCsvLoaders:
     def test_short_timestamp_row_is_skipped(self, tmp_path):
         path = tmp_path / "input.csv"
         path.write_text("registrable,kind,at\na.com\nb.com,whois,2024-01-01T00:00:00Z\n")
-        sources, skipped = lifecycle.load_timestamp_sources(path)
-        assert [s.registrable for s in sources] == ["b.com"] and skipped == 1
+        events, skipped = lifecycle.load_timestamp_sources(path)
+        assert list(events) == ["b.com"] and skipped == 1
 
 
 class TestBuildDomainTable:

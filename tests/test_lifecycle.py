@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import tempfile
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
+from typing import NamedTuple, Optional
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -23,15 +26,13 @@ from phishlife.lifecycle import (
     KIND_ZONE_LAST,
     LifecycleRecord,
     RegistrationEvent,
-    TimestampSource,
     aggregate,
     build_lifecycle_records,
     detection_delay,
     load_timestamp_sources,
-    merge_all_registrations,
     takedown_delay,
 )
-from phishlife.timeutil import to_days
+from phishlife.timeutil import format_utc, to_days
 
 UTC = timezone.utc
 
@@ -40,8 +41,30 @@ def ts(text):
     return datetime.fromisoformat(text).replace(tzinfo=UTC)
 
 
+NOT_A_HOST = "bad..com"
+UNKNOWN_KIND = "carrier_pigeon"
+
+
+class SourceRow(NamedTuple):
+    """One row of a timestamp-source CSV."""
+
+    kind: str
+    registrable: str
+    at: Optional[datetime]  # None is written as a timestamp that does not parse
+
+
 def src(kind, at, registrable="a.com"):
-    return TimestampSource(kind=kind, registrable=registrable, at=ts(at))
+    return SourceRow(kind=kind, registrable=registrable, at=ts(at))
+
+
+def fold(rows):
+    """load_timestamp_sources over the rows, written as CSV text into a temp directory."""
+    text = "registrable,kind,at\n" + "".join(
+        f"{r.registrable},{r.kind},{format_utc(r.at) if r.at else 'yesterday'}\n" for r in rows)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "timestamp_sources.csv"
+        path.write_text(text, encoding="utf-8")
+        return load_timestamp_sources(path)
 
 
 def domain_record(registrable, detections=None, brands=(), suffix="com"):
@@ -63,14 +86,19 @@ def lifecycle_record(registrable, verdict, detection=None, takedown=None,
 
 
 def merge_one(sources):
-    """The event merge_all_registrations gives a.com, or None when it gives none."""
-    events = merge_all_registrations(sources)
-    assert set(events) <= {"a.com"}
+    """The event the fold gives a.com, or None when it gives none."""
+    events, skipped = fold(sources)
+    assert set(events) <= {"a.com"} and skipped == 0
     return events.get("a.com")
 
 
-def oracle_registrations(sources):
-    """Sort each domain's rows: the first registration row and the last zone_last_seen win."""
+def oracle_registrations(written):
+    """Sort each domain's kept rows: the first registration row and the last zone_last_seen win.
+
+    Returns the events and the count of rows skipped.
+    """
+    sources = [r for r in written
+               if r.kind in KIND_ORDER and r.registrable != NOT_A_HOST and r.at is not None]
     events = {}
     for domain in {s.registrable for s in sources}:
         rows = [s for s in sources if s.registrable == domain and s.kind != KIND_ZONE_LAST]
@@ -79,7 +107,7 @@ def oracle_registrations(sources):
             first = sorted(rows, key=lambda s: (s.at, KIND_ORDER[s.kind]))[0]
             events[domain] = RegistrationEvent(domain, first.at, first.kind,
                                                seen[-1] if seen else None)
-    return events
+    return events, len(written) - len(sources)
 
 
 BASE = ts("2024-01-01T00:00:00")
@@ -90,13 +118,15 @@ def source_rows(draw):
     """Rows over four domains and five instants, some repeated, and the same rows reordered.
 
     With so few domains and instants, rows tie on their instant (kind order
-    breaks the tie) and some domains have only last-seen rows.
+    breaks the tie) and some domains have only last-seen rows. Some rows are
+    skipped: an unknown kind, a name that is not a host, a bad timestamp.
     """
     row = st.builds(
-        TimestampSource,
-        kind=st.sampled_from(sorted(KIND_ORDER)),
-        registrable=st.sampled_from(["a.com", "b.com", "c.net", "d.org"]),
-        at=st.integers(min_value=0, max_value=4).map(lambda d: BASE + timedelta(days=d)),
+        SourceRow,
+        kind=st.sampled_from(sorted(KIND_ORDER) + [UNKNOWN_KIND]),
+        registrable=st.sampled_from(["a.com", "b.com", "c.net", "d.org", NOT_A_HOST]),
+        at=st.none() | st.integers(min_value=0, max_value=4).map(
+            lambda d: BASE + timedelta(days=d)),
     )
     rows = draw(st.lists(row, max_size=12))
     if rows:
@@ -122,7 +152,7 @@ class TestMergeRegistration:
         assert event.provenance == KIND_ZONE_FIRST
 
     def test_only_last_seen_is_no_evidence(self):
-        assert merge_all_registrations([src(KIND_ZONE_LAST, "2024-02-01T00:00:00")]) == {}
+        assert fold([src(KIND_ZONE_LAST, "2024-02-01T00:00:00")]) == ({}, 0)
 
     def test_tie_broken_by_kind_order(self):
         event = merge_one([
@@ -151,7 +181,7 @@ class TestMergeRegistration:
         assert merge_one([sources[i] for i in order]) == reference
 
     def test_merge_all_skips_dereg_only_domains(self):
-        events = merge_all_registrations([
+        events, _ = fold([
             src(KIND_WHOIS, "2024-01-01T00:00:00", "a.com"),
             src(KIND_ZONE_LAST, "2024-02-01T00:00:00", "b.com"),
         ])
@@ -163,8 +193,8 @@ class TestMergeRegistration:
     def test_merge_all_equals_oracle(self, drawn):
         rows, reordered = drawn
         expected = oracle_registrations(rows)
-        assert merge_all_registrations(rows) == expected
-        assert merge_all_registrations(reordered) == expected
+        assert fold(rows) == expected
+        assert fold(reordered) == expected
 
 
 class TestDelays:
@@ -343,22 +373,24 @@ class TestIdentity:
 
 class TestLoadSources:
     def test_fixture_loads(self, data_dir):
-        sources, skipped = load_timestamp_sources(data_dir / "timestamp_sources.csv")
+        events, skipped = load_timestamp_sources(data_dir / "timestamp_sources.csv")
         assert skipped == 0
-        kinds = {s.kind for s in sources}
-        assert KIND_ZONE_LAST in kinds and KIND_PDNS in kinds and KIND_CT in kinds
+        kinds = {e.provenance for e in events.values()}
+        # a zone_last_seen row is kept as a deregistration
+        assert any(e.deregistered_at for e in events.values())
+        assert KIND_PDNS in kinds and KIND_CT in kinds
 
     def test_unknown_kind_skipped(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("registrable,kind,at\na.com,carrier_pigeon,2024-01-01T00:00:00Z\n"
                      "b.com,whois,2024-01-01T00:00:00Z\n")
-        sources, skipped = load_timestamp_sources(p)
-        assert len(sources) == 1 and skipped == 1
+        events, skipped = load_timestamp_sources(p)
+        assert len(events) == 1 and skipped == 1
 
     def test_domains_normalized_like_feed_hosts(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("registrable,kind,at\nbücher.de,whois,2024-01-01T00:00:00Z\n"
                      "Example.com.,rdap,2024-01-01T00:00:00Z\nbad..com,whois,2024-01-01T00:00:00Z\n")
-        sources, skipped = load_timestamp_sources(p)
-        assert [s.registrable for s in sources] == ["xn--bcher-kva.de", "example.com"]
+        events, skipped = load_timestamp_sources(p)
+        assert list(events) == ["xn--bcher-kva.de", "example.com"]
         assert skipped == 1
