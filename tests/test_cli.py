@@ -70,6 +70,19 @@ class TestIngestCommand:
         assert a_com["url_count"] == 2
         assert a_com["first_detections"]["apwg"] == "2024-06-01T00:00:00Z"
 
+    def test_urls_counted_per_source_with_failed_hosts(self, tmp_path, capsys):
+        bad = tmp_path / "bad_host.tsv"
+        bad.write_text("2024-06-01T00:00:00Z\thttp://bad..com/\tphishtank\n")
+        feeds = f"{DATA / 'feed_a.tsv'},{DATA / 'feed_b.json'},{bad}"
+        assert main(["ingest", "--feeds", feeds, "--suffix-rules", str(DATA / "suffixes.dat"),
+                     "--out-dir", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().out.splitlines()[:4] == [
+            "4 domains, 3 TLDs (7 URLs, 1 skipped)",
+            "  apwg: 4 URLs, 3 domains, 2 TLDs",
+            "  openphish: 1 URLs, 1 domains, 1 TLDs",
+            "  phishtank: 2 URLs, 1 domains, 1 TLDs",
+        ]
+
     def test_malformed_records_counted_per_feed_file(self, tmp_path, capsys):
         # two records whose timestamps are not in the grammar; the summary
         # line counts the URLs whose host failed, so it reads as without them
