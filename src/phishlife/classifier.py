@@ -200,6 +200,7 @@ def levenshtein(a: str, b: str) -> int:
 
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_SECOND = timedelta(seconds=1)
 
 
 def _window_start(at: datetime, window: timedelta) -> datetime:
@@ -210,6 +211,13 @@ def _window_start(at: datetime, window: timedelta) -> datetime:
         return at - (at - _EPOCH) % width  # timedelta % floors, also before the epoch
     except OverflowError:
         return datetime.min.replace(tzinfo=timezone.utc)
+
+
+def _window_index(at: datetime, width: int) -> int:
+    """The number of the ``width``-second ``_window_start`` window that holds ``at``."""
+    # distinct windows have distinct starts: only the window that holds year 1
+    # can start before it, so at most one start clamps to datetime.min
+    return (at - _EPOCH) // _SECOND // width
 
 
 def _candidate_pairs(labels: list[str], k: int) -> list[tuple[int, int]]:
@@ -263,13 +271,17 @@ def cluster_bulk(
     if window <= timedelta(0):
         raise ValueError("window must be positive")
 
-    buckets: dict[tuple[str, datetime], set[str]] = {}
+    # each bucket's window start is computed once, from its first entry
+    width = int(window.total_seconds())
+    buckets: dict[tuple[str, int], tuple[datetime, set[str]]] = {}
     for entry in log:
-        key = (entry.registrar, _window_start(entry.registered_at, window))
-        buckets.setdefault(key, set()).add(entry.registrable)
+        key = (entry.registrar, _window_index(entry.registered_at, width))
+        if (bucket := buckets.get(key)) is None:
+            bucket = buckets[key] = (_window_start(entry.registered_at, window), set())
+        bucket[1].add(entry.registrable)
 
     clusters: list[BulkCluster] = []
-    for (registrar, start), members in buckets.items():
+    for (registrar, _), (start, members) in buckets.items():
         domains = sorted(members)
         if len(domains) < min_cluster_size:
             continue

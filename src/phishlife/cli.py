@@ -16,6 +16,7 @@ written and the exit code is 0.
 from __future__ import annotations
 
 import argparse
+import atexit
 import contextlib
 import csv
 import gc
@@ -456,7 +457,6 @@ def cmd_monitor(run: Run, live: bool) -> None:
 
     # the prior snapshots, then this run's; a torn store fails before any query
     snapshots = store.load()
-    gc.freeze()  # the fixture and store live to the end: no collection in the rounds scans them
     try:
         ticks = dnsmon.run_schedule(
             domains, vantages, tuple(cfg.rrtypes),
@@ -466,8 +466,6 @@ def cmd_monitor(run: Run, live: bool) -> None:
         rounds = str(ticks)
     except KeyboardInterrupt:  # pragma: no cover - live mode only
         rounds = "interrupted"
-    finally:
-        gc.unfreeze()
 
     if not snapshots:
         raise EmptyOutput("no snapshots collected")
@@ -607,9 +605,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
-
+    # a command keeps what it builds to its end and leaves no cyclic garbage,
+    # so the cyclic collector stays off while it runs, and the caller's setting
+    # comes back after; run as the program (argv None), main also freezes the
+    # heap at exit, so the interpreter's last collection skips what is left
+    enabled = gc.isenabled()
+    gc.disable()
+    if argv is None:
+        atexit.register(gc.freeze)
     try:
+        args = _build_parser().parse_args(argv)
         if args.command == "squatgen":
             cmd_squatgen_dump(args.brand_domain)
             return 0
@@ -645,6 +650,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except PhishlifeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -1,17 +1,18 @@
 """DNS record monitoring across vantage points.
 
-Collects snapshots of tracked domains through a pluggable resolver (a
-scripted in-memory one for tests and simulation, a real stub client for
-operation), detects record changes, and computes TTL analytics.
-``run_schedule`` ticks at ``start + interval``, ``start + 2 * interval``,
-and so on: a live run sleeps until each tick is due on the wall clock, and
-a simulated run never sleeps, so its tick times are arithmetic alone. Each
-tick hands all of its (domain x vantage x rrtype) lookups to the resolver
-at once: the scripted resolver answers them one after another, and
+Collects snapshots of tracked domains through a pluggable resolver (scripted
+in memory for tests and simulation, a stub client for operation), detects
+record changes and computes TTL analytics. ``run_schedule`` ticks at
+``start + k * interval``, k = 1, 2, ...: a live run sleeps until each tick is
+due on the wall clock, a simulated one never sleeps. Each tick hands all of
+its (domain x vantage x rrtype) lookups to the resolver at once, and
 ``dnswire.UdpResolver`` keeps up to ``dnswire.WINDOW`` of them in flight on
-one selector loop. Both retry a failed lookup by the one policy in
-``settle``, up to five attempts; only ``UdpResolver`` waits the backoff
-between them.
+one selector loop. Both resolvers retry by ``settle``, up to five attempts;
+only ``UdpResolver`` waits the backoff. A (domain, vantage) pair whose
+outcomes equal the last tick's gets that snapshot retaken, its fields and
+cached store line shared, so a settled observation is built and formatted
+once. No tick leaves a reference cycle: ``cli.main`` keeps the cyclic
+collector off while a command runs.
 """
 
 from __future__ import annotations
@@ -90,7 +91,10 @@ class RrSet:
         return text
 
 
-@dataclass(frozen=True, slots=True)
+# not frozen, as a frozen __init__ sets each field through object.__setattr__
+# at five times the cost, and a run makes one per (domain, vantage, tick); no
+# snapshot is changed once made, since its store line is cached
+@dataclass(slots=True)
 class DnsSnapshot:
     registrable: str
     vantage_id: str
@@ -100,17 +104,25 @@ class DnsSnapshot:
     attempts: int
     errors: tuple[str, ...] = ()
     nxdomain: bool = False
+    # caches, not values of the snapshot: the outcomes it was collected from,
+    # and its store line's text before and after the quoted taken_at
+    _outcomes: Optional[list[Outcome]] = field(default=None, init=False, repr=False, compare=False)
+    _text: Optional[tuple[str, str]] = field(default=None, init=False, repr=False, compare=False)
 
-    def _json(self, taken_at: str) -> str:
-        """The snapshot as ``json.dumps`` of its fields with sorted keys writes
-        it, with ``taken_at`` already formatted and quoted."""
-        return (f'{{"attempts": {self.attempts}, '
+    @property
+    def _line(self) -> tuple[str, str]:
+        """The store line as ``json.dumps`` with sorted keys writes it, split at ``taken_at``."""
+        text = self._text
+        if text is None:
+            text = self._text = (
+                f'{{"attempts": {self.attempts}, '
                 f'"errors": [{", ".join(map(_json_str, self.errors))}], '
                 f'"nxdomain": {"true" if self.nxdomain else "false"}, '
                 f'"registrable": {_json_str(self.registrable)}, '
                 f'"rrsets": [{", ".join([r.json_text for r in self.rrsets])}], '
-                f'"status": {_json_str(self.status)}, "taken_at": {taken_at}, '
-                f'"vantage_id": {_json_str(self.vantage_id)}}}')
+                f'"status": {_json_str(self.status)}, "taken_at": ',
+                f', "vantage_id": {_json_str(self.vantage_id)}}}\n')
+        return text
 
     @classmethod
     def from_json(cls, line: str) -> "DnsSnapshot":
@@ -383,24 +395,32 @@ def _snapshot(domain: str, vantage: VantagePoint, at: datetime,
 
 
 def collect_snapshots(
-    domains: Sequence[str],
-    vantages: Sequence[VantagePoint],
-    types: Sequence[str],
+    pairs: Sequence[tuple[str, VantagePoint]],
+    lookups: Sequence[Lookup],
     resolver: Resolver,
     taken_at: datetime,
     delays: Sequence[float],
+    previous: Sequence[DnsSnapshot] = (),
 ) -> list[DnsSnapshot]:
-    """One snapshot per (domain, vantage), in that order, each taken at ``taken_at``.
+    """One snapshot per (domain, vantage) pair, in that order, taken at ``taken_at``;
+    ``lookups`` holds each pair's rrtype lookups in turn, and all go to the resolver at once.
 
-    Every (domain, vantage, rrtype) lookup goes to the resolver in one call,
-    so a resolver that overlaps lookups can overlap all of them.
-    """
-    pairs = [(d, v) for d in domains for v in vantages]
-    lookups = [(v, d, t) for d, v in pairs for t in types]
+    A snapshot is a function of its pair and outcomes: a pair whose outcomes equal those of
+    its snapshot in ``previous`` (the last tick's, or none) gets that snapshot retaken."""
     outcomes = resolver.resolve(lookups, delays)
-    n = len(types)
-    return [_snapshot(d, v, taken_at, outcomes[k * n:(k + 1) * n])
-            for k, (d, v) in enumerate(pairs)]
+    n = len(outcomes) // len(pairs) if pairs else 0
+    snapshots = []
+    for k, (domain, vantage) in enumerate(pairs):
+        group = outcomes[k * n:(k + 1) * n]
+        if previous and (last := previous[k])._outcomes == group:
+            snap = DnsSnapshot(domain, vantage.id, taken_at, last.rrsets, last.status,
+                               last.attempts, last.errors, last.nxdomain)
+            group, snap._text = last._outcomes, last._text
+        else:
+            snap = _snapshot(domain, vantage, taken_at, group)
+        snap._outcomes = group
+        snapshots.append(snap)
+    return snapshots
 
 
 class SnapshotStore:
@@ -416,14 +436,13 @@ class SnapshotStore:
             stamp = stamps.get(snap.taken_at)
             if stamp is None:
                 stamp = stamps[snap.taken_at] = _json_str(format_utc(snap.taken_at))
-            lines.append(snap._json(stamp))
+            lines.append(stamp.join(snap._line))  # the text around the quoted taken_at
         if not lines:
             return
         try:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             with open(self.path, "a", encoding="utf-8") as fh:
-                for line in lines:
-                    fh.write(line + "\n")
+                fh.write("".join(lines))
         except OSError as exc:
             raise StoreFailure(f"cannot append to {self.path}: {exc}") from exc
 
@@ -464,11 +483,14 @@ def run_schedule(
         raise ValueError("interval must be positive")  # else the loop would never end
     due = start + interval
     ticks = 0
+    pairs = [(d, v) for d in domains for v in vantages]
+    lookups = [(v, d, t) for d, v in pairs for t in types]
+    snapshots: list[DnsSnapshot] = []
     while until is None or due <= until:
         # a sleep that ends early by the wall clock is resumed, so no tick runs before it is due
         while live and (gap := (due - datetime.now(timezone.utc)).total_seconds()) > 0:
             _time.sleep(gap)
-        snapshots = collect_snapshots(domains, vantages, types, resolver, due, delays)
+        snapshots = collect_snapshots(pairs, lookups, resolver, due, delays, snapshots)
         store.append_many(snapshots)
         kept.extend(snapshots)
         due += interval

@@ -149,10 +149,11 @@ def test_retry_contract_and_backoff():
             {"values": ["192.0.2.1"], "ttl": 300, "fail_count_before_success": fails},
         ]}})
 
-    (snap,) = dnsmon.collect_snapshots(["a.com"], [vantage], ["A"], script(4), T0, DELAYS)
+    pairs, lookups = [("a.com", vantage)], [(vantage, "a.com", "A")]
+    (snap,) = dnsmon.collect_snapshots(pairs, lookups, script(4), T0, DELAYS)
     assert snap.status == "ok" and snap.attempts == 5
 
-    (snap2,) = dnsmon.collect_snapshots(["a.com"], [vantage], ["A"], script(5), T0, DELAYS)
+    (snap2,) = dnsmon.collect_snapshots(pairs, lookups, script(5), T0, DELAYS)
     assert snap2.status == "failed" and snap2.attempts == 5
     resolver = script(5)
     (outcome,) = resolver.resolve([(vantage, "a.com", "A")], DELAYS)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import random
@@ -441,6 +442,26 @@ class TestWindowStart:
         if at.year >= 1970 and at.microsecond == 0:  # as the float timestamp bucketed it
             bucket = int(at.timestamp()) // seconds * seconds
             assert start == datetime.fromtimestamp(bucket, tz=UTC)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.data(), st.integers(1, 10**6) | st.sampled_from([86400, 10**11, 86399999999999]))
+    def test_window_index_groups_instants_as_window_start(self, data, seconds):
+        # instants near year 1, near the epoch and anywhere, with microseconds,
+        # each with neighbours a few widths, seconds or microseconds away
+        base = data.draw(st.sampled_from([datetime(1, 1, 1), datetime(1969, 12, 31, 23, 59, 59)])
+                         | st.datetimes(min_value=datetime(1, 1, 1),
+                                        max_value=datetime(9999, 12, 31, 23, 59, 59)))
+        steps = st.integers(-3, 3).map(lambda k: k * seconds * 10**6) | st.integers(-10**7, 10**7)
+        instants = []
+        for step in data.draw(st.lists(steps, min_size=1, max_size=6)):
+            with contextlib.suppress(OverflowError):  # a step past year 1 or 9999
+                instants.append((base + timedelta(microseconds=step)).replace(tzinfo=UTC))
+        window = timedelta(seconds=seconds)
+        for a in instants:
+            for b in instants:
+                starts = classifier._window_start(a, window), classifier._window_start(b, window)
+                indexes = classifier._window_index(a, seconds), classifier._window_index(b, seconds)
+                assert (indexes[0] == indexes[1]) == (starts[0] == starts[1]), (a, b)
 
 
 class TestClassify:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import errno
+import gc
 import io
 import json
 import os
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from phishlife import classifier, dnsmon, dnswire, ingest, squatgen
+from phishlife import classifier, cli, dnsmon, dnswire, ingest, squatgen
 from phishlife.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -583,6 +584,39 @@ def test_command_imports_only_its_own_modules(command, absent, tmp_path):
     assert [m for m in absent if m in modules] == []
 
 
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("argv", [
+    ["monitor", "--config", CONFIG],
+    ["ingest", "--config", CONFIG, "--min-cluster-size", "1"],  # exits 2
+    ["monitor", "--no-such-flag"],  # argparse exits
+], ids=["ok", "config-error", "usage-error"])
+def test_main_restores_the_collector_and_registers_no_exit_hook(argv, enabled, tmp_path,
+                                                                monkeypatch, capsys):
+    # the collector is off while a command runs, as the caller had it after,
+    # and only main run as the program freezes the heap at exit
+    during, hooks, load_config = [], [], cli.load_config
+    monkeypatch.setattr(cli.atexit, "register", hooks.append)
+    monkeypatch.setattr(cli, "load_config",
+                        lambda *args: during.append(gc.isenabled()) or load_config(*args))
+    (gc.enable if enabled else gc.disable)()
+    try:
+        with contextlib.suppress(SystemExit):
+            main([*argv, "--out-dir", str(tmp_path)])
+        assert gc.isenabled() == enabled
+    finally:
+        gc.enable()
+    assert hooks == [] and during == ([] if argv[1] == "--no-such-flag" else [False])
+
+
+def test_main_run_as_the_program_freezes_the_heap_at_exit(tmp_path, monkeypatch, capsys):
+    hooks = []
+    monkeypatch.setattr(cli.atexit, "register", hooks.append)
+    monkeypatch.setattr(sys, "argv", ["phishlife", "monitor", "--config", CONFIG,
+                                      "--out-dir", str(tmp_path)])
+    assert main() == 0
+    assert hooks == [gc.freeze] and gc.isenabled()
+
+
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("argv", [
     ["report", "--config", CONFIG],
@@ -790,6 +824,10 @@ def test_failed_output_write_exits_4(call, tmp_path, capsys, monkeypatch):
 MUTATED_INPUTS = [
     ("lifecycle", "timestamp_sources", "timestamp_sources.csv", b",", 3, True),
     ("ingest", "feeds", "corpus40_feed.tsv", b"\t", 4, False),
+    # the monitor's inputs; a JSON line's fields split at commas, a domain's at dots
+    ("monitor", "resolver_fixture", "resolver_fixture.json", b",", 3, False),
+    ("monitor", "vantage_config", "vantages.json", b",", 3, False),
+    ("monitor", "monitor_domains", "monitor_domains.txt", b".", 2, False),
 ]
 
 

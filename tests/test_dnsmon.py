@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 from datetime import datetime, timedelta, timezone
 
@@ -30,6 +31,14 @@ DELAYS = backoff_delays(0.5, 8.0)  # the backoff_base_ms and backoff_cap_ms defa
 V1 = VantagePoint("v1", "192.0.2.1:53", "us")
 V2 = VantagePoint("v2", "192.0.2.2:53", "eu")
 V3 = VantagePoint("v3", "192.0.2.3:53", "apac")
+
+
+def collect(domains, vantages, types, resolver, at=T0, previous=()):
+    """One tick's snapshots, from the (domain, vantage) pairs and the lookups
+    that run_schedule builds once per run."""
+    pairs = [(d, v) for d in domains for v in vantages]
+    lookups = [(v, d, t) for d, v in pairs for t in types]
+    return collect_snapshots(pairs, lookups, resolver, at, DELAYS, previous)
 
 
 def snapshot(domain, vantage, minute, rrsets, status="ok", errors=(), attempts=1):
@@ -100,14 +109,14 @@ class TestRetryContract:
         })
 
     def test_four_failures_then_success(self):
-        (snap,) = collect_snapshots(["a.com"], [V1], ["A"], self.script(4), T0, DELAYS)
+        (snap,) = collect(["a.com"], [V1], ["A"], self.script(4))
         assert snap.status == "ok"
         assert snap.attempts == 5
         assert snap.rrsets[0].values == ("192.0.2.1",)
 
     def test_five_failures_is_failed(self):
         resolver = self.script(5)
-        (snap,) = collect_snapshots(["a.com"], [V1], ["A"], resolver, T0, DELAYS)
+        (snap,) = collect(["a.com"], [V1], ["A"], resolver)
         assert snap.status == "failed"
         assert snap.attempts == 5
         assert snap.rrsets == ()
@@ -131,21 +140,21 @@ class TestRetryContract:
             "A": [{"values": ["192.0.2.1"], "ttl": 300}],
             "NS": ["servfail"],
         }})
-        (snap,) = collect_snapshots(["a.com"], [V1], ["A", "NS"], resolver, T0, DELAYS)
+        (snap,) = collect(["a.com"], [V1], ["A", "NS"], resolver)
         assert snap.status == "ok"
         assert [r.rrtype for r in snap.rrsets] == ["A"]
         assert snap.errors == ("NS:servfail",)
 
     def test_nxdomain_recorded(self):
         resolver = ScriptedResolver({})
-        (snap,) = collect_snapshots(["gone.com"], [V1], ["A"], resolver, T0, DELAYS)
+        (snap,) = collect(["gone.com"], [V1], ["A"], resolver)
         assert snap.status == "ok"
         assert snap.nxdomain
         assert snap.rrsets == ()
 
     def test_three_vantages_share_taken_at(self):
         resolver = ScriptedResolver({"a.com": {"A": [{"values": ["192.0.2.1"], "ttl": 60}]}})
-        snaps = collect_snapshots(["a.com"], [V1, V2, V3], ["A"], resolver, T0, DELAYS)
+        snaps = collect(["a.com"], [V1, V2, V3], ["A"], resolver)
         assert len(snaps) == 3
         assert {s.taken_at for s in snaps} == {T0}
         assert all(s.status == "ok" for s in snaps)
@@ -249,6 +258,29 @@ class TestSettledLookups:
         assert self.queries_per_tick(steps, len(counts)) == counts
 
 
+def test_simulated_ticks_leave_no_cyclic_garbage(tmp_path):
+    # cli.main keeps the cyclic collector off while a command runs, which
+    # frees nothing only while a tick leaves no reference cycle behind
+    resolver = ScriptedResolver({
+        "a.com": {"A": [{"values": ["192.0.2.1"], "fail_count_before_success": 6}],
+                  "NS": ["servfail"]},
+        "b.com": {"A": ["nxdomain", {"values": ["192.0.2.2"], "ttl": 60}], "TXT": []},
+        "b.com@v2": {"A": [{"values": ["192.0.2.3"], "fail_count_before_success": 2}]},
+    })
+    store, snapshots = SnapshotStore(tmp_path / "snaps.jsonl"), []
+    gc.collect()
+    gc.disable()
+    try:
+        for minute in (30, 60, 90):
+            snapshots = collect(["a.com", "b.com", "gone.com"], [V1, V2], ["A", "NS", "TXT"],
+                                resolver, T0 + timedelta(minutes=minute), snapshots)
+            store.append_many(snapshots)
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert len(store.load()) == 18
+
+
 class TestScheduler:
     RESOLVER_SCRIPT = {
         "a.com": {"A": [{"values": ["192.0.2.1"], "ttl": 60}]},
@@ -290,8 +322,8 @@ class TestScheduler:
         _, together = self.run(["a.com", "b.com"], 60, tmp_path=tmp_path)
         resolver = ScriptedResolver(self.RESOLVER_SCRIPT)
         apart = [snap for minute in (30, 60) for domain in ("a.com", "b.com")
-                 for snap in collect_snapshots([domain], [V1, V2], ["A"], resolver,
-                                               T0 + timedelta(minutes=minute), DELAYS)]
+                 for snap in collect([domain], [V1, V2], ["A"], resolver,
+                                     T0 + timedelta(minutes=minute))]
         assert together == apart
 
     def test_ticks_fall_at_start_plus_multiples_of_the_interval(self, tmp_path):

@@ -3,7 +3,8 @@
 Each oracle is the simple form the module had before its per-attempt and
 per-snapshot costs were cut: a snapshot line through ``json.dumps``, a
 replay that raises each query error, looks its state up in three dicts and
-keeps no settled outcome, and a change detection that sorts each
+keeps no settled outcome, a snapshot built afresh at every tick, TTL
+statistics through ``statistics``, and a change detection that sorts each
 snapshot's values once per diff.
 """
 
@@ -11,14 +12,15 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import statistics
 from datetime import datetime, timedelta, timezone
 
 from hypothesis import example, given, settings, strategies as st
 
 from phishlife import dnsmon
 from phishlife.dnsmon import (
-    MAX_TTL, RRTYPES, DnsSnapshot, NxDomain, QueryTimeout, RecordChange,
-    RrSet, ScriptedResolver, ServerFailure, SnapshotStore, VantagePoint,
+    MAX_TTL, RRTYPES, DnsSnapshot, DomainTtl, NoObservations, NxDomain, QueryTimeout,
+    RecordChange, RrSet, ScriptedResolver, ServerFailure, SnapshotStore, TtlSummary, VantagePoint,
 )
 from phishlife.timeutil import format_utc
 
@@ -96,6 +98,36 @@ class OracleResolver:
         self._cursor[key] = idx + 1
         self._fails[key] = 0
         return rrset
+
+
+def oracle_snapshot(domain, vantage, taken_at, outcomes):
+    """A (domain, vantage) snapshot built from its rrtypes' outcomes alone."""
+    errors = tuple(o.error for o in outcomes if o.error is not None)
+    return DnsSnapshot(
+        domain, vantage.id, taken_at,
+        rrsets=tuple(o.rrset for o in outcomes if o.rrset is not None),
+        status=dnsmon.STATUS_OK if len(errors) < len(outcomes) else dnsmon.STATUS_FAILED,
+        attempts=max([1, *(o.attempts for o in outcomes)]),
+        errors=errors,
+        nxdomain=any(o.nxdomain for o in outcomes),
+    )
+
+
+def oracle_ttl_stats(snapshots):
+    ttls: dict = {}
+    for snap in snapshots:
+        if snap.status == dnsmon.STATUS_OK:
+            for rrset in snap.rrsets:
+                ttls.setdefault(snap.registrable, []).append(rrset.ttl)
+    if not ttls:
+        return None
+    per_domain = tuple(DomainTtl(d, len(t), min(t), float(statistics.median_low(t)),
+                                 statistics.fmean(t)) for d, t in sorted(ttls.items()))
+    lows = [d.min_ttl for d in per_domain]
+    medians = [d.median_ttl for d in per_domain]
+    return TtlSummary(per_domain, sum(low < 60 for low in lows), sum(low < 3600 for low in lows),
+                      sum(low > 43200 for low in lows), sum(43200 < low < 86400 for low in lows),
+                      float(statistics.median_low(medians)), statistics.fmean(medians))
 
 
 def _oracle_values_by_type(snapshot):
@@ -234,6 +266,64 @@ def test_scripted_replay_equals_oracle(script, ticks):
 def comparable(result):
     """An attempt's result; an error as its type and message, which is what it says."""
     return (type(result), str(result)) if isinstance(result, Exception) else result
+
+
+class BetweenTicks:
+    """A resolver around another that makes one direct attempt after tick
+    ``direct[0]`` and, if ``fresh``, hands out equal copies of each outcome,
+    as a live resolver's are new objects at every tick."""
+
+    def __init__(self, inner, attempt, direct, fresh):
+        self.inner, self.attempt, self.direct, self.fresh = inner, attempt, direct, fresh
+        self.ticks = 0
+
+    def resolve(self, lookups, delays):
+        outcomes = self.inner.resolve(lookups, delays)
+        if self.direct is not None and self.direct[0] == self.ticks:
+            self.attempt(*self.direct[1])
+        self.ticks += 1
+        if self.fresh:
+            outcomes = [o._replace(rrset=r and RrSet(r.rrtype, r.values, r.ttl))
+                        for o in outcomes for r in [o.rrset]]
+        return outcomes
+
+
+@BOUNDED
+@given(SCRIPT, st.integers(1, 5),
+       st.none() | st.tuples(st.integers(0, 3), st.sampled_from(ALL_LOOKUPS)), st.booleans())
+@example({"a.com": {"A": [{"values": ["x"], "fail_count_before_success": 6}],
+                    "NS": [{"values": ["y"], "ttl": 5}, {"values": ["y"], "ttl": 7}]},
+          "b.com@v1": {"TXT": ["servfail", {"values": ["z"], "fail_count_before_success": 1}]}},
+         4, (1, (VANTAGES[0], "b.com", "TXT")), False)
+def test_run_schedule_writes_each_tick_as_built_afresh(tmp_path_factory, script, ticks, direct,
+                                                       fresh):
+    # a snapshot retaken from the last tick equals one built from the tick's
+    # outcomes, in the store, in what is kept and in the analyses
+    path = tmp_path_factory.getbasetemp() / "schedule.jsonl"
+    path.unlink(missing_ok=True)
+    resolver = ScriptedResolver(script)
+    oracle = OracleResolver(script)
+    delays, interval, kept = dnsmon.backoff_delays(0.5, 8.0), timedelta(minutes=30), []
+    assert dnsmon.run_schedule(DOMAINS, VANTAGES, TYPES, delays,
+                               BetweenTicks(resolver, resolver.query, direct, fresh),
+                               SnapshotStore(path), T0, interval, T0 + ticks * interval, kept,
+                               False) == ticks
+
+    oracle = BetweenTicks(oracle, oracle._attempt, direct, False)
+    pairs = [(d, v) for d in DOMAINS for v in VANTAGES]
+    expected = []
+    for tick in range(1, ticks + 1):
+        outcomes = oracle.resolve([(v, d, t) for d, v in pairs for t in TYPES], delays)
+        expected += [oracle_snapshot(d, v, T0 + tick * interval, outcomes[k * 3:k * 3 + 3])
+                     for k, (d, v) in enumerate(pairs)]
+    assert path.read_text(encoding="utf-8") == "".join(oracle_to_json(s) + "\n" for s in expected)
+    assert kept == expected
+    assert dnsmon.detect_changes(kept) == oracle_detect_changes(expected)
+    try:
+        summary = dnsmon.ttl_stats(kept)
+    except NoObservations:
+        summary = None
+    assert summary == oracle_ttl_stats(expected)
 
 
 # ------------------------------------------------------------------ change detection

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 import selectors
 import socket
@@ -424,6 +425,26 @@ class TestLiveTick:
         }
         assert asked["silent.example"] == 5
         assert sockets == {"open": 0, "peak": 3}  # the window filled, and held
+
+    def test_tick_leaves_no_cyclic_garbage(self, tmp_path):
+        # cli.main keeps the cyclic collector off while a command runs, which
+        # frees nothing only while a live tick, with its timeouts, malformed
+        # replies and TCP fallback, leaves no reference cycle behind
+        with LoopbackServer(on_udp=planted(Counter()),
+                            on_tcp=lambda q: a_reply(q, ANSWERS["tc.example"])) as server:
+            gc.collect()
+            gc.disable()
+            try:
+                start = datetime.now(timezone.utc)
+                ticks = run_schedule(sorted(ANSWERS), [server.vantage], ("A",),
+                                     dnsmon.backoff_delays(0.01, 0.02), UdpResolver(timeout=0.2),
+                                     SnapshotStore(tmp_path / "snaps.jsonl"), start,
+                                     timedelta(milliseconds=10), start + timedelta(milliseconds=15),
+                                     [], True)
+                assert gc.collect() == 0
+            finally:
+                gc.enable()
+        assert ticks == 1
 
     def test_backoff_waited_between_attempts(self):
         arrivals = []  # when each datagram reached the server
