@@ -65,7 +65,10 @@ class VantagePoint:
         return parse_resolver_address(self.resolver_address)
 
 
-@dataclass(frozen=True, slots=True)
+# not frozen, as a frozen __init__ sets each field through object.__setattr__
+# and a fixture compiles one per scripted step; no rrset is changed once made,
+# and nothing in src/ hashes an RrSet or an Outcome that holds one
+@dataclass(slots=True)
 class RrSet:
     rrtype: str
     values: tuple[str, ...]
@@ -85,9 +88,9 @@ class RrSet:
         """The rrset as ``json.dumps(..., sort_keys=True)`` writes it, made once per rrset."""
         text = self._json_text
         if text is None:
-            text = (f'{{"rrtype": {_json_str(self.rrtype)}, "ttl": {self.ttl}, '
-                    f'"values": [{", ".join(map(_json_str, self.values))}]}}')
-            object.__setattr__(self, "_json_text", text)  # a cache, not a value of the rrset
+            text = self._json_text = (
+                f'{{"rrtype": {_json_str(self.rrtype)}, "ttl": {self.ttl}, '
+                f'"values": [{", ".join(map(_json_str, self.values))}]}}')
         return text
 
 

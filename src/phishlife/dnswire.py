@@ -8,7 +8,10 @@ UDP socket, so every query leaves from its own source port (RFC 5452
 section 9.2). Each attempt has one deadline, which also covers the
 non-blocking TCP exchange it falls back to when a reply is truncated. The
 backoff between attempts runs as timers on the monotonic clock, and
-``dnsmon.settle`` decides what is retried.
+``dnsmon.settle`` decides what is retried. A resolver keeps what one
+``resolve`` learned for the next: lookups that were retried or answered
+over TCP start first, and one answered over TCP starts over TCP (RFC 7766
+section 5); its retries go UDP first.
 
 A reply is accepted only from the resolver's address and only if it
 carries the query's id and question (RFC 5452 section 9.1); other
@@ -29,7 +32,7 @@ import socket
 import struct
 import time
 from collections import deque
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Container, Iterator, Optional, Sequence
 
 from .dnsmon import (
     MAX_TTL, AttemptResult, Lookup, NxDomain, Outcome, QueryTimeout, RrSet,
@@ -193,44 +196,69 @@ class UdpResolver:
 
     def __init__(self, timeout: float = 3.0):
         self.timeout = timeout
+        # what the last resolve learned: (vantage id, domain, rrtype) of each
+        # slow lookup -> whether its answer came over TCP
+        self._slow: dict[tuple[str, str, str], bool] = {}
 
     def query(self, vantage: VantagePoint, domain: str, rrtype: str) -> Optional[RrSet]:
         """One attempt: the rrset, None for an empty answer, or a raised query error."""
         results: list[AttemptResult] = []
-        self._run([(vantage, domain, rrtype)], lambda i, number, result: results.append(result))
+        self._run([(vantage, domain, rrtype)],
+                  lambda i, number, result, tcp: results.append(result), [0], ())
         if isinstance(results[0], Exception):
             raise results[0]
         return results[0]
 
     def resolve(self, lookups: Sequence[Lookup], delays: Sequence[float]) -> list[Outcome]:
-        """Each lookup's outcome, all on one loop; the backoff runs on its timers."""
+        """Each lookup's outcome, all on one loop; the backoff runs on its timers.
+
+        A lookup that was slow in the last call, retried or answered over
+        TCP, starts before the others, each group in the given order (longest
+        job first, Graham 1969); one answered over TCP starts over TCP (RFC
+        7766 section 5). Outcomes come back in the given order.
+        """
         outcomes: list[Optional[Outcome]] = [None] * len(lookups)
+        keys = [(vantage.id, domain, rrtype) for vantage, domain, rrtype in lookups]
+        slow = self._slow
+        learned: dict[tuple[str, str, str], bool] = {}
+        order = sorted(range(len(keys)), key=lambda i: keys[i] not in slow)  # a stable sort
+        tcp_first = {i for i, key in enumerate(keys) if slow.get(key)}
 
-        def done(i: int, number: int, result: AttemptResult) -> Optional[float]:
+        def done(i: int, number: int, result: AttemptResult, tcp: bool) -> Optional[float]:
             outcomes[i] = settle(lookups[i][2], number, result)
-            return None if outcomes[i] else delays[number - 1]
+            if outcomes[i] is None:
+                return delays[number - 1]
+            if tcp or number > 1:
+                learned[keys[i]] = tcp
+            return None
 
-        self._run(lookups, done)
+        self._run(lookups, done, order, tcp_first)
+        self._slow = learned
         return outcomes  # type: ignore[return-value]  # every lookup has settled
 
     def _run(self, lookups: Sequence[Lookup],
-             done: Callable[[int, int, AttemptResult], Optional[float]]) -> None:
+             done: Callable[[int, int, AttemptResult, bool], Optional[float]],
+             order: Sequence[int], tcp_first: Container[int]) -> None:
         """Run the lookups' attempts on one selector loop until each is done.
 
-        ``done(i, number, result)`` receives the result of attempt ``number``
-        of lookup i and returns the delay before its next attempt, or None
-        when the lookup is finished.
+        First attempts start in ``order``; that of a lookup in ``tcp_first``
+        goes over TCP. ``done(i, number, result, tcp)`` receives the result of
+        attempt ``number`` of lookup i, and whether its reply came over TCP,
+        and returns the delay before the next attempt, or None when the
+        lookup is finished.
         """
-        ready = deque((i, 1) for i in range(len(lookups)))  # (lookup, attempt) to start
+        ready = deque((i, 1) for i in order)  # (lookup, attempt) to start
         timers: list[tuple[float, int, int]] = []  # (due, lookup, attempt) in backoff
         flight: deque[_Attempt] = deque()  # in start order, so deadlines ascend
 
         def advance(att: _Attempt) -> None:
             vantage, domain, rrtype = lookups[att.index]
+            tcp = False
             try:
                 att.sock, event = next(att.steps)
             except StopIteration as stop:
-                result = _read_answer(domain, rrtype, *stop.value)
+                rcode, answers, tcp = stop.value
+                result = _read_answer(domain, rrtype, rcode, answers)
             except OSError as exc:
                 result = ServerFailure(f"{domain}/{rrtype} via {vantage.id}: {exc}")
             except ValueError as exc:  # a malformed reply is retried like SERVFAIL
@@ -240,10 +268,10 @@ class UdpResolver:
                 sel.register(att.sock, event, att)
                 return
             att.sock = None
-            end(att, result)
+            end(att, result, tcp)
 
-        def end(att: _Attempt, result: AttemptResult) -> None:
-            delay = done(att.index, att.number, result)
+        def end(att: _Attempt, result: AttemptResult, tcp: bool) -> None:
+            delay = done(att.index, att.number, result, tcp)
             if delay is not None:
                 heapq.heappush(timers, (time.monotonic() + delay, att.index, att.number + 1))
 
@@ -257,8 +285,9 @@ class UdpResolver:
                         i, number = ready.popleft()
                         vantage, domain, rrtype = lookups[i]
                         request = build_query(domain, rrtype, int.from_bytes(os.urandom(2), "big"))
-                        att = _Attempt(i, number, self._exchange(request, vantage.address),
-                                       now + self.timeout)
+                        steps = self._exchange(request, vantage.address,
+                                               number == 1 and i in tcp_first)
+                        att = _Attempt(i, number, steps, now + self.timeout)
                         flight.append(att)
                         advance(att)
                     while flight and (flight[0].sock is None or flight[0].deadline <= now):
@@ -268,7 +297,7 @@ class UdpResolver:
                             att.sock = None
                             att.steps.close()
                             vantage, domain, rrtype = lookups[att.index]
-                            end(att, QueryTimeout(f"{domain}/{rrtype} via {vantage.id}"))
+                            end(att, QueryTimeout(f"{domain}/{rrtype} via {vantage.id}"), False)
                     wake = min(timers[0][0] if timers else math.inf,
                                flight[0].deadline if flight else math.inf)
                     if wake == math.inf:  # nothing waits: every lookup is done
@@ -280,25 +309,27 @@ class UdpResolver:
                 for att in flight:
                     att.steps.close()
 
-    def _exchange(self, request: bytes, address: tuple[str, int]) -> Exchange:
-        """One attempt over UDP, then TCP if the reply is truncated; returns (rcode, answers)."""
-        with socket.socket(_family(address[0]), socket.SOCK_DGRAM) as sock:
-            sock.setblocking(False)
-            # connect() makes the kernel drop datagrams from any other source
-            sock.connect(address)
-            sock.send(request)
-            reply = b""
-            while not _is_reply_to(request, reply):
-                yield sock, selectors.EVENT_READ
-                reply = sock.recv(4096)
-        rcode, truncated, answers = parse_response(reply)
-        if truncated:
+    def _exchange(self, request: bytes, address: tuple[str, int], tcp: bool) -> Exchange:
+        """One attempt over UDP, then TCP if the reply is truncated, or over TCP
+        alone if ``tcp``; returns (rcode, answers, whether the reply came over TCP)."""
+        if not tcp:
+            with socket.socket(_family(address[0]), socket.SOCK_DGRAM) as sock:
+                sock.setblocking(False)
+                # connect() makes the kernel drop datagrams from any other source
+                sock.connect(address)
+                sock.send(request)
+                reply = b""
+                while not _is_reply_to(request, reply):
+                    yield sock, selectors.EVENT_READ
+                    reply = sock.recv(4096)
+            rcode, tcp, answers = parse_response(reply)
+        if tcp:
             reply = yield from self._exchange_tcp(request, address)
             rcode, _, answers = parse_response(reply)
-        return rcode, answers
+        return rcode, answers, tcp
 
     def _exchange_tcp(self, request: bytes, address: tuple[str, int]) -> Exchange:
-        """The exchange over TCP that follows a truncated reply; returns the reply."""
+        """The exchange over TCP, after a truncated reply or in its place; returns the reply."""
         with socket.socket(_family(address[0]), socket.SOCK_STREAM) as sock:
             sock.setblocking(False)
             error = sock.connect_ex(address)

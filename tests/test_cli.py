@@ -828,18 +828,53 @@ MUTATED_INPUTS = [
     ("monitor", "resolver_fixture", "resolver_fixture.json", b",", 3, False),
     ("monitor", "vantage_config", "vantages.json", b",", 3, False),
     ("monitor", "monitor_domains", "monitor_domains.txt", b".", 2, False),
+    # classify's reference data; a suffix rule's fields split at dots, and a word is one field
+    ("classify", "suffix_rules", "suffixes.dat", b".", 2, False),
+    ("classify", "allowlist", "allowlist.csv", b",", 2, False),
+    ("classify", "brand_catalog", "brands.csv", b",", 3, True),
+    ("classify", "word_list", "words.txt", b",", 1, False),
+    ("classify", "registration_log", "registration_log.csv", b",", 3, True),
 ]
+
+# what a JSON value's type is swapped for: one value of each JSON type
+JSON_VALUES = [None, True, 7, 2.5, "x", [], {}]
+
+
+def json_values(value, path=()):
+    """(path, value) of every value in a loaded JSON document, the root's first."""
+    yield path, value
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        yield from json_values(item, (*path, key))
+
+
+def json_replaced(doc, path, new):
+    """``doc`` with the value at ``path`` replaced by ``new``."""
+    if not path:
+        return new
+    doc[path[0]] = json_replaced(doc[path[0]], path[1:], new)
+    return doc
 
 
 @st.composite
-def mutated(draw, data: bytes, sep: bytes, fields: int, header: bool) -> bytes:
+def mutated(draw, data: bytes, sep: bytes, fields: int, header: bool, is_json: bool) -> bytes:
     """``data`` with one drawn mutation.
 
     A feed has no header row, so swapping two header names swaps those two
-    fields on every line, which is what a swapped header would mean.
+    fields on every line, which is what a swapped header would mean. A JSON
+    document may also have one value swapped for a value of another type,
+    or one array or object emptied.
     """
-    kind = draw(st.sampled_from(["truncate", "non_utf8", "nul", "drop_column", "crlf",
-                                 "swap_header"]))
+    kind = draw(st.sampled_from(["truncate", "non_utf8", "nul", "drop_column", "crlf"]
+                                + ["swap_header"] * (fields > 1) + ["type_swap", "empty"] * is_json))
+    if kind in ("type_swap", "empty"):
+        doc = json.loads(data)
+        path, old = draw(st.sampled_from([
+            (path, value) for path, value in json_values(doc)
+            if kind == "type_swap" or isinstance(value, (list, dict)) and value]))
+        new = (draw(st.sampled_from([v for v in JSON_VALUES if type(v) is not type(old)]))
+               if kind == "type_swap" else type(old)())
+        return json.dumps(json_replaced(doc, path, new)).encode()
     at = draw(st.integers(0, len(data)))
     if kind == "truncate":
         return data[:at]
@@ -861,13 +896,17 @@ def mutated(draw, data: bytes, sep: bytes, fields: int, header: bool) -> bytes:
 
 @pytest.mark.parametrize("command,key,name,sep,fields,header", MUTATED_INPUTS,
                          ids=[m[2] for m in MUTATED_INPUTS])
-def test_mutated_input_keeps_exit_code_contract(command, key, name, sep, fields, header):
+def test_mutated_input_keeps_exit_code_contract(command, key, name, sep, fields, header,
+                                                monkeypatch):
     # each example runs main in-process: it returns 0, 2 or 3, writes at
-    # most one stderr line and lets no exception out
+    # most one stderr line and lets no exception out. Outputs are not
+    # fsynced: removing fsynced files took about 0.3 s an example on ext4,
+    # and what this test checks does not depend on durability.
+    monkeypatch.setattr(os, "fsync", lambda fd: None)
     data = (DATA / name).read_bytes()
 
     @settings(max_examples=40, derandomize=True, deadline=None)
-    @given(mutated(data, sep, fields, header))
+    @given(mutated(data, sep, fields, header, name.endswith(".json")))
     def check(text):
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)

@@ -11,11 +11,12 @@ from collections import Counter
 from datetime import datetime, timedelta, timezone
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from phishlife import dnsmon, dnswire
 from phishlife.dnsmon import (
-    QueryTimeout, ServerFailure, SnapshotStore, VantagePoint, parse_resolver_address, run_schedule,
+    QueryTimeout, ScriptedResolver, ServerFailure, SnapshotStore, VantagePoint,
+    parse_resolver_address, run_schedule,
 )
 from phishlife.dnswire import (
     TYPE_CODES,
@@ -240,12 +241,14 @@ class LoopbackServer:
     """A DNS server on one loopback port, over UDP and TCP, on a thread.
 
     ``on_udp(query)`` gives the datagrams sent back for a UDP query, and
-    ``on_tcp(query)`` the reply to a TCP query. Use as a context manager;
-    on exit the thread must have stopped.
+    ``on_tcp(query)`` the reply to a TCP query: ``b""`` closes the connection
+    unanswered, and None leaves it open unanswered until the server stops.
+    Use as a context manager; on exit the thread must have stopped.
     """
 
-    def __init__(self, on_udp, on_tcp=None, host="127.0.0.1"):
+    def __init__(self, on_udp, on_tcp=None, host="127.0.0.1", vantage_id="v1"):
         self.on_udp, self.on_tcp = on_udp, on_tcp
+        self.held: list[socket.socket] = []  # connections left open unanswered
         family = socket.AF_INET6 if ":" in host else socket.AF_INET
         for _ in range(20):  # a UDP port whose TCP twin is also free
             self.udp = socket.socket(family, socket.SOCK_DGRAM)
@@ -261,7 +264,7 @@ class LoopbackServer:
         else:
             raise OSError("no port free for both UDP and TCP")
         self.tcp.listen(16)
-        self.vantage = VantagePoint(id="v1", region_label="", resolver_address=(
+        self.vantage = VantagePoint(id=vantage_id, region_label="", resolver_address=(
             f"[{host}]:{self.port}" if family == socket.AF_INET6 else f"{host}:{self.port}"))
         self._stop = threading.Event()
         self._thread = threading.Thread(target=self._serve, daemon=True)
@@ -275,7 +278,13 @@ class LoopbackServer:
         self._thread.join(5)
         self.udp.close()
         self.tcp.close()
+        self.release()
         assert not self._thread.is_alive()
+
+    def release(self) -> None:
+        """Close the connections left open unanswered."""
+        while self.held:
+            self.held.pop().close()
 
     def _serve(self) -> None:
         with selectors.DefaultSelector() as sel:
@@ -292,13 +301,21 @@ class LoopbackServer:
 
     def _answer_tcp(self) -> None:
         conn, _ = self.tcp.accept()
+        conn.settimeout(5)
+        data = b""
+        while len(data) < 2 or len(data) < 2 + struct.unpack("!H", data[:2])[0]:
+            chunk = conn.recv(4096)
+            if not chunk:  # the client gave up before its query was whole
+                conn.close()
+                return
+            data += chunk
+        reply = self.on_tcp(data[2:])
+        if reply is None:
+            self.held.append(conn)
+            return
         with conn:
-            conn.settimeout(5)
-            data = b""
-            while len(data) < 2 or len(data) < 2 + struct.unpack("!H", data[:2])[0]:
-                data += conn.recv(4096)
-            reply = self.on_tcp(data[2:])
-            conn.sendall(struct.pack("!H", len(reply)) + reply)
+            if reply:
+                conn.sendall(struct.pack("!H", len(reply)) + reply)
 
 
 class TestLoopback:
@@ -429,7 +446,8 @@ class TestLiveTick:
     def test_tick_leaves_no_cyclic_garbage(self, tmp_path):
         # cli.main keeps the cyclic collector off while a command runs, which
         # frees nothing only while a live tick, with its timeouts, malformed
-        # replies and TCP fallback, leaves no reference cycle behind
+        # replies and TCP fallback, leaves no reference cycle behind; the
+        # second tick also runs what the first one learned
         with LoopbackServer(on_udp=planted(Counter()),
                             on_tcp=lambda q: a_reply(q, ANSWERS["tc.example"])) as server:
             gc.collect()
@@ -439,12 +457,12 @@ class TestLiveTick:
                 ticks = run_schedule(sorted(ANSWERS), [server.vantage], ("A",),
                                      dnsmon.backoff_delays(0.01, 0.02), UdpResolver(timeout=0.2),
                                      SnapshotStore(tmp_path / "snaps.jsonl"), start,
-                                     timedelta(milliseconds=10), start + timedelta(milliseconds=15),
+                                     timedelta(milliseconds=10), start + timedelta(milliseconds=25),
                                      [], True)
                 assert gc.collect() == 0
             finally:
                 gc.enable()
-        assert ticks == 1
+        assert ticks == 2
 
     def test_backoff_waited_between_attempts(self):
         arrivals = []  # when each datagram reached the server
@@ -483,3 +501,234 @@ class TestLiveTick:
         # servfail.example takes a second attempt from each vantage
         assert [o.attempts for o in outcomes] == [2, 1, 2, 1]
         assert parsed == {v.resolver_address: 1 for v in vantages}
+
+
+class Recorded:
+    """The planted handlers, recording each query's (transport, name) as it arrives."""
+
+    def __init__(self, on_tcp=None):
+        self.arrivals: list[tuple[str, str]] = []
+        self._udp, self._tcp = planted(Counter()), on_tcp or (lambda q: a_reply(q, ANSWERS["tc.example"]))
+
+    def on_udp(self, query: bytes) -> list[bytes]:
+        self.arrivals.append(("udp", decode_name(query, 12)[0]))
+        return self._udp(query)
+
+    def on_tcp(self, query: bytes) -> bytes:
+        self.arrivals.append(("tcp", decode_name(query, 12)[0]))
+        return self._tcp(query)
+
+    def take(self) -> list[tuple[str, str]]:
+        """The arrivals since the last take."""
+        taken, self.arrivals = self.arrivals, []
+        return taken
+
+
+class TestLearnedFromLastCall:
+    """What one resolve learns and the next uses: slow lookups start first,
+    and one whose answer came over TCP starts over TCP."""
+
+    def test_truncated_name_skips_udp_in_the_next_call(self):
+        recorded = Recorded()
+        with LoopbackServer(on_udp=recorded.on_udp, on_tcp=recorded.on_tcp) as server:
+            lookups = [(server.vantage, name, "A") for name in ("plain.example", "tc.example")]
+            resolver = UdpResolver(timeout=5)
+            first = resolver.resolve(lookups, [0.01] * 4)
+            assert sorted(recorded.take()) == [("tcp", "tc.example"), ("udp", "plain.example"),
+                                               ("udp", "tc.example")]
+            second = resolver.resolve(lookups, [0.01] * 4)
+            assert sorted(recorded.take()) == [("tcp", "tc.example"), ("udp", "plain.example")]
+        assert second == first
+        assert first[1].rrset.values == (ANSWERS["tc.example"],) and first[1].attempts == 1
+
+    def test_slow_names_reach_the_server_first_in_the_next_call(self, monkeypatch):
+        monkeypatch.setattr(dnswire, "WINDOW", 1)  # one attempt at a time, so arrivals are ordered
+        names = ["plain.example", "servfail.example", "wrongqid.example", "tc.example",
+                 "garbage.example"]
+        recorded = Recorded()
+        with LoopbackServer(on_udp=recorded.on_udp, on_tcp=recorded.on_tcp) as server:
+            lookups = [(server.vantage, name, "A") for name in names]
+            resolver = UdpResolver(timeout=5)
+            first = resolver.resolve(lookups, [0.0] * 4)
+            first_order = list(dict.fromkeys(name for _, name in recorded.take()))
+            second = resolver.resolve(lookups, [0.0] * 4)
+            second_order = list(dict.fromkeys(name for _, name in recorded.take()))
+        assert first_order == names
+        # retried (SERVFAIL, malformed reply) or answered over TCP, in the given order
+        assert second_order == ["servfail.example", "tc.example", "garbage.example",
+                                "plain.example", "wrongqid.example"]
+        assert [o.attempts for o in first] == [1, 2, 1, 1, 2]
+        assert [o.attempts for o in second] == [1, 1, 1, 1, 1]  # the planted failures come once
+        assert [o.rrset.values for o in second] == [o.rrset.values for o in first]
+
+    def test_failed_tcp_first_attempt_retries_over_udp(self):
+        answered = iter([True, False, True])  # the second TCP query is closed unanswered
+        recorded = Recorded(on_tcp=lambda q: a_reply(q, ANSWERS["tc.example"]) if next(answered) else b"")
+        with LoopbackServer(on_udp=recorded.on_udp, on_tcp=recorded.on_tcp) as server:
+            lookups = [(server.vantage, "tc.example", "A")]
+            resolver = UdpResolver(timeout=5)
+            (first,) = resolver.resolve(lookups, [0.01] * 4)
+            recorded.take()
+            (second,) = resolver.resolve(lookups, [0.01] * 4)
+            arrivals = recorded.take()
+        # as an attempt that fails today: retried after the backoff, UDP first
+        assert arrivals == [("tcp", "tc.example"), ("udp", "tc.example"), ("tcp", "tc.example")]
+        assert second.attempts == 2 and second.rrset == first.rrset and second.error is None
+
+    def test_query_neither_reads_nor_writes_what_resolve_learned(self):
+        recorded = Recorded()
+        with LoopbackServer(on_udp=recorded.on_udp, on_tcp=recorded.on_tcp) as server:
+            lookups = [(server.vantage, "tc.example", "A")]
+            resolver = UdpResolver(timeout=5)
+            resolver.resolve(lookups, [0.01] * 4)
+            recorded.take()
+            assert resolver.query(server.vantage, "tc.example", "A").values == ("192.0.2.4",)
+            assert recorded.take() == [("udp", "tc.example"), ("tcp", "tc.example")]
+
+            fresh = UdpResolver(timeout=5)
+            fresh.query(server.vantage, "tc.example", "A")
+            recorded.take()
+            fresh.resolve(lookups, [0.01] * 4)
+            assert recorded.take() == [("udp", "tc.example"), ("tcp", "tc.example")]
+
+
+# ------------------------------------------------ live against scripted resolution
+
+WIRE_TYPES = ("A", "AAAA", "NS", "MX", "TXT")
+HOSTS = st.lists(st.text("abcxyz", min_size=1, max_size=6), min_size=1, max_size=3).map(".".join)
+# each rrtype's values as the wire carries them, so a decoded value is the scripted one
+WIRE_VALUES = {
+    "A": st.integers(0, 2**32 - 1).map(lambda n: socket.inet_ntop(socket.AF_INET, n.to_bytes(4, "big"))),
+    "AAAA": st.integers(0, 2**128 - 1).map(
+        lambda n: socket.inet_ntop(socket.AF_INET6, n.to_bytes(16, "big"))),
+    "NS": HOSTS,
+    "MX": st.builds("{} {}".format, st.integers(0, 0xFFFF), HOSTS),
+    "TXT": st.text("abc xyz.-019", max_size=12),
+}
+
+
+def wire_steps(rrtype: str):
+    answer = st.fixed_dictionaries({
+        "values": st.lists(WIRE_VALUES[rrtype], max_size=3),
+        "ttl": st.integers(0, dnsmon.MAX_TTL),
+        "fail_count_before_success": st.integers(0, 4),
+    })
+    other = st.sampled_from(["nxdomain", "servfail"])
+    return st.lists(st.one_of(answer, answer, other), min_size=1, max_size=3)
+
+
+@st.composite
+def two_ticks(draw):
+    """(script, lookups as (vantage id, domain, rrtype), keys truncated over UDP)."""
+    domains = draw(st.lists(st.sampled_from(["a.example", "b.example", "absent.example"]),
+                            min_size=1, max_size=3, unique=True))
+    types = draw(st.lists(st.sampled_from(WIRE_TYPES), min_size=1, max_size=2, unique=True))
+    entry = st.fixed_dictionaries({}, optional={t: wire_steps(t) for t in types})
+    script = {}
+    for domain in domains:
+        if domain != "absent.example":
+            script[domain] = draw(entry)
+        for vid in ("v1", "v2"):
+            if draw(st.integers(0, 3)) == 0:  # an override, perhaps an empty one
+                script[f"{domain}@{vid}"] = draw(entry)
+    lookups = draw(st.permutations([(vid, d, t) for d in domains for vid in ("v1", "v2")
+                                    for t in types]))
+    return script, lookups, draw(st.sets(st.sampled_from(lookups), max_size=3))
+
+
+def wire_rdata(rrtype: str, value: str) -> bytes:
+    if rrtype in ("A", "AAAA"):
+        return socket.inet_pton(socket.AF_INET if rrtype == "A" else socket.AF_INET6, value)
+    if rrtype == "MX":
+        pref, host = value.split(" ")
+        return struct.pack("!H", int(pref)) + encode_name(host)
+    if rrtype == "NS":
+        return encode_name(value)
+    return bytes([len(value)]) + value.encode("ascii")
+
+
+def scripted_reply(query: bytes, result):
+    """The reply that carries one scripted attempt's result; None for a timeout."""
+    if isinstance(result, QueryTimeout):
+        return None
+    qid = struct.unpack("!H", query[:2])[0]
+    flags = {ServerFailure: 0x8182, dnsmon.NxDomain: 0x8183}.get(type(result), 0x8180)
+    answers = [] if not isinstance(result, dnsmon.RrSet) else [
+        rr(b"\xc0\x0c", TYPE_CODES[result.rrtype], result.ttl, wire_rdata(result.rrtype, value))
+        for value in result.values]
+    return header(qid=qid, flags=flags, an=len(answers)) + query[12:] + b"".join(answers)
+
+
+class ScriptedServer(LoopbackServer):
+    """A loopback server that answers each attempt as ``ScriptedResolver.query`` would.
+
+    A key in ``truncated`` answers TC over UDP without reading the script,
+    and reads it over TCP, so a TCP-first attempt and a fallback after TC
+    take the same step.
+    """
+
+    def __init__(self, vantage_id: str):
+        super().__init__(on_udp=self._on_udp, on_tcp=self._on_tcp, vantage_id=vantage_id)
+        self.script, self.truncated = ScriptedResolver({}), frozenset()
+
+    def _key(self, query: bytes) -> tuple[str, str, str]:
+        name, end = decode_name(query, 12)
+        return self.vantage.id, name, dnswire.CODE_TYPES[struct.unpack("!H", query[end:end + 2])[0]]
+
+    def _attempt(self, query: bytes, key: tuple[str, str, str]):
+        return scripted_reply(query, self.script.query(self.vantage, key[1], key[2]))
+
+    def _on_udp(self, query: bytes) -> list[bytes]:
+        key = self._key(query)
+        if key in self.truncated:
+            return [truncated(query)]
+        reply = self._attempt(query, key)
+        return [] if reply is None else [reply]
+
+    def _on_tcp(self, query: bytes):
+        return self._attempt(query, self._key(query))
+
+
+# fast examples first: each planted fault fails one of them, and none retries a
+# sticky SERVFAIL, which a retry that keeps its attempt number would never end
+ORACLE_EXAMPLES = [
+    ({"a.example": {"A": [{"values": ["192.0.2.1", "192.0.2.2"], "ttl": 60}]},
+      "a.example@v2": {"A": [{"values": ["192.0.2.3"], "ttl": 30, "fail_count_before_success": 1}]},
+      "b.example": {"A": [{"values": ["192.0.2.4"], "ttl": 90}, "nxdomain"]}},
+     [("v1", "a.example", "A"), ("v2", "a.example", "A"), ("v1", "b.example", "A")],
+     {("v1", "b.example", "A")}),
+    ({"a.example": {"MX": ["servfail"]}, "a.example@v2": {"MX": [{"values": ["10 mx.a"]}]}},
+     [("v1", "a.example", "MX"), ("v2", "a.example", "MX")], set()),
+]
+
+
+class TestLiveAgreesWithScripted:
+    """Differential oracle: over two ticks on one resolver, ``UdpResolver``
+    against loopback servers that replay a script gives, outcome for outcome,
+    what a fresh ``ScriptedResolver`` of that script gives."""
+
+    def test_two_ticks_agree(self):
+        delays = [0.0] * (dnsmon.MAX_ATTEMPTS - 1)
+        with ScriptedServer("v1") as one, ScriptedServer("v2") as two:
+            vantages = {"v1": one.vantage, "v2": two.vantage}
+
+            @settings(max_examples=16, derandomize=True, deadline=None, database=None,
+                      report_multiple_bugs=False)
+            @given(two_ticks())
+            @example(ORACLE_EXAMPLES[0])
+            @example(ORACLE_EXAMPLES[1])
+            def check(drawn):
+                script, keys, truncated_keys = drawn
+                lookups = [(vantages[vid], domain, rrtype) for vid, domain, rrtype in keys]
+                for server in (one, two):
+                    server.script, server.truncated = ScriptedResolver(script), truncated_keys
+                try:
+                    live = UdpResolver(timeout=0.05)
+                    got = [live.resolve(lookups, delays) for _ in range(2)]
+                finally:
+                    one.release()
+                    two.release()
+                scripted = ScriptedResolver(script)
+                assert got == [scripted.resolve(lookups, delays) for _ in range(2)]
+
+            check()
