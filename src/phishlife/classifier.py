@@ -206,18 +206,16 @@ _SECOND = timedelta(seconds=1)
 def _window_start(at: datetime, window: timedelta) -> datetime:
     """The start of the whole-second window, counted from the epoch, that
     holds ``at``; a start before year 1 is ``datetime.min`` in UTC."""
-    width = timedelta(seconds=int(window.total_seconds()))
+    width = int(window.total_seconds())
     try:
-        return at - (at - _EPOCH) % width  # timedelta % floors, also before the epoch
+        return _EPOCH + _SECOND * (_window_index(at, width) * width)
     except OverflowError:
         return datetime.min.replace(tzinfo=timezone.utc)
 
 
 def _window_index(at: datetime, width: int) -> int:
     """The number of the ``width``-second ``_window_start`` window that holds ``at``."""
-    # distinct windows have distinct starts: only the window that holds year 1
-    # can start before it, so at most one start clamps to datetime.min
-    return (at - _EPOCH) // _SECOND // width
+    return (at - _EPOCH) // _SECOND // width  # // floors, also before the epoch
 
 
 def _candidate_pairs(labels: list[str], k: int) -> list[tuple[int, int]]:

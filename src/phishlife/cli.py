@@ -181,7 +181,9 @@ def _validate_params(cfg: PipelineConfig) -> None:
         (cfg.backoff_base_ms > 0, "backoff_base_ms must be positive"),
         (cfg.backoff_cap_ms >= cfg.backoff_base_ms, "backoff_cap_ms must be >= backoff_base_ms"),
         (bool(cfg.reference_source.strip()), "reference_source must be non-empty"),
-        (all(t in RRTYPES for t in cfg.rrtypes), f"rrtypes must be among {RRTYPES}"),
+        # known, distinct and at least one; each is upper-cased, so "a" repeats "A"
+        (0 < len(cfg.rrtypes) == len(set(cfg.rrtypes) & set(RRTYPES)),
+         f"rrtypes must name at least one of {RRTYPES}, each once"),
     ]
     for ok, message in checks:
         if not ok:
@@ -324,16 +326,15 @@ class Run:
 
     @cached_property
     def monitor_domains(self) -> list[str]:
-        if self.cfg.monitor_domains is not None:
-            domains = []
-            for line in ingest.read_lines(self.cfg.monitor_domains, "monitor domains"):
-                host = line.strip()
-                try:  # normalized like a feed host, so an IDN name goes out as punycode
-                    domains.append(ingest.normalize_host(host))
-                except PhishlifeError as exc:
-                    raise ConfigError(f"monitor domain {host!r} is not a host name: {exc}") from exc
-        else:
-            domains = [r.registrable for r in self.table.records]
+        if self.cfg.monitor_domains is None:  # the table's, already sorted and distinct
+            return [r.registrable for r in self.table.records]
+        domains = []
+        for line in ingest.read_lines(self.cfg.monitor_domains, "monitor domains"):
+            host = line.strip()
+            try:  # normalized like a feed host, so an IDN name goes out as punycode
+                domains.append(ingest.normalize_host(host))
+            except PhishlifeError as exc:
+                raise ConfigError(f"monitor domain {host!r} is not a host name: {exc}") from exc
         return sorted(set(domains))
 
 
@@ -512,12 +513,9 @@ def cmd_monitor(run: Run, live: bool) -> None:
 def cmd_lifecycle(run: Run) -> None:
     from . import classifier, lifecycle
     cfg, out_dir = run.cfg, run.out_dir
-    classifications = {r.registrable: r for r in run.results}
     registrations, skipped = run.registrations
     records = lifecycle.build_lifecycle_records(
-        run.table.records, classifications, registrations, cfg.reference_source)
-    if not records:
-        raise EmptyOutput("no lifecycle records")
+        run.table.records, run.results, registrations, cfg.reference_source)
 
     rows = []
     for rec in records:

@@ -38,15 +38,12 @@ from .dnsmon import (
     MAX_TTL, AttemptResult, Lookup, NxDomain, Outcome, QueryTimeout, RrSet,
     ServerFailure, VantagePoint, settle,
 )
+from .errors import TYPE_CODES
 
 # Attempts in flight at once. On loopback, 1024 overflowed a resolver's
 # receive buffer, and the lost queries waited out the timeout.
 WINDOW = 256
 
-TYPE_CODES = {"A": 1, "NS": 2, "CNAME": 5, "SOA": 6, "MX": 15, "TXT": 16, "AAAA": 28}
-CODE_TYPES = {v: k for k, v in TYPE_CODES.items()}
-
-RCODE_SERVFAIL = 2
 RCODE_NXDOMAIN = 3
 
 FLAG_RD = 0x0100

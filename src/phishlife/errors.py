@@ -1,7 +1,9 @@
-"""Shared exception types, and the record types that ``cli`` checks ``rrtypes``
-against without loading ``dnsmon``."""
+"""Shared exception types, and ``TYPE_CODES``, the one table of the record types the
+monitor tracks and their wire codes. ``RRTYPES`` is its types in order, which ``cli``
+checks ``rrtypes`` against without loading ``dnsmon``."""
 
-RRTYPES = ("A", "AAAA", "CNAME", "NS", "MX", "TXT", "SOA")
+TYPE_CODES = {"A": 1, "AAAA": 28, "CNAME": 5, "NS": 2, "MX": 15, "TXT": 16, "SOA": 6}
+RRTYPES = tuple(TYPE_CODES)
 
 
 class PhishlifeError(Exception):

@@ -127,15 +127,6 @@ def _normalize_label(label: str) -> str:
     return label
 
 
-def _ascii_host(host: str) -> Optional[str]:
-    """``host`` lower-cased if it is an ASCII name that needs nothing else, else None."""
-    if host.isascii() and len(host) <= MAX_HOST_LEN:
-        host = host.lower()
-        if _ASCII_HOST_RE.fullmatch(host):
-            return host
-    return None
-
-
 def normalize_host(host: str) -> str:
     """Normalize a raw hostname to lowercase punycode ASCII.
 
@@ -143,9 +134,10 @@ def normalize_host(host: str) -> str:
     skips the label-by-label path, which handles everything else and raises.
     """
     host = host.rstrip(".")  # tolerate a FQDN trailing dot
-    fast = _ascii_host(host)
-    if fast is not None:
-        return fast
+    if host.isascii() and len(host) <= MAX_HOST_LEN:
+        lowered = host.lower()
+        if _ASCII_HOST_RE.fullmatch(lowered):
+            return lowered
     if not host:
         raise MalformedUrl("empty host")
     labels = [_normalize_label(l) for l in host.split(".")]
@@ -238,8 +230,8 @@ def load_suffix_rules(path: str | Path) -> SuffixRules:
             target, bucket = rule[2:], wildcard
         else:
             target, bucket = rule, exact
-        try:  # most rules are plain ASCII names, which need no more than lower-casing
-            bucket.add(_ascii_host(target) or normalize_host(target))
+        try:
+            bucket.add(normalize_host(target))
         except PhishlifeError:
             continue  # skip malformed rule lines
     if not (exact or wildcard or exception):

@@ -139,13 +139,13 @@ def takedown_delay(
 
 def build_lifecycle_records(
     domain_records: list[DomainRecord],
-    classifications: Mapping[str, ClassificationResult],
+    classifications: list[ClassificationResult],
     registrations: Mapping[str, RegistrationEvent],
     reference_source: str,
 ) -> list[LifecycleRecord]:
-    """Join the domain table, classifications, and registration events."""
+    """Join the domain table, its classifications in table order, and registration events."""
     records = []
-    for rec in sorted(domain_records, key=lambda r: r.registrable):
+    for rec, classification in zip(domain_records, classifications, strict=True):
         reg = registrations.get(rec.registrable)
         det = detection_delay(reg, rec.first_detections, reference_source)
         take = takedown_delay(reg, rec.first_detections, reference_source)
@@ -159,7 +159,7 @@ def build_lifecycle_records(
             registration=reg,
             detection_delay=det,
             takedown_delay=take,
-            classification=classifications[rec.registrable],
+            classification=classification,
             data_flags=frozenset(data_flags),
         ))
     return records

@@ -15,14 +15,13 @@ from pathlib import Path
 from typing import Iterator, NamedTuple, Optional
 
 from .errors import IoFailure, PhishlifeError
-from .ingest import DomainRecord, read_csv
+from .ingest import MAX_LABEL_LEN, DomainRecord, read_csv
 
 LABEL_RE = re.compile(r"[a-z0-9]([a-z0-9-]*[a-z0-9])?")
 ALNUM = "abcdefghijklmnopqrstuvwxyz0123456789"
 LETTERS = "abcdefghijklmnopqrstuvwxyz"
 LABEL_CHARS = frozenset(ALNUM + "-")
 BITFLIP_MASKS = (1, 2, 4, 8, 16)
-MAX_LABEL_LEN = 63
 
 # ASCII-only confusable table. Keys of length 2 are substituted as a
 # two-character window ("rn" -> "m").

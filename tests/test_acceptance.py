@@ -224,8 +224,7 @@ def test_ttl_bucket_fixture():
 
 def test_lifecycle_identity_and_planted_medians(corpus_table, classifier_ctx):
     registrations, _ = lifecycle.load_timestamp_sources(DATA / "timestamp_sources.csv")
-    classifications = {r.registrable: r
-                       for r in classifier.classify_all(corpus_table.records, classifier_ctx)}
+    classifications = classifier.classify_all(corpus_table.records, classifier_ctx)
     records = lifecycle.build_lifecycle_records(
         corpus_table.records, classifications, registrations, "apwg")
 

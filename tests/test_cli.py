@@ -672,7 +672,16 @@ def bad_input(changes, command="monitor", out_dir="out", *, id):
     bad_input({"rrtypes": "A,NS"}, id="string_for_list"),
     *[bad_input({"rrtypes": ["A", "FOO"]}, command, id=f"unknown_rrtype_{command}")
       for command in ("ingest", "classify", "monitor", "lifecycle", "report")],
+    bad_input({"rrtypes": []}, id="no_rrtypes"),
+    bad_input({"rrtypes": ["A", "a"]}, id="repeated_rrtype"),
     bad_input({"feeds": [{"format": "lines"}]}, id="feed_without_path"),
+    bad_input({"feeds": [{"path": str(DATA / "corpus40_feed.tsv"), "format": "xml"}]}, "ingest",
+              id="unknown_feed_format"),
+    bad_input({"feeds": []}, "ingest", id="no_feeds"),
+    bad_input({"suffix_rules": None}, "ingest", id="missing_suffix_rules"),
+    bad_input({"timestamp_sources": None}, "lifecycle", id="missing_timestamp_sources"),
+    bad_input({"vantage_config": None}, id="missing_vantage_config"),
+    bad_input({"monitor_start": "garbage"}, id="monitor_start_garbage"),
     bad_input(None, id="top_level_array"),
     bad_input({"vantage_config": ("vantages.json", json.dumps(DUPLICATE_VANTAGES))},
               id="duplicate_vantage_id"),
@@ -731,6 +740,17 @@ def test_bad_config_input_exits_2(changes, command, out_dir, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not (tmp_path / out_dir / "snapshots.jsonl").exists()  # the store is not touched
+
+
+@pytest.mark.parametrize("text", ["{}", "[1, 2]"], ids=["object", "array_of_numbers"])
+def test_json_feed_without_a_record_exits_2(text, tmp_path, capsys):
+    (tmp_path / "feed.json").write_text(text)
+    config = config_copy(tmp_path, {"feeds": [{"path": "feed.json", "format": "json"}]})
+    code = main(["ingest", "--config", config, "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1 and "feed.json" in err, err
 
 
 # blank lines and comment lines, indented ones too, as a line file may hold them

@@ -667,13 +667,15 @@ class ScriptedServer(LoopbackServer):
     take the same step.
     """
 
+    RRTYPES = {code: rrtype for rrtype, code in TYPE_CODES.items()}
+
     def __init__(self, vantage_id: str):
         super().__init__(on_udp=self._on_udp, on_tcp=self._on_tcp, vantage_id=vantage_id)
         self.script, self.truncated = ScriptedResolver({}), frozenset()
 
     def _key(self, query: bytes) -> tuple[str, str, str]:
         name, end = decode_name(query, 12)
-        return self.vantage.id, name, dnswire.CODE_TYPES[struct.unpack("!H", query[end:end + 2])[0]]
+        return self.vantage.id, name, self.RRTYPES[struct.unpack("!H", query[end:end + 2])[0]]
 
     def _attempt(self, query: bytes, key: tuple[str, str, str]):
         return scripted_reply(query, self.script.query(self.vantage, key[1], key[2]))

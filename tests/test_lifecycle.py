@@ -225,8 +225,7 @@ class TestDelays:
         reg = RegistrationEvent("a.com", ts("2024-01-01T00:00:00"), KIND_RDAP,
                                 deregistered_at=ts("2024-03-01T00:00:00"))
         classification = ClassificationResult("a.com", frozenset(), VERDICT_COMPROMISED)
-        (life,) = build_lifecycle_records([rec], {"a.com": classification}, {"a.com": reg},
-                                          "apwg")
+        (life,) = build_lifecycle_records([rec], [classification], {"a.com": reg}, "apwg")
         assert life.takedown_delay == timedelta(days=-1)
         assert DEREGISTERED_BEFORE_DETECTION in life.data_flags
 

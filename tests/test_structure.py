@@ -5,7 +5,10 @@ the public top-level functions and classes, and the public methods of
 those classes. Each must be referenced by name, as a variable or as an
 attribute, somewhere in ``src/phishlife``. A definition that only tests
 call has no command behind it, so it should be wired in or deleted.
-``cli.main`` is exempt, because it is the console entry point.
+``cli.main`` is exempt, because it is the console entry point. Each
+public name that a top-level assignment binds, a constant, must be read
+somewhere in ``src/phishlife``: its assignment and an import of it do not
+count, so a second copy of a table that nothing reads is flagged.
 
 Matching by name is coarse. A use of any attribute called ``load``
 counts for every method of that name, and a name used only in its own
@@ -35,6 +38,28 @@ def public_definitions(tree: ast.Module, module: str) -> list[tuple[str, str]]:
     return found
 
 
+def public_constants(tree: ast.Module, module: str) -> list[tuple[str, str]]:
+    """(qualified name, bare name) of each public name a top-level assignment binds."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        found += [(f"{module}.{name.id}", name.id) for target in targets
+                  for name in ast.walk(target)
+                  if isinstance(name, ast.Name) and not name.id.startswith("_")]
+    return found
+
+
+def loaded_names(tree: ast.Module) -> set[str]:
+    """Every variable name and attribute name the module reads."""
+    return {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+
+
 def referenced_names(tree: ast.Module) -> set[str]:
     """Every variable name and attribute name the module uses."""
     names = set()
@@ -47,13 +72,16 @@ def referenced_names(tree: ast.Module) -> set[str]:
 
 
 def unreferenced(src: Path) -> list[str]:
-    definitions, used = [], set()
+    definitions, constants, used, loaded = [], [], set(), set()
     for path in sorted(src.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         definitions += public_definitions(tree, path.stem)
+        constants += public_constants(tree, path.stem)
         used |= referenced_names(tree)
-    return [qualified for qualified, name in definitions
-            if name not in used and qualified not in ENTRY_POINTS]
+        loaded |= loaded_names(tree)
+    return ([qualified for qualified, name in definitions
+             if name not in used and qualified not in ENTRY_POINTS]
+            + [qualified for qualified, name in constants if name not in loaded])
 
 
 def test_every_public_definition_is_referenced():
@@ -67,3 +95,13 @@ def test_an_unused_definition_is_flagged(tmp_path):
         "class Box:\n    def open(self):\n        pass\n\n    def _hidden(self):\n        pass\n\n"
         "def main():\n    return Box()\n")
     assert unreferenced(tmp_path) == ["mod.unused", "mod.Box.open", "mod.main"]
+
+
+def test_an_unread_constant_is_flagged(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "READ = 1\nUNREAD = 2\nSTORED: int = 3\n_PRIVATE = 4\nPAIR, SPARE = READ, 5\n\n"
+        "def bump():\n    global STORED\n    STORED = PAIR\n\n"
+        "bump()\n")
+    (tmp_path / "other.py").write_text("from . import mod\nfrom .mod import UNREAD\n\n"
+                                       "SUM = mod.READ + 1\nprint(SUM)\n")
+    assert unreferenced(tmp_path) == ["mod.UNREAD", "mod.STORED", "mod.SPARE"]
