@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
-from typing import Mapping, NamedTuple, Optional
+from typing import Iterator, Mapping, NamedTuple, Optional
 
 from .errors import IoFailure, PhishlifeError
 from .ingest import DomainRecord, normalize_host, read_csv, read_lines
@@ -218,20 +218,19 @@ def _window_index(at: datetime, width: int) -> int:
     return (at - _EPOCH) // _SECOND // width  # // floors, also before the epoch
 
 
-def _candidate_pairs(labels: list[str], k: int) -> list[tuple[int, int]]:
-    """Index pairs (i < j) that may lie within k edits, sorted.
+def _candidates(labels: list[str], k: int) -> Iterator[tuple[int, list[int]]]:
+    """Yield each label's index j and the sorted i < j that may lie within k edits of it.
 
     Partition filter (Pass-Join, Li et al., VLDB 2011): a label longer than k
     is cut into k + 1 segments. An edit touches at most one segment and
     moves the later ones by at most one place, so a label within k edits,
     and so within k in length, holds a segment intact at most k places from
-    its start. Each label probes only those substrings of the earlier
-    labels' segments. A label no longer than k has one empty segment, which
-    every label holds. The filter drops only pairs more than k apart.
+    its start. Each label probes those substrings of the earlier labels'
+    segments before it adds its own. A label no longer than k has one empty
+    segment, which every label holds. The filter drops only pairs more than k apart.
     """
     # label length -> (start, end, segment -> label indices) of each of its segments
     index: dict[int, list[tuple[int, int, dict[str, list[int]]]]] = {}
-    pairs: list[tuple[int, int]] = []
     for j, label in enumerate(labels):
         size = len(label)
         near: set[int] = set()
@@ -243,13 +242,12 @@ def _candidate_pairs(labels: list[str], k: int) -> list[tuple[int, int]]:
                     last = min(size - width, start + k) if width else first  # one probe finds ""
                     for at in range(first, last + 1):
                         near.update(seen.get(label[at:at + width], ()))
-        pairs += [(i, j) for i in near]
+        yield j, sorted(near)
         if size not in index:
             cuts = [size * n // (k + 1) for n in range(k + 2)] if size > k else [0, 0]
             index[size] = [(start, end, {}) for start, end in zip(cuts, cuts[1:])]
         for start, end, seen in index[size]:
             seen.setdefault(label[start:end], []).append(j)
-    return sorted(pairs)
 
 
 def cluster_bulk(
@@ -263,8 +261,8 @@ def cluster_bulk(
     Entries are bucketed by registrar and a tumbling, epoch-aligned window
     over registered_at; within a bucket, second-level labels within
     max_edit_distance form edges, and connected components of at least
-    min_cluster_size become clusters. A partition filter proposes the
-    candidate pairs, and ``levenshtein`` decides each one not already joined.
+    min_cluster_size become clusters. Each label's candidates not yet joined
+    get ``levenshtein`` as its probes find them: no pair list is built.
     """
     if window <= timedelta(0):
         raise ValueError("window must be positive")
@@ -292,19 +290,18 @@ def cluster_bulk(
                 x = parent[x]
             return x
 
-        for i, j in _candidate_pairs(labels, max_edit_distance):
-            root_i, root_j = find(i), find(j)
-            if root_i != root_j and levenshtein(labels[i], labels[j]) <= max_edit_distance:
-                parent[root_i] = root_j
+        for j, near in _candidates(labels, max_edit_distance):
+            for i in near:
+                root_i, root_j = find(i), find(j)
+                if root_i != root_j and levenshtein(labels[i], labels[j]) <= max_edit_distance:
+                    parent[root_i] = root_j
 
         components: dict[int, set[str]] = {}
         for i, domain in enumerate(domains):
             components.setdefault(find(i), set()).add(domain)
         for comp in components.values():
             if len(comp) >= min_cluster_size:
-                clusters.append(BulkCluster(
-                    members=frozenset(comp), registrar=registrar, window_start=start,
-                ))
+                clusters.append(BulkCluster(frozenset(comp), registrar, start))
 
     clusters.sort(key=lambda c: (c.registrar, c.window_start, min(c.members)))
     return clusters

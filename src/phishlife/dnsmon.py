@@ -450,11 +450,11 @@ class SnapshotStore:
             raise StoreFailure(f"cannot append to {self.path}: {exc}") from exc
 
     def load(self) -> list[DnsSnapshot]:
-        if not self.path.exists():
-            return []
         try:
             with open(self.path, encoding="utf-8") as fh:
                 return [DnsSnapshot.from_json(line) for line in fh if line.strip()]
+        except FileNotFoundError:  # no store yet; a path under a regular file fails below
+            return []
         except OSError as exc:
             raise StoreFailure(f"cannot read {self.path}: {exc}") from exc
         except (KeyError, TypeError, ValueError) as exc:  # a torn or foreign line

@@ -248,8 +248,8 @@ def split_registrable(host: str, rules: SuffixRules) -> RegistrableParts:
     kind the longest match wins. A wildcard therefore beats a longer exact
     rule: with ``*.c.com`` and ``a.b.c.com`` the host ``x.a.b.c.com`` gets
     suffix ``b.c.com``, where the PSL's "most labels wins" gives
-    ``a.b.c.com``. When no rule matches, the last label is used as the
-    suffix and the result is flagged via ``suffix_listed=False``.
+    ``a.b.c.com``. With no rule, the last label is the suffix, flagged via
+    ``suffix_listed=False``; an all-digit one, as in an IPv4 literal, raises InvalidLabel.
     """
     labels = host.split(".")
     # label count of the longest match of each kind; 0 for none
@@ -273,6 +273,8 @@ def split_registrable(host: str, rules: SuffixRules) -> RegistrableParts:
         n = wildcard + 1
     elif exact:
         n = exact
+    elif labels[-1].isdigit():  # a TLD is never all-numeric (RFC 3696 section 2)
+        raise InvalidLabel(f"{host!r} ends in an all-numeric label, as an IPv4 address does")
     else:
         n, listed = 1, False
 

@@ -3,9 +3,11 @@ from __future__ import annotations
 import contextlib
 import csv
 import dataclasses
+import itertools
 import random
 import string
 import time
+import tracemalloc
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -368,11 +370,27 @@ class TestClusterBulk:
            .map(lambda labels: labels + labels[::3]),  # some labels twice
            st.integers(0, 5))
     def test_candidate_pairs_hold_every_close_pair(self, labels, max_dist):
-        pairs = classifier._candidate_pairs(labels, max_dist)
-        assert pairs == sorted(set(pairs)) and all(i < j for i, j in pairs)
+        pairs = [(i, j) for j, near in classifier._candidates(labels, max_dist) for i in near]
+        assert len(pairs) == len(set(pairs)) and all(i < j for i, j in pairs)
         close = {(i, j) for j in range(len(labels)) for i in range(j)
                  if levenshtein_oracle(labels[i], labels[j]) <= max_dist}
         assert close <= set(pairs)
+
+    def test_large_templated_bucket_keeps_no_pair_list(self):
+        # four series of 500 names, a prefix and two letters: every two names
+        # of a series are candidates, so a list of the pairs takes megabytes.
+        # The prefixes differ in length by 3, so the series never meet.
+        tails = ["".join(p) for p in itertools.product(string.ascii_lowercase, repeat=2)][:500]
+        log = [log_entry(f"{prefix}{tail}.com", "2024-05-01T10:00:00", "r")
+               for prefix in ("dhl", "fedex-", "usps-mail", "wells-fargo-") for tail in tails]
+        tracemalloc.start()
+        try:
+            clusters = cluster_bulk(log, self.WINDOW, 2, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        assert [len(c.members) for c in clusters] == [500] * 4
 
     def test_huge_max_edit_distance_gives_all_pairs_quickly(self):
         rng = random.Random(3)

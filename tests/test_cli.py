@@ -318,6 +318,21 @@ class TestMonitorCommand:
         ])
         assert code == 4
 
+    def test_store_under_a_file_fails_before_any_query(self, tmp_path, monkeypatch):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory")
+        resolved = []
+        monkeypatch.setattr(dnsmon.ScriptedResolver, "resolve",
+                            lambda self, *args: resolved.append(args))
+        code = main([
+            "monitor", "--config", CONFIG,
+            "--snapshot-store", str(blocker / "snaps.jsonl"),
+            "--out-dir", str(tmp_path / "out"),
+        ])
+        assert code == 4
+        assert resolved == []
+        assert blocker.read_text() == "not a directory"
+
     def test_torn_store_line_exits_4(self, tmp_path, capsys):
         store = tmp_path / "snaps.jsonl"
         args = ["monitor", "--config", CONFIG, "--snapshot-store", str(store)]

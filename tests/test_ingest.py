@@ -189,7 +189,9 @@ class TestSuffixRules:
 
 
 def _split_oracle(host: str, rules: SuffixRules):
-    """Independent longest-match oracle: scan every label suffix of host."""
+    """Independent longest-match oracle: scan every label suffix of host.
+
+    Returns the exception class that the split must raise, if any."""
     labels = host.split(".")
     suffixes = [".".join(labels[i:]) for i in range(len(labels))]
 
@@ -209,11 +211,13 @@ def _split_oracle(host: str, rules: SuffixRules):
             ps = wild
         elif exact is not None:
             ps = exact
+        elif labels[-1].isdigit():
+            return InvalidLabel  # no TLD is all digits (RFC 3696 section 2)
         else:
             ps = labels[-1]
     n = len(ps.split(".")) if ps else 0  # a one-label exception leaves an empty suffix
     if len(labels) <= n:
-        return None  # host is itself a suffix
+        return HostIsSuffix
     return ".".join(labels[:-(n + 1)]), ".".join(labels[-(n + 1):]), ps
 
 
@@ -258,6 +262,12 @@ class TestSplitRegistrable:
         assert parts.public_suffix == "zz"
         assert not parts.suffix_listed
 
+    @pytest.mark.parametrize("host", ["192.0.2.1", "0x7f.1"])
+    def test_all_numeric_unlisted_label_is_not_a_suffix(self, rules, host):
+        # an IPv4 literal is no domain, and no TLD is all digits (RFC 3696 section 2)
+        with pytest.raises(InvalidLabel):
+            split_registrable(host, rules)
+
     @given(st.lists(LABEL, min_size=1, max_size=4))
     def test_matches_oracle_and_reassembles(self, labels):
         rules = SuffixRules(
@@ -267,8 +277,8 @@ class TestSplitRegistrable:
         )
         host = ".".join(labels)
         expected = _split_oracle(host, rules)
-        if expected is None:
-            with pytest.raises(HostIsSuffix):
+        if isinstance(expected, type):
+            with pytest.raises(expected):
                 split_registrable(host, rules)
             return
         parts = split_registrable(host, rules)
@@ -286,8 +296,8 @@ class TestSplitRegistrable:
     def test_matches_oracle_on_multi_label_rules(self, host, exact, wildcard, exception):
         rules = SuffixRules(exact, wildcard, exception)
         expected = _split_oracle(host, rules)
-        if expected is None:
-            with pytest.raises(HostIsSuffix):
+        if isinstance(expected, type):
+            with pytest.raises(expected):
                 split_registrable(host, rules)
             return
         parts = split_registrable(host, rules)
@@ -472,6 +482,16 @@ class TestBuildDomainTable:
         ]
         table = build_domain_table(entries, COM_RULES)
         assert len(table.records) == 1 and table.skipped_urls == 1
+
+    def test_ipv4_literal_url_is_skipped(self):
+        entries = [
+            entry("http://ok.com/", "2024-01-01T00:00:00"),
+            entry("http://192.0.2.1/login", "2024-01-01T00:00:00"),
+            entry("http://0x7f.1/", "2024-01-01T00:00:00"),
+        ]
+        table = build_domain_table(entries, COM_RULES)
+        assert [r.registrable for r in table.records] == ["ok.com"]
+        assert table.skipped_urls == 2 and table.urls_by_source == {"apwg": 3}
 
     def test_idempotence_up_to_url_count(self):
         entries = [
