@@ -4,9 +4,9 @@ Subcommands: ingest, classify, squatgen dump, monitor, lifecycle, report.
 All inputs come from a JSON config file; every config key can be overridden
 by a long flag of the same name, and list keys take comma-separated flag
 values. Paths in the config file resolve against its directory, path flags
-against the working directory. Outputs are CSV/JSON-lines files written
-atomically into --out-dir, and identical inputs always produce
-byte-identical outputs.
+against the working directory. Each CSV/JSON-lines output in --out-dir is
+written row by row to a temp file named after it and the process id, then
+fsynced and renamed over it; identical inputs give byte-identical outputs.
 
 Exit codes: 2 config error, 3 empty output, 4 snapshot-store or output
 write failure. A closed stdout is not an error: the outputs are still
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, get_origin, get_type_hints
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, TextIO, get_origin, get_type_hints
 
 # classifier, squatgen, lifecycle and dnsmon are imported by the stages and
 # commands that use them, so a command loads only its own modules
@@ -211,18 +211,20 @@ def _require(cfg_value: Optional[Path], name: str) -> Path:
     return Path(cfg_value)
 
 
-def write_atomic(path: Path, text: str) -> None:
-    """Write via a temp file, fsync and atomic rename; no partial files on failure.
+@contextlib.contextmanager
+def _output(path: Path) -> Iterator[TextIO]:
+    """An output file open for writing: what is written goes to a temp file,
+    which is fsynced and renamed over ``path`` when the block ends.
 
     The temp name carries the process id, so two runs writing into one
-    output directory never share a temp file. On any failure the temp file
-    is removed; an OSError is raised as OutputFailure.
+    output directory never share a temp file. On any exception, a row
+    generator's included, the temp file is removed; an OSError is raised
+    as OutputFailure.
     """
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -233,12 +235,11 @@ def write_atomic(path: Path, text: str) -> None:
             tmp.unlink(missing_ok=True)
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+def _write_csv(path: Path, header: list[str], rows: Iterable[list]) -> None:
+    with _output(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _print(text: str, end: str = "\n") -> None:
@@ -353,8 +354,8 @@ def _domain_record_json(rec: ingest.DomainRecord) -> str:
 
 def cmd_ingest(run: Run) -> None:
     records = run.table.records
-    write_atomic(run.out_dir / "domains.jsonl",
-                 "".join(_domain_record_json(r) + "\n" for r in records))
+    with _output(run.out_dir / "domains.jsonl") as fh:
+        fh.writelines(_domain_record_json(r) + "\n" for r in records)
 
     urls_by_source = run.table.urls_by_source
     domains_by_source: Counter = Counter()
@@ -380,21 +381,17 @@ def cmd_classify(run: Run) -> None:
     results = run.results
     out_dir = run.out_dir
 
-    rows = []
-    json_lines = []
-    for res in results:
-        flags = ";".join(classifier.ordered_flags(res.flags))
-        evidence = "|".join(f"{flag}={detail}" for flag, detail in res.evidence)
-        rows.append([res.registrable, res.verdict, flags, evidence])
-        json_lines.append(json.dumps({
+    _write_csv(out_dir / "classification.csv", ["registrable", "verdict", "flags", "evidence"],
+               ([res.registrable, res.verdict, ";".join(classifier.ordered_flags(res.flags)),
+                 "|".join(f"{flag}={detail}" for flag, detail in res.evidence)]
+                for res in results))
+    with _output(out_dir / "classification.jsonl") as fh:
+        fh.writelines(json.dumps({
             "registrable": res.registrable,
             "verdict": res.verdict,
             "flags": classifier.ordered_flags(res.flags),
             "evidence": [list(e) for e in res.evidence],
-        }, sort_keys=True))
-    write_atomic(out_dir / "classification.csv",
-                 _csv_text(["registrable", "verdict", "flags", "evidence"], rows))
-    write_atomic(out_dir / "classification.jsonl", "".join(l + "\n" for l in json_lines))
+        }, sort_keys=True) + "\n" for res in results)
 
     candidates = [r for r in results
                   if r.verdict in (classifier.VERDICT_MALICIOUS, classifier.VERDICT_COMPROMISED)]
@@ -409,30 +406,24 @@ def cmd_classify(run: Run) -> None:
     for verdict in (classifier.VERDICT_ALLOWLISTED, classifier.VERDICT_PLATFORM):
         n = sum(1 for r in results if r.verdict == verdict)
         _print(f"{verdict}: {n}")
-    summary_rows = []
+    counts = [(flag, sum(1 for r in candidates if flag in r.flags))
+              for flag in classifier.FLAG_ORDER] + [("malicious_total", len(malicious))]
     _print(f"candidates after allowlist removal: {base}")
-    for flag in classifier.FLAG_ORDER:
-        n = sum(1 for r in candidates if flag in r.flags)
-        summary_rows.append([flag, n, pct(n)])
+    for flag, n in counts:
         _print(f"  {flag}: {n} ({pct(n)}%)")
-    summary_rows.append(["malicious_total", len(malicious), pct(len(malicious))])
-    _print(f"  malicious_total: {len(malicious)} ({pct(len(malicious))}%)")
-    write_atomic(out_dir / "flag_summary.csv",
-                 _csv_text(["flag", "domains", "pct_of_candidates"], summary_rows))
+    _write_csv(out_dir / "flag_summary.csv", ["flag", "domains", "pct_of_candidates"],
+               ([flag, n, pct(n)] for flag, n in counts))
 
     bulk_by_registrar: Counter = Counter()
     for res in results:
         cluster = run.ctx.bulk_membership.get(res.registrable)
         if cluster is not None and classifier.BULK_REGISTERED in res.flags:
             bulk_by_registrar[cluster.registrar] += 1
-    total_bulk = sum(bulk_by_registrar.values())
-    registrar_rows = []
+    total_bulk = sum(bulk_by_registrar.values())  # each ranked registrar counts at least 1
     ranked = sorted(bulk_by_registrar.items(), key=lambda kv: (-kv[1], kv[0]))
-    for rank, (registrar, n) in enumerate(ranked, start=1):
-        share = f"{100.0 * n / total_bulk:.1f}" if total_bulk else ""
-        registrar_rows.append([rank, registrar, n, share])
-    write_atomic(out_dir / "registrar_summary.csv",
-                 _csv_text(["rank", "registrar", "domains", "share"], registrar_rows))
+    _write_csv(out_dir / "registrar_summary.csv", ["rank", "registrar", "domains", "share"],
+               ([rank, registrar, n, f"{100.0 * n / total_bulk:.1f}"]
+                for rank, (registrar, n) in enumerate(ranked, start=1)))
 
 
 def cmd_monitor(run: Run, live: bool) -> None:
@@ -483,31 +474,24 @@ def cmd_monitor(run: Run, live: bool) -> None:
     _print(f"{100.0 * len(changed_domains) / observed:.1f}% of domains exhibit record changes "
            f"({len(changed_domains)} of {observed}, {len(changes)} changes)")
 
-    change_rows = [
-        [c.registrable, c.rrtype, c.vantage_id,
-         ";".join(c.before), ";".join(c.after), format_utc(c.observed_at)]
-        for c in sorted(changes, key=lambda c: (c.registrable, c.observed_at, c.rrtype, c.vantage_id))
-    ]
-    write_atomic(out_dir / "record_changes.csv",
-                 _csv_text(["registrable", "rrtype", "vantage_id", "before", "after", "observed_at"],
-                           change_rows))
-
-    ttl_rows = [
-        [d.registrable, d.observations, d.min_ttl, f"{d.median_ttl:.2f}", f"{d.mean_ttl:.2f}"]
-        for d in summary.per_domain
-    ]
-    write_atomic(out_dir / "ttl_summary.csv",
-                 _csv_text(["registrable", "observations", "min_ttl", "median_ttl", "mean_ttl"],
-                           ttl_rows))
-    bucket_rows = [
+    ordered = sorted(changes, key=lambda c: (c.registrable, c.observed_at, c.rrtype, c.vantage_id))
+    _write_csv(out_dir / "record_changes.csv",
+               ["registrable", "rrtype", "vantage_id", "before", "after", "observed_at"],
+               ([c.registrable, c.rrtype, c.vantage_id,
+                 ";".join(c.before), ";".join(c.after), format_utc(c.observed_at)]
+                for c in ordered))
+    _write_csv(out_dir / "ttl_summary.csv",
+               ["registrable", "observations", "min_ttl", "median_ttl", "mean_ttl"],
+               ([d.registrable, d.observations, d.min_ttl,
+                 f"{d.median_ttl:.2f}", f"{d.mean_ttl:.2f}"] for d in summary.per_domain))
+    _write_csv(out_dir / "ttl_buckets.csv", ["metric", "value"], [
         ["under_60s", summary.under_60s],
         ["under_3600s", summary.under_3600s],
         ["over_43200s", summary.over_43200s],
         ["between_43200s_and_86400s", summary.between_43200s_and_86400s],
         ["overall_median_ttl", f"{summary.overall_median_ttl:.2f}"],
         ["overall_mean_ttl", f"{summary.overall_mean_ttl:.2f}"],
-    ]
-    write_atomic(out_dir / "ttl_buckets.csv", _csv_text(["metric", "value"], bucket_rows))
+    ])
 
 
 def cmd_lifecycle(run: Run) -> None:
@@ -517,36 +501,35 @@ def cmd_lifecycle(run: Run) -> None:
     records = lifecycle.build_lifecycle_records(
         run.table.records, run.results, registrations, cfg.reference_source)
 
-    rows = []
-    for rec in records:
-        reg = rec.registration
-        rows.append([
-            rec.domain.registrable,
-            format_utc(reg.registered_at) if reg else "",
-            reg.provenance if reg else "",
-            format_utc(reg.deregistered_at) if reg and reg.deregistered_at else "",
-            _fmt_days(to_days(rec.detection_delay) if rec.detection_delay is not None else None),
-            _fmt_days(to_days(rec.takedown_delay) if rec.takedown_delay is not None else None),
-            ";".join(classifier.ordered_flags(rec.classification.flags)),
-            rec.classification.verdict,
-        ])
-    write_atomic(out_dir / "lifecycle.csv", _csv_text(
-        ["registrable", "registered_at", "provenance", "deregistered_at",
-         "detection_delay_days", "takedown_delay_days", "flags", "verdict"],
-        rows,
-    ))
+    def rows() -> Iterator[list]:
+        for rec in records:
+            reg = rec.registration
+            yield [
+                rec.domain.registrable,
+                format_utc(reg.registered_at) if reg else "",
+                reg.provenance if reg else "",
+                format_utc(reg.deregistered_at) if reg and reg.deregistered_at else "",
+                _fmt_days(to_days(rec.detection_delay)
+                          if rec.detection_delay is not None else None),
+                _fmt_days(to_days(rec.takedown_delay)
+                          if rec.takedown_delay is not None else None),
+                ";".join(classifier.ordered_flags(rec.classification.flags)),
+                rec.classification.verdict,
+            ]
+
+    _write_csv(out_dir / "lifecycle.csv",
+               ["registrable", "registered_at", "provenance", "deregistered_at",
+                "detection_delay_days", "takedown_delay_days", "flags", "verdict"], rows())
 
     for metric, group in lifecycle.AGGREGATES:
         try:
             report = lifecycle.aggregate(records, metric, group, cfg.reference_source)
         except lifecycle.EmptyInput:
             continue
-        agg_rows = [
-            [row.key, row.count, _fmt_days(row.mean_days), _fmt_days(row.median_days), row.missing]
-            for row in report.rows
-        ]
-        write_atomic(out_dir / f"agg_{metric}_{group}.csv",
-                     _csv_text(["key", "count", "mean_days", "median_days", "missing"], agg_rows))
+        _write_csv(out_dir / f"agg_{metric}_{group}.csv",
+                   ["key", "count", "mean_days", "median_days", "missing"],
+                   ([row.key, row.count, _fmt_days(row.mean_days), _fmt_days(row.median_days),
+                     row.missing] for row in report.rows))
     _print(f"{len(records)} lifecycle records "
            f"({sum(1 for r in records if r.detection_delay is not None)} with detection delay)")
     _print(f"  {cfg.timestamp_sources}: {skipped} timestamp rows skipped")
@@ -554,13 +537,16 @@ def cmd_lifecycle(run: Run) -> None:
 
 def cmd_squatgen_dump(brand_domain: Optional[str]) -> None:
     from . import squatgen
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
     if brand_domain:
         rows = sorted([c.label, c.technique.value] for c in squatgen.generate(brand_domain))
-        text = _csv_text(["label", "technique"], rows)
+        writer.writerow(["label", "technique"])
     else:
         rows = [[char, ";".join(squatgen.HOMOGLYPHS[char])] for char in sorted(squatgen.HOMOGLYPHS)]
-        text = _csv_text(["character", "replacements"], rows)
-    _print(text, end="")
+        writer.writerow(["character", "replacements"])
+    writer.writerows(rows)
+    _print(buf.getvalue(), end="")
 
 
 def cmd_report(run: Run) -> None:

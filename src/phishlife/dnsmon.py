@@ -11,8 +11,9 @@ one selector loop. Both resolvers retry by ``settle``, up to five attempts;
 only ``UdpResolver`` waits the backoff. A (domain, vantage) pair whose
 outcomes equal the last tick's gets that snapshot retaken, its fields and
 cached store line shared, so a settled observation is built and formatted
-once. No tick leaves a reference cycle: ``cli.main`` keeps the cyclic
-collector off while a command runs.
+once. ``SnapshotStore.append_many`` writes each line of a tick as it is
+made, never the tick's whole text. No tick leaves a reference cycle:
+``cli.main`` keeps the cyclic collector off while a command runs.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from datetime import datetime, timedelta, timezone
 from functools import cached_property
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
-from typing import Iterable, NamedTuple, Optional, Protocol, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Protocol, Sequence, Union
 
 from .errors import RRTYPES, IoFailure, PhishlifeError, StoreFailure
 from .ingest import normalize_host, read_json
@@ -432,20 +433,22 @@ class SnapshotStore:
     def __init__(self, path: str | Path):
         self.path = Path(path)
 
-    def append_many(self, snapshots: Iterable[DnsSnapshot]) -> None:
-        stamps: dict[datetime, str] = {}  # each distinct taken_at, formatted and quoted once
-        lines = []
-        for snap in snapshots:
-            stamp = stamps.get(snap.taken_at)
-            if stamp is None:
-                stamp = stamps[snap.taken_at] = _json_str(format_utc(snap.taken_at))
-            lines.append(stamp.join(snap._line))  # the text around the quoted taken_at
-        if not lines:
+    def append_many(self, snapshots: Sequence[DnsSnapshot]) -> None:
+        if not snapshots:
             return
+
+        def lines() -> Iterator[str]:
+            stamps: dict[datetime, str] = {}  # each distinct taken_at, formatted and quoted once
+            for snap in snapshots:
+                stamp = stamps.get(snap.taken_at)
+                if stamp is None:
+                    stamp = stamps[snap.taken_at] = _json_str(format_utc(snap.taken_at))
+                yield stamp.join(snap._line)  # the text around the quoted taken_at
+
         try:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write("".join(lines))
+                fh.writelines(lines())
         except OSError as exc:
             raise StoreFailure(f"cannot append to {self.path}: {exc}") from exc
 

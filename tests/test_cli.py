@@ -855,6 +855,43 @@ def test_failed_output_write_exits_4(call, tmp_path, capsys, monkeypatch):
     assert list(out.iterdir()) == []  # the temp file is gone too
 
 
+def test_failed_rewrite_keeps_the_old_outputs(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "out"
+    assert main(["classify", "--config", CONFIG, "--out-dir", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+    def no_space(fd):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(os, "fsync", no_space)
+    capsys.readouterr()
+    assert main(["classify", "--config", CONFIG, "--out-dir", str(out)]) == 4
+    assert "classification.csv" in capsys.readouterr().err
+    # the first run's files are all there, byte for byte, and no temp file is left
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_error_while_rows_are_made_leaves_no_file(tmp_path, monkeypatch):
+    # a CSV's rows are made as it is written: an exception from the third
+    # delay formatted (the second lifecycle row's) escapes main, and takes
+    # the temp file that already holds the header and first row with it
+    out = tmp_path / "out"
+    calls = Counter()
+    fmt_days = cli._fmt_days
+
+    def failing(value):
+        calls["n"] += 1
+        if calls["n"] == 3:
+            assert [p.name for p in out.glob("*.tmp")] == [f"lifecycle.csv.{os.getpid()}.tmp"]
+            raise RuntimeError("row failed")
+        return fmt_days(value)
+
+    monkeypatch.setattr(cli, "_fmt_days", failing)
+    with pytest.raises(RuntimeError, match="row failed"):
+        main(["lifecycle", "--config", CONFIG, "--out-dir", str(out)])
+    assert list(out.iterdir()) == []
+
+
 # (command, config key, data file, field separator, fields per line, has a header row)
 MUTATED_INPUTS = [
     ("lifecycle", "timestamp_sources", "timestamp_sources.csv", b",", 3, True),
@@ -898,15 +935,20 @@ def mutated(draw, data: bytes, sep: bytes, fields: int, header: bool, is_json: b
     A feed has no header row, so swapping two header names swaps those two
     fields on every line, which is what a swapped header would mean. A JSON
     document may also have one value swapped for a value of another type,
-    or one array or object emptied.
+    one array or object emptied, or one key of an object or element of an
+    array dropped.
     """
+    json_kinds = ["type_swap", "empty", "drop_field"]
     kind = draw(st.sampled_from(["truncate", "non_utf8", "nul", "drop_column", "crlf"]
-                                + ["swap_header"] * (fields > 1) + ["type_swap", "empty"] * is_json))
-    if kind in ("type_swap", "empty"):
+                                + ["swap_header"] * (fields > 1) + json_kinds * is_json))
+    if kind in json_kinds:
         doc = json.loads(data)
         path, old = draw(st.sampled_from([
             (path, value) for path, value in json_values(doc)
             if kind == "type_swap" or isinstance(value, (list, dict)) and value]))
+        if kind == "drop_field":
+            del old[draw(st.sampled_from(list(old) if isinstance(old, dict) else range(len(old))))]
+            return json.dumps(doc).encode()
         new = (draw(st.sampled_from([v for v in JSON_VALUES if type(v) is not type(old)]))
                if kind == "type_swap" else type(old)())
         return json.dumps(json_replaced(doc, path, new)).encode()
