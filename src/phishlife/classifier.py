@@ -9,10 +9,9 @@ MaliciousRegistration verdict; otherwise the domain is Compromised.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
-from typing import Iterator, Mapping, NamedTuple, Optional
+from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import IoFailure, PhishlifeError
 from .ingest import DomainRecord, normalize_host, read_csv, read_lines
@@ -37,15 +36,13 @@ class EmptyAllowlist(PhishlifeError):
     """The allowlist file parsed to zero domains."""
 
 
-@dataclass(frozen=True)
-class RegistrationLogEntry:
+class RegistrationLogEntry(NamedTuple):
     registrable: str
     registered_at: datetime
     registrar: str
 
 
-@dataclass(frozen=True)
-class BulkCluster:
+class BulkCluster(NamedTuple):
     """A connected group of similar names registered together."""
 
     members: frozenset[str]
@@ -58,16 +55,14 @@ class BrandHit(NamedTuple):
     location: str  # "registrable_label" | "subdomain"
 
 
-@dataclass
-class ClassificationResult:
+class ClassificationResult(NamedTuple):
     registrable: str
     flags: frozenset[str]
     verdict: str
-    evidence: list[tuple[str, str]] = field(default_factory=list)
+    evidence: Sequence[tuple[str, str]] = ()
 
 
-@dataclass
-class ClassifierContext:
+class ClassifierContext(NamedTuple):
     """Immutable inputs shared across classify() calls."""
 
     allow: frozenset[str]

@@ -25,7 +25,6 @@ import json
 import os
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from functools import cached_property
 from pathlib import Path
@@ -59,7 +58,8 @@ class OutputFailure(PhishlifeError):
     """An output file could not be written."""
 
 
-@dataclass
+# a class default is read until a config value is set on the instance; the
+# two lists are made per instance, in __init__
 class PipelineConfig:
     """Every config key; a field's type decides how its value is checked.
 
@@ -67,7 +67,7 @@ class PipelineConfig:
     that use a tunable take it as a required argument.
     """
 
-    feeds: list[tuple[Path, str]] = field(default_factory=list)
+    feeds: list[tuple[Path, str]]
     suffix_rules: Optional[Path] = None
     allowlist: Optional[Path] = None
     brand_catalog: Optional[Path] = None
@@ -89,9 +89,12 @@ class PipelineConfig:
     monitor_start: str = "2024-01-01T00:00:00Z"
     brand_top_n: int = 1000
     squat_top_n: int = 200
-    rrtypes: list[str] = field(default_factory=lambda: ["A", "AAAA", "NS", "MX", "TXT"])
+    rrtypes: list[str]
     backoff_base_ms: float = 500.0
     backoff_cap_ms: float = 8000.0
+
+    def __init__(self) -> None:
+        self.feeds, self.rrtypes = [], ["A", "AAAA", "NS", "MX", "TXT"]
 
 
 _FIELD_TYPES = get_type_hints(PipelineConfig)
@@ -264,7 +267,6 @@ def _fmt_days(value: Optional[float]) -> str:
 # ---------------------------------------------------------------- pipeline
 
 
-@dataclass
 class Run:
     """One pipeline run: the config, the output directory and every stage.
 
@@ -273,8 +275,8 @@ class Run:
     commands. A command touches only the stages it needs.
     """
 
-    cfg: PipelineConfig
-    out_dir: Path
+    def __init__(self, cfg: PipelineConfig, out_dir: Path):
+        self.cfg, self.out_dir = cfg, out_dir
 
     @cached_property
     def feeds(self) -> list[tuple[Path, ingest.FeedLoadResult]]:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import time as _time
-from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from functools import cached_property
 from json.encoder import encode_basestring_ascii as _json_str
@@ -54,11 +53,24 @@ class NoObservations(PhishlifeError):
     """No Ok snapshot with TTL observations was supplied."""
 
 
-@dataclass(frozen=True)
+# a class, not a NamedTuple, as it keeps its parsed address; equal and hashed by
+# its three fields
 class VantagePoint:
-    id: str
-    resolver_address: str
-    region_label: str
+    def __init__(self, id: str, resolver_address: str, region_label: str):
+        self.id, self.resolver_address, self.region_label = id, resolver_address, region_label
+
+    def __repr__(self) -> str:
+        return (f"VantagePoint(id={self.id!r}, resolver_address={self.resolver_address!r}, "
+                f"region_label={self.region_label!r})")
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not VantagePoint:
+            return NotImplemented
+        return ((self.id, self.resolver_address, self.region_label)
+                == (other.id, other.resolver_address, other.region_label))
+
+    def __hash__(self) -> int:
+        return hash((self.id, self.resolver_address, self.region_label))
 
     @cached_property
     def address(self) -> tuple[str, int]:
@@ -66,23 +78,26 @@ class VantagePoint:
         return parse_resolver_address(self.resolver_address)
 
 
-# not frozen, as a frozen __init__ sets each field through object.__setattr__
-# and a fixture compiles one per scripted step; no rrset is changed once made,
-# and nothing in src/ hashes an RrSet or an Outcome that holds one
-@dataclass(slots=True)
+# a class, not a NamedTuple, as it caches its JSON text, which equality leaves
+# out: rrsets are equal when their rrtype, values and ttl are. No rrset is
+# changed once made, and nothing in src/ hashes one
 class RrSet:
-    rrtype: str
-    values: tuple[str, ...]
-    ttl: int
-    _json_text: Optional[str] = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("rrtype", "values", "ttl", "_json_text")
+    __hash__ = None  # type: ignore[assignment]
 
-    def __post_init__(self) -> None:
-        if self.rrtype not in RRTYPES:
-            raise ValueError(f"unknown rrtype {self.rrtype!r}")
-        if not self.values:
+    def __init__(self, rrtype: str, values: tuple[str, ...], ttl: int):
+        if rrtype not in RRTYPES:
+            raise ValueError(f"unknown rrtype {rrtype!r}")
+        if not values:
             raise ValueError("rrset values must be non-empty")
-        if not 0 <= self.ttl <= MAX_TTL:
-            raise ValueError(f"ttl out of range: {self.ttl}")
+        if not 0 <= ttl <= MAX_TTL:
+            raise ValueError(f"ttl out of range: {ttl}")
+        self.rrtype, self.values, self.ttl, self._json_text = rrtype, values, ttl, None
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not RrSet:
+            return NotImplemented
+        return (self.rrtype, self.values, self.ttl) == (other.rrtype, other.values, other.ttl)
 
     @property
     def json_text(self) -> str:
@@ -95,23 +110,31 @@ class RrSet:
         return text
 
 
-# not frozen, as a frozen __init__ sets each field through object.__setattr__
-# at five times the cost, and a run makes one per (domain, vantage, tick); no
-# snapshot is changed once made, since its store line is cached
-@dataclass(slots=True)
+# a class, not a NamedTuple, as collect_snapshots sets its two caches after it
+# is made, and equality leaves them out; no field is changed once it is made
 class DnsSnapshot:
-    registrable: str
-    vantage_id: str
-    taken_at: datetime
-    rrsets: tuple[RrSet, ...]
-    status: str
-    attempts: int
-    errors: tuple[str, ...] = ()
-    nxdomain: bool = False
-    # caches, not values of the snapshot: the outcomes it was collected from,
-    # and its store line's text before and after the quoted taken_at
-    _outcomes: Optional[list[Outcome]] = field(default=None, init=False, repr=False, compare=False)
-    _text: Optional[tuple[str, str]] = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("registrable", "vantage_id", "taken_at", "rrsets", "status", "attempts",
+                 "errors", "nxdomain", "_outcomes", "_text")
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self, registrable: str, vantage_id: str, taken_at: datetime,
+                 rrsets: tuple[RrSet, ...], status: str, attempts: int,
+                 errors: tuple[str, ...] = (), nxdomain: bool = False):
+        self.registrable, self.vantage_id, self.taken_at, self.rrsets = (
+            registrable, vantage_id, taken_at, rrsets)
+        self.status, self.attempts, self.errors, self.nxdomain = status, attempts, errors, nxdomain
+        # caches, not values of the snapshot: the outcomes it was collected from,
+        # and its store line's text before and after the quoted taken_at
+        self._outcomes: Optional[list[Outcome]] = None
+        self._text: Optional[tuple[str, str]] = None
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not DnsSnapshot:
+            return NotImplemented
+        return ((self.registrable, self.vantage_id, self.taken_at, self.rrsets, self.status,
+                 self.attempts, self.errors, self.nxdomain)
+                == (other.registrable, other.vantage_id, other.taken_at, other.rrsets,
+                    other.status, other.attempts, other.errors, other.nxdomain))
 
     @property
     def _line(self) -> tuple[str, str]:
@@ -162,8 +185,7 @@ def _strings(value: object) -> tuple[str, ...]:
     return tuple(value)
 
 
-@dataclass(frozen=True)
-class RecordChange:
+class RecordChange(NamedTuple):
     registrable: str
     rrtype: str
     vantage_id: str
@@ -172,8 +194,7 @@ class RecordChange:
     observed_at: datetime
 
 
-@dataclass(frozen=True)
-class DomainTtl:
+class DomainTtl(NamedTuple):
     registrable: str
     observations: int
     min_ttl: int
@@ -181,8 +202,7 @@ class DomainTtl:
     mean_ttl: float
 
 
-@dataclass(frozen=True)
-class TtlSummary:
+class TtlSummary(NamedTuple):
     """Per-domain TTL statistics plus fast-flux bucket counts.
 
     A domain counts in a bucket when its minimum observed TTL falls in it;
@@ -615,8 +635,9 @@ def parse_resolver_address(address: object) -> tuple[str, int]:
 
     The forms are ``host``, ``host:port``, a bare IPv6 address such as
     ``::1``, and ``[IPv6 address]:port``; the port defaults to 53. A
-    non-string address, a bracket without ``]:port`` after the address, or
-    a port that is not decimal digits in 0-65535 raises ValueError.
+    non-string address, an empty host, a bracket without ``]:port`` after
+    the address, or a port that is not decimal digits in 0-65535 raises
+    ValueError: a socket connected to an empty host reaches the local one.
     """
     if not isinstance(address, str):
         raise ValueError(f"resolver address {address!r} is not a string")
@@ -627,7 +648,9 @@ def parse_resolver_address(address: object) -> tuple[str, int]:
     elif address.count(":") == 1:
         host, port = address.split(":")
     else:  # a bare host, or a bare IPv6 address
-        return address, 53
+        host, port = address, "53"
+    if not host:
+        raise ValueError(f"resolver address {address!r} has an empty host")
     if not (port.isascii() and port.isdigit() and int(port) <= 65535):
         raise ValueError(f"port of resolver address {address!r} is not an integer in 0-65535")
     return host, int(port)

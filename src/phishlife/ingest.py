@@ -11,10 +11,9 @@ import csv
 import io
 import json
 import re
-from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import IoFailure, PhishlifeError
 from .timeutil import parse_utc
@@ -48,8 +47,7 @@ class AllRecordsMalformed(PhishlifeError):
     """Every record in a feed file failed to parse."""
 
 
-@dataclass(frozen=True)
-class FeedEntry:
+class FeedEntry(NamedTuple):
     """One blocklist observation."""
 
     url: str
@@ -58,8 +56,7 @@ class FeedEntry:
     brand: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class SuffixRules:
+class SuffixRules(NamedTuple):
     """Public-suffix rules split by rule kind."""
 
     exact: frozenset[str]
@@ -67,8 +64,7 @@ class SuffixRules:
     exception: frozenset[str]
 
 
-@dataclass(frozen=True)
-class RegistrableParts:
+class RegistrableParts(NamedTuple):
     """Result of splitting a host at its public suffix.
 
     ``suffix_listed`` is False when no rule matched and the last label was
@@ -81,32 +77,35 @@ class RegistrableParts:
     suffix_listed: bool = True
 
 
-@dataclass
+# a class, not a NamedTuple, as build_domain_table updates a record while the
+# feed entries merge into it; records are equal when their fields are
 class DomainRecord:
     """A distinct registrable domain with its merged observation history."""
 
-    registrable: str
-    public_suffix: str
-    subdomain: str
-    subdomain_count: int
-    first_detections: dict[str, datetime]
-    brands: set[str]
-    url_count: int
-    suffix_unlisted: bool = False
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self, registrable: str, public_suffix: str, subdomain: str,
+                 subdomain_count: int, first_detections: dict[str, datetime], brands: set[str],
+                 url_count: int, suffix_unlisted: bool = False):
+        self.registrable, self.public_suffix, self.subdomain = registrable, public_suffix, subdomain
+        self.subdomain_count, self.first_detections, self.brands = (
+            subdomain_count, first_detections, brands)
+        self.url_count, self.suffix_unlisted = url_count, suffix_unlisted
+
+    def __eq__(self, other: object) -> bool:
+        return vars(self) == vars(other) if type(other) is DomainRecord else NotImplemented
 
 
-@dataclass
-class FeedLoadResult:
+class FeedLoadResult(NamedTuple):
     entries: list[FeedEntry]
     skipped: int
 
 
-@dataclass
-class DomainTable:
+class DomainTable(NamedTuple):
     records: list[DomainRecord]
-    skipped_urls: int = 0
+    skipped_urls: int
     # every entry's source, counted whether or not its URL gave a host
-    urls_by_source: dict[str, int] = field(default_factory=dict)
+    urls_by_source: dict[str, int]
 
 
 def _normalize_label(label: str) -> str:

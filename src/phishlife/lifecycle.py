@@ -8,10 +8,9 @@ detection-delay, takedown-delay, and blocklist-lag aggregates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .classifier import ClassificationResult
 from .errors import PhishlifeError
@@ -50,16 +49,14 @@ class EmptyInput(PhishlifeError):
     """No records, or no record carries the grouping attribute."""
 
 
-@dataclass(frozen=True)
-class RegistrationEvent:
+class RegistrationEvent(NamedTuple):
     registrable: str
     registered_at: datetime
     provenance: str
     deregistered_at: Optional[datetime] = None
 
 
-@dataclass
-class LifecycleRecord:
+class LifecycleRecord(NamedTuple):
     domain: DomainRecord  # the domain table's record itself, not a copy
     registration: Optional[RegistrationEvent]
     detection_delay: Optional[timedelta]
@@ -68,19 +65,17 @@ class LifecycleRecord:
     data_flags: frozenset[str] = frozenset()
 
 
-@dataclass(frozen=True)
-class AggregateRow:
+class AggregateRow(NamedTuple):
     key: str
-    count: int
+    count: int  # shadows tuple.count, which nothing calls
     mean_days: Optional[float]
     median_days: Optional[float]
     missing: int
 
 
-@dataclass
-class AggregateReport:
+class AggregateReport(NamedTuple):
     rows: list[AggregateRow]
-    ungrouped: int = 0
+    ungrouped: int
 
 
 def load_timestamp_sources(path: str | Path) -> tuple[dict[str, RegistrationEvent], int]:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import Iterator, NamedTuple, Optional
@@ -70,14 +69,12 @@ _BITFLIPS = {
 }
 
 
-@dataclass(frozen=True)
-class SquatCandidate:
+class SquatCandidate(NamedTuple):
     label: str
     technique: Technique
 
 
-@dataclass(frozen=True)
-class Brand:
+class Brand(NamedTuple):
     brand_id: str
     canonical_domain: str
     rank: int
@@ -87,7 +84,6 @@ class Brand:
         return self.canonical_domain.split(".", 1)[1]
 
 
-@dataclass
 class BrandCatalog:
     """Ranked brand list with the two step cutoffs.
 
@@ -95,19 +91,25 @@ class BrandCatalog:
     squat-generation step; squat_top_n must not exceed brand_top_n.
     """
 
-    brands: list[Brand]
-    brand_top_n: int
-    squat_top_n: int
+    # equal when the brands and cutoffs are, and unhashable
+    __hash__ = None  # type: ignore[assignment]
 
-    def __post_init__(self) -> None:
-        if self.squat_top_n > self.brand_top_n:
+    def __init__(self, brands: list[Brand], brand_top_n: int, squat_top_n: int):
+        if squat_top_n > brand_top_n:
             raise ValueError("squat_top_n must be <= brand_top_n")
-        ranks = [b.rank for b in self.brands]
+        ranks = [b.rank for b in brands]
         if any(r2 <= r1 for r1, r2 in zip(ranks, ranks[1:])):
             raise ValueError("brand ranks must be strictly increasing")
-        ids = [b.brand_id for b in self.brands]
+        ids = [b.brand_id for b in brands]
         if len(set(ids)) != len(ids):
             raise ValueError("a brand_id is listed on two rows")
+        self.brands, self.brand_top_n, self.squat_top_n = brands, brand_top_n, squat_top_n
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not BrandCatalog:
+            return NotImplemented
+        return ((self.brands, self.brand_top_n, self.squat_top_n)
+                == (other.brands, other.brand_top_n, other.squat_top_n))
 
     def top_brands(self) -> list[Brand]:
         return self.brands[: self.brand_top_n]
@@ -135,15 +137,14 @@ class SquatHit(NamedTuple):
     technique: Technique
 
 
-@dataclass
-class SquatIndex:
+class SquatIndex(NamedTuple):
     """Exact-match lookup from second-level labels to squat attributions."""
 
     # variant label -> (rank, technique order, brand_id, technique) of the
     # attribution that wins on that label
-    by_label: dict[str, tuple[int, int, str, Technique]] = field(default_factory=dict)
+    by_label: dict[str, tuple[int, int, str, Technique]]
     # canonical label -> [(brand_id, canonical suffix, rank)]
-    tld_swap_labels: dict[str, list[tuple[str, str, int]]] = field(default_factory=dict)
+    tld_swap_labels: dict[str, list[tuple[str, str, int]]]
 
 
 def _split_brand_domain(brand_domain: str) -> tuple[str, str]:
@@ -225,7 +226,7 @@ def build_index(catalog: BrandCatalog) -> SquatIndex:
     attribution ``match`` picks: the lowest brand rank, then the first
     technique.
     """
-    index = SquatIndex()
+    index = SquatIndex({}, {})
     by_label = index.by_label
     for brand in catalog.squat_brands():
         label, _suffix = _split_brand_domain(brand.canonical_domain)

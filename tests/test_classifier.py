@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import dataclasses
 import itertools
 import random
 import string
@@ -128,7 +127,7 @@ class TestPrefilter:
 
     @pytest.fixture
     def ctx(self, classifier_ctx):
-        return dataclasses.replace(classifier_ctx, allow=ALLOW)
+        return classifier_ctx._replace(allow=ALLOW)
 
     def test_platform_subdomain(self, ctx):
         rec = record("blogspot.com", subdomain="usps-tracking-service")

@@ -704,6 +704,7 @@ def bad_input(changes, command="monitor", out_dir="out", *, id):
     bad_input({"vantage_config": vantage_file("127.0.0.1:70000")},
               id="resolver_port_out_of_range"),
     bad_input({"vantage_config": vantage_file(5)}, id="non_string_resolver_address"),
+    bad_input({"vantage_config": vantage_file(":53")}, id="empty_resolver_host"),
     bad_input({"resolver_fixture": ("fixture.json", '{"flux.top": {')},
               id="malformed_resolver_fixture"),
     bad_input({"resolver_fixture": ("fixture.json", '{"flux.top": {"A": [5]}}')},
@@ -975,10 +976,12 @@ def mutated(draw, data: bytes, sep: bytes, fields: int, header: bool, is_json: b
                          ids=[m[2] for m in MUTATED_INPUTS])
 def test_mutated_input_keeps_exit_code_contract(command, key, name, sep, fields, header,
                                                 monkeypatch):
-    # each example runs main in-process: it returns 0, 2 or 3, writes at
-    # most one stderr line and lets no exception out. Outputs are not
-    # fsynced: removing fsynced files took about 0.3 s an example on ext4,
-    # and what this test checks does not depend on durability.
+    # each example runs main in-process, under the row's command and then
+    # under report, which reads every input, each into an out-dir of its
+    # own: it returns 0, 2 or 3, writes at most one stderr line and lets no
+    # exception out. Outputs are not fsynced: removing fsynced files took
+    # about 0.3 s an example on ext4, and what this test checks does not
+    # depend on durability.
     monkeypatch.setattr(os, "fsync", lambda fd: None)
     data = (DATA / name).read_bytes()
 
@@ -989,11 +992,12 @@ def test_mutated_input_keeps_exit_code_contract(command, key, name, sep, fields,
             tmp = Path(tmp)
             (tmp / name).write_bytes(text)
             config = config_copy(tmp, {key: [str(tmp / name)] if key == "feeds" else name})
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main([command, "--config", config, "--out-dir", str(tmp / "out")])
-        assert code in (0, 2, 3)
-        assert err.getvalue().count("\n") <= 1, err.getvalue()
-        assert "Traceback" not in out.getvalue() + err.getvalue()
+            for run in (command, "report"):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main([run, "--config", config, "--out-dir", str(tmp / run)])
+                assert code in (0, 2, 3), run
+                assert err.getvalue().count("\n") <= 1, (run, err.getvalue())
+                assert "Traceback" not in out.getvalue() + err.getvalue()
 
     check()

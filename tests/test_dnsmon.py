@@ -388,7 +388,7 @@ def test_resolver_address_forms(address, expected):
 
 
 @pytest.mark.parametrize("address", ["[::1]", "[::1]5353", "[::1]:", "[::1]:port", "[::1]:70000",
-                                     "192.0.2.1:", "192.0.2.1:-1"])
+                                     "192.0.2.1:", "192.0.2.1:-1", "", ":53", "[]:53"])
 def test_bad_resolver_address_rejected(address):
     with pytest.raises(ValueError):
         parse_resolver_address(address)

@@ -10,7 +10,6 @@ snapshot's values once per diff.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import statistics
 from datetime import datetime, timedelta, timezone
@@ -352,7 +351,8 @@ def sharing_store(draw):
         rrsets = draw(st.lists(st.sampled_from(pool), max_size=3))
         if draw(st.booleans()):
             rrsets = [RrSet(r.rrtype, r.values, r.ttl) for r in rrsets]
-        store.append(dataclasses.replace(snap, rrsets=tuple(rrsets)))
+        store.append(DnsSnapshot(snap.registrable, snap.vantage_id, snap.taken_at, tuple(rrsets),
+                                 snap.status, snap.attempts, snap.errors, snap.nxdomain))
     return store
 
 
@@ -366,7 +366,8 @@ def test_detect_changes_equals_oracle(store):
 @given(STORED, STORED)
 def test_diff_snapshots_equals_oracle(prev, nxt):
     # a two-snapshot series: one Ok domain and vantage at two times
-    prev = dataclasses.replace(prev, status=dnsmon.STATUS_OK, taken_at=T0)
-    nxt = dataclasses.replace(nxt, registrable=prev.registrable, vantage_id=prev.vantage_id,
-                              status=dnsmon.STATUS_OK, taken_at=T0 + timedelta(minutes=30))
+    prev = DnsSnapshot(prev.registrable, prev.vantage_id, T0, prev.rrsets, dnsmon.STATUS_OK,
+                       prev.attempts, prev.errors, prev.nxdomain)
+    nxt = DnsSnapshot(prev.registrable, prev.vantage_id, T0 + timedelta(minutes=30), nxt.rrsets,
+                      dnsmon.STATUS_OK, nxt.attempts, nxt.errors, nxt.nxdomain)
     assert dnsmon.detect_changes([prev, nxt]) == oracle_diff(prev, nxt)

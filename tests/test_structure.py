@@ -14,11 +14,17 @@ Matching by name is coarse. A use of any attribute called ``load``
 counts for every method of that name, and a name used only in its own
 body counts as used. So the test can miss an unused definition, but a
 definition it flags is used by name nowhere in the package.
+
+A fresh interpreter also imports every module, to check that none of them
+loads ``dataclasses`` or ``inspect``, whose imports and generated methods
+every command would pay for at start-up.
 """
 
 from __future__ import annotations
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "phishlife"
@@ -105,3 +111,16 @@ def test_an_unread_constant_is_flagged(tmp_path):
     (tmp_path / "other.py").write_text("from . import mod\nfrom .mod import UNREAD\n\n"
                                        "SUM = mod.READ + 1\nprint(SUM)\n")
     assert unreferenced(tmp_path) == ["mod.UNREAD", "mod.STORED", "mod.SPARE"]
+
+
+def test_no_module_imports_dataclasses_or_inspect():
+    # pytest and hypothesis import both, so the imports run in a new
+    # interpreter, without site, against what that one has loaded at start
+    modules = sorted(f"phishlife.{p.stem}" for p in SRC.glob("*.py") if p.stem != "__init__")
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); start = set(sys.modules)\n"
+            f"import {', '.join(modules)}\n"
+            "print(' '.join(sorted(set(sys.modules) - start)))")
+    added = subprocess.run([sys.executable, "-S", "-c", code, str(SRC.parent)], check=True,
+                           capture_output=True, text=True).stdout.split()
+    assert set(modules) <= set(added)
+    assert {"dataclasses", "inspect"}.isdisjoint(added)
