@@ -9,10 +9,11 @@ its (domain x vantage x rrtype) lookups to the resolver at once, and
 ``dnswire.UdpResolver`` keeps up to ``dnswire.WINDOW`` of them in flight on
 one selector loop. Both resolvers retry by ``settle``, up to five attempts;
 only ``UdpResolver`` waits the backoff. A (domain, vantage) pair whose
-outcomes equal the last tick's gets that snapshot retaken, its fields and
-cached store line shared, so a settled observation is built and formatted
-once. ``SnapshotStore.append_many`` writes each line of a tick as it is
-made, never the tick's whole text. No tick leaves a reference cycle:
+outcomes equal the last tick's gets that tick's snapshot fields and store
+line retaken, so a settled observation is built and formatted once; only
+``run_schedule`` keeps that tick, so no kept snapshot holds its text.
+``SnapshotStore.append_many`` writes each line of a tick as it is made,
+never the tick's whole text. No tick leaves a reference cycle:
 ``cli.main`` keeps the cyclic collector off while a command runs.
 """
 
@@ -110,11 +111,12 @@ class RrSet:
         return text
 
 
-# a class, not a NamedTuple, as collect_snapshots sets its two caches after it
-# is made, and equality leaves them out; no field is changed once it is made
+# a class, not a NamedTuple: Python 3.11 specialises a slot read but not a
+# tuple-field read, and the analyses read these fields once per snapshot.
+# Snapshots are equal when their fields are; no field is changed once it is made
 class DnsSnapshot:
     __slots__ = ("registrable", "vantage_id", "taken_at", "rrsets", "status", "attempts",
-                 "errors", "nxdomain", "_outcomes", "_text")
+                 "errors", "nxdomain")
     __hash__ = None  # type: ignore[assignment]
 
     def __init__(self, registrable: str, vantage_id: str, taken_at: datetime,
@@ -123,33 +125,11 @@ class DnsSnapshot:
         self.registrable, self.vantage_id, self.taken_at, self.rrsets = (
             registrable, vantage_id, taken_at, rrsets)
         self.status, self.attempts, self.errors, self.nxdomain = status, attempts, errors, nxdomain
-        # caches, not values of the snapshot: the outcomes it was collected from,
-        # and its store line's text before and after the quoted taken_at
-        self._outcomes: Optional[list[Outcome]] = None
-        self._text: Optional[tuple[str, str]] = None
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not DnsSnapshot:
             return NotImplemented
-        return ((self.registrable, self.vantage_id, self.taken_at, self.rrsets, self.status,
-                 self.attempts, self.errors, self.nxdomain)
-                == (other.registrable, other.vantage_id, other.taken_at, other.rrsets,
-                    other.status, other.attempts, other.errors, other.nxdomain))
-
-    @property
-    def _line(self) -> tuple[str, str]:
-        """The store line as ``json.dumps`` with sorted keys writes it, split at ``taken_at``."""
-        text = self._text
-        if text is None:
-            text = self._text = (
-                f'{{"attempts": {self.attempts}, '
-                f'"errors": [{", ".join(map(_json_str, self.errors))}], '
-                f'"nxdomain": {"true" if self.nxdomain else "false"}, '
-                f'"registrable": {_json_str(self.registrable)}, '
-                f'"rrsets": [{", ".join([r.json_text for r in self.rrsets])}], '
-                f'"status": {_json_str(self.status)}, "taken_at": ',
-                f', "vantage_id": {_json_str(self.vantage_id)}}}\n')
-        return text
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
     @classmethod
     def from_json(cls, line: str) -> "DnsSnapshot":
@@ -183,6 +163,18 @@ def _strings(value: object) -> tuple[str, ...]:
     if not (type(value) is list and all(type(v) is str for v in value)):
         raise TypeError(f"{value!r} is not a list of strings")
     return tuple(value)
+
+
+def _line(snap: DnsSnapshot) -> tuple[str, str]:
+    """The snapshot's store line as ``json.dumps`` with sorted keys writes it,
+    split at ``taken_at``: the text before and after the quoted instant."""
+    return (f'{{"attempts": {snap.attempts}, '
+            f'"errors": [{", ".join(map(_json_str, snap.errors))}], '
+            f'"nxdomain": {"true" if snap.nxdomain else "false"}, '
+            f'"registrable": {_json_str(snap.registrable)}, '
+            f'"rrsets": [{", ".join([r.json_text for r in snap.rrsets])}], '
+            f'"status": {_json_str(snap.status)}, "taken_at": ',
+            f', "vantage_id": {_json_str(snap.vantage_id)}}}\n')
 
 
 class RecordChange(NamedTuple):
@@ -418,33 +410,36 @@ def _snapshot(domain: str, vantage: VantagePoint, at: datetime,
                        STATUS_OK if answered else STATUS_FAILED, attempts, tuple(errors), nxdomain)
 
 
-def collect_snapshots(
-    pairs: Sequence[tuple[str, VantagePoint]],
-    lookups: Sequence[Lookup],
-    resolver: Resolver,
-    taken_at: datetime,
-    delays: Sequence[float],
-    previous: Sequence[DnsSnapshot] = (),
-) -> list[DnsSnapshot]:
-    """One snapshot per (domain, vantage) pair, in that order, taken at ``taken_at``;
+# one tick: the resolver's outcomes in lookup order, a snapshot per (domain,
+# vantage) pair, and each snapshot's store line as ``_line`` splits it
+Tick = tuple[list[Outcome], list[DnsSnapshot], list[tuple[str, str]]]
+
+
+def collect_snapshots(pairs: Sequence[tuple[str, VantagePoint]], lookups: Sequence[Lookup],
+                      resolver: Resolver, taken_at: datetime, delays: Sequence[float],
+                      previous: Optional[Tick] = None) -> Tick:
+    """One tick: a snapshot per (domain, vantage) pair, in that order, taken at ``taken_at``;
     ``lookups`` holds each pair's rrtype lookups in turn, and all go to the resolver at once.
 
-    A snapshot is a function of its pair and outcomes: a pair whose outcomes equal those of
-    its snapshot in ``previous`` (the last tick's, or none) gets that snapshot retaken."""
+    A snapshot is a function of its pair and outcomes: a pair whose outcomes equal those in
+    ``previous`` (the last tick, or None) gets that tick's snapshot fields and line retaken."""
     outcomes = resolver.resolve(lookups, delays)
     n = len(outcomes) // len(pairs) if pairs else 0
-    snapshots = []
+    last_outcomes, last_snapshots, last_texts = previous or ((), (), ())
+    snapshots, texts = [], []
     for k, (domain, vantage) in enumerate(pairs):
         group = outcomes[k * n:(k + 1) * n]
-        if previous and (last := previous[k])._outcomes == group:
+        if last_outcomes and last_outcomes[k * n:(k + 1) * n] == group:
+            last = last_snapshots[k]
             snap = DnsSnapshot(domain, vantage.id, taken_at, last.rrsets, last.status,
                                last.attempts, last.errors, last.nxdomain)
-            group, snap._text = last._outcomes, last._text
+            text = last_texts[k]
         else:
             snap = _snapshot(domain, vantage, taken_at, group)
-        snap._outcomes = group
+            text = _line(snap)
         snapshots.append(snap)
-    return snapshots
+        texts.append(text)
+    return outcomes, snapshots, texts
 
 
 class SnapshotStore:
@@ -453,17 +448,18 @@ class SnapshotStore:
     def __init__(self, path: str | Path):
         self.path = Path(path)
 
-    def append_many(self, snapshots: Sequence[DnsSnapshot]) -> None:
+    def append_many(self, snapshots: Sequence[DnsSnapshot], texts: Optional[list] = None) -> None:
+        """Append each snapshot's line: from ``texts``, a tick's lines, or else by ``_line``."""
         if not snapshots:
             return
 
         def lines() -> Iterator[str]:
             stamps: dict[datetime, str] = {}  # each distinct taken_at, formatted and quoted once
-            for snap in snapshots:
+            for snap, text in zip(snapshots, map(_line, snapshots) if texts is None else texts):
                 stamp = stamps.get(snap.taken_at)
                 if stamp is None:
                     stamp = stamps[snap.taken_at] = _json_str(format_utc(snap.taken_at))
-                yield stamp.join(snap._line)  # the text around the quoted taken_at
+                yield stamp.join(text)  # the text around the quoted taken_at
 
         try:
             self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -473,15 +469,19 @@ class SnapshotStore:
             raise StoreFailure(f"cannot append to {self.path}: {exc}") from exc
 
     def load(self) -> list[DnsSnapshot]:
+        last = "\n"  # the last non-blank line; one without its newline is torn
         try:
             with open(self.path, encoding="utf-8") as fh:
-                return [DnsSnapshot.from_json(line) for line in fh if line.strip()]
+                snapshots = [DnsSnapshot.from_json(last := line) for line in fh if line.strip()]
         except FileNotFoundError:  # no store yet; a path under a regular file fails below
             return []
         except OSError as exc:
             raise StoreFailure(f"cannot read {self.path}: {exc}") from exc
         except (KeyError, TypeError, ValueError) as exc:  # a torn or foreign line
             raise StoreFailure(f"malformed snapshot in {self.path}: {exc!r}") from exc
+        if last[-1] != "\n":  # an append would run its first line onto this one
+            raise StoreFailure(f"torn last line in {self.path}: it ends without a newline")
+        return snapshots
 
 
 def run_schedule(
@@ -511,13 +511,14 @@ def run_schedule(
     ticks = 0
     pairs = [(d, v) for d in domains for v in vantages]
     lookups = [(v, d, t) for d, v in pairs for t in types]
-    snapshots: list[DnsSnapshot] = []
+    tick: Optional[Tick] = None  # the last tick alone, for its retakes
     while until is None or due <= until:
         # a sleep that ends early by the wall clock is resumed, so no tick runs before it is due
         while live and (gap := (due - datetime.now(timezone.utc)).total_seconds()) > 0:
             _time.sleep(gap)
-        snapshots = collect_snapshots(pairs, lookups, resolver, due, delays, snapshots)
-        store.append_many(snapshots)
+        tick = collect_snapshots(pairs, lookups, resolver, due, delays, tick)
+        _, snapshots, texts = tick
+        store.append_many(snapshots, texts)
         kept.extend(snapshots)
         due += interval
         ticks += 1

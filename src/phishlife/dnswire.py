@@ -114,10 +114,11 @@ def _decode_rdata(data: bytes, rtype: int, start: int, length: int) -> str:
         name, _ = decode_name(data, start + 2)
         return f"{pref} {name}"
     if rtype == TYPE_CODES["TXT"]:
-        parts = []
-        pos = 0
+        parts, pos = [], 0
         while pos < len(rdata):
             n = rdata[pos]
+            if pos + 1 + n > len(rdata):
+                raise ValueError("TXT character-string runs past its rdata")
             parts.append(rdata[pos + 1:pos + 1 + n].decode("utf-8", errors="replace"))
             pos += 1 + n
         return "".join(parts)
@@ -149,6 +150,8 @@ def parse_response(data: bytes) -> tuple[int, bool, list[tuple[str, int, int, st
             name, offset = decode_name(data, offset)
             rtype, _rclass, ttl, rdlength = struct.unpack("!HHIH", data[offset:offset + 10])
             offset += 10
+            if offset + rdlength > len(data):
+                raise ValueError("rdata runs past the end of the reply")
             answers.append((name, rtype, min(ttl, MAX_TTL),
                             _decode_rdata(data, rtype, offset, rdlength)))
             offset += rdlength

@@ -77,23 +77,17 @@ class RegistrableParts(NamedTuple):
     suffix_listed: bool = True
 
 
-# a class, not a NamedTuple, as build_domain_table updates a record while the
-# feed entries merge into it; records are equal when their fields are
-class DomainRecord:
+class DomainRecord(NamedTuple):
     """A distinct registrable domain with its merged observation history."""
 
-    __hash__ = None  # type: ignore[assignment]
-
-    def __init__(self, registrable: str, public_suffix: str, subdomain: str,
-                 subdomain_count: int, first_detections: dict[str, datetime], brands: set[str],
-                 url_count: int, suffix_unlisted: bool = False):
-        self.registrable, self.public_suffix, self.subdomain = registrable, public_suffix, subdomain
-        self.subdomain_count, self.first_detections, self.brands = (
-            subdomain_count, first_detections, brands)
-        self.url_count, self.suffix_unlisted = url_count, suffix_unlisted
-
-    def __eq__(self, other: object) -> bool:
-        return vars(self) == vars(other) if type(other) is DomainRecord else NotImplemented
+    registrable: str
+    public_suffix: str
+    subdomain: str
+    subdomain_count: int
+    first_detections: dict[str, datetime]
+    brands: set[str]
+    url_count: int
+    suffix_unlisted: bool = False
 
 
 class FeedLoadResult(NamedTuple):
@@ -175,9 +169,17 @@ def read_input(path: str | Path, what: str) -> str:
         raise IoFailure(f"cannot read {what} {path}: {exc}") from exc
 
 
+def _split_lines(text: str) -> list[str]:
+    """``text``'s lines, broken only at LF, CRLF and CR, as universal newlines read them;
+    ``str.splitlines`` also breaks at a form feed, U+0085 and more, which a URL may hold."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n")
+
+
 def read_lines(path: str | Path, what: str) -> list[str]:
     """A text input's lines, ends removed, less blanks and lines whose first non-blank is ``#``."""
-    return [line for line in read_input(path, what).splitlines()
+    return [line for line in _split_lines(read_input(path, what))
             if (head := line.lstrip()) and head[0] != "#"]
 
 
@@ -218,7 +220,7 @@ def load_suffix_rules(path: str | Path) -> SuffixRules:
     exact: set[str] = set()
     wildcard: set[str] = set()
     exception: set[str] = set()
-    for line in text.splitlines():
+    for line in _split_lines(text):
         fields = line.split(None, 1)
         if not fields or fields[0].startswith("//"):
             continue
@@ -347,11 +349,10 @@ def build_domain_table(entries: Iterable[FeedEntry], rules: SuffixRules) -> Doma
     registrable, and the merge is independent of input order. Every
     entry's source is counted in urls_by_source, its URL's host good or not.
     """
-    records: dict[str, DomainRecord] = {}
-    # first-seen subdomain tracked as a (detected_at, subdomain) minimum so
-    # the result is stable under permutation of the input
-    first_sub: dict[str, tuple[datetime, str]] = {}
-    subdomains_seen: dict[str, set[str]] = {}
+    # per registrable: [its first entry's parts, url count, first detection
+    # per source, brands, subdomains seen, the (detected_at, subdomain)
+    # minimum, so the record's subdomain is stable under permutation of the input]
+    merged: dict[str, list] = {}
     urls_by_source: dict[str, int] = {}
     skipped = 0
 
@@ -363,36 +364,23 @@ def build_domain_table(entries: Iterable[FeedEntry], rules: SuffixRules) -> Doma
             skipped += 1
             continue
 
-        rec = records.get(parts.registrable)
-        if rec is None:
-            rec = DomainRecord(
-                registrable=parts.registrable,
-                public_suffix=parts.public_suffix,
-                subdomain=parts.subdomain,
-                subdomain_count=0,
-                first_detections={},
-                brands=set(),
-                url_count=0,
-                suffix_unlisted=not parts.suffix_listed,
-            )
-            records[parts.registrable] = rec
-            subdomains_seen[parts.registrable] = set()
-
-        rec.url_count += 1
-        prev = rec.first_detections.get(entry.source)
-        if prev is None or entry.detected_at < prev:
-            rec.first_detections[entry.source] = entry.detected_at
-        if entry.brand:
-            rec.brands.add(entry.brand.lower())
-        if parts.subdomain:
-            subdomains_seen[parts.registrable].add(parts.subdomain)
         key = (entry.detected_at, parts.subdomain)
-        if parts.registrable not in first_sub or key < first_sub[parts.registrable]:
-            first_sub[parts.registrable] = key
+        acc = merged.get(parts.registrable)
+        if acc is None:
+            acc = merged[parts.registrable] = [parts, 0, {}, set(), set(), key]
+        acc[1] += 1
+        prev = acc[2].get(entry.source)
+        if prev is None or entry.detected_at < prev:
+            acc[2][entry.source] = entry.detected_at
+        if entry.brand:
+            acc[3].add(entry.brand.lower())
+        if parts.subdomain:
+            acc[4].add(parts.subdomain)
+        if key < acc[5]:
+            acc[5] = key
 
-    for registrable, rec in records.items():
-        rec.subdomain = first_sub[registrable][1]
-        rec.subdomain_count = len(subdomains_seen[registrable])
-
-    ordered = [records[k] for k in sorted(records)]
-    return DomainTable(records=ordered, skipped_urls=skipped, urls_by_source=urls_by_source)
+    # popped in sorted order, so each accumulator is freed as its record is made
+    records = [DomainRecord(parts.registrable, parts.public_suffix, first[1], len(subs),
+                            detections, brands, count, not parts.suffix_listed)
+               for parts, count, detections, brands, subs, first in map(merged.pop, sorted(merged))]
+    return DomainTable(records=records, skipped_urls=skipped, urls_by_source=urls_by_source)

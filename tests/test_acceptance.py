@@ -150,10 +150,10 @@ def test_retry_contract_and_backoff():
         ]}})
 
     pairs, lookups = [("a.com", vantage)], [(vantage, "a.com", "A")]
-    (snap,) = dnsmon.collect_snapshots(pairs, lookups, script(4), T0, DELAYS)
+    _, (snap,), _ = dnsmon.collect_snapshots(pairs, lookups, script(4), T0, DELAYS)
     assert snap.status == "ok" and snap.attempts == 5
 
-    (snap2,) = dnsmon.collect_snapshots(pairs, lookups, script(5), T0, DELAYS)
+    _, (snap2,), _ = dnsmon.collect_snapshots(pairs, lookups, script(5), T0, DELAYS)
     assert snap2.status == "failed" and snap2.attempts == 5
     resolver = script(5)
     (outcome,) = resolver.resolve([(vantage, "a.com", "A")], DELAYS)

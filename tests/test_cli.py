@@ -349,14 +349,18 @@ class TestMonitorCommand:
         store = tmp_path / "snaps.jsonl"
         args = ["monitor", "--config", CONFIG, "--snapshot-store", str(store)]
         assert main(args + ["--out-dir", str(tmp_path / "first")]) == 0
-        torn = store.read_text()[:-20]
-        store.write_text(torn)
+        whole = store.read_text()
         resolved = []
         monkeypatch.setattr(dnsmon.ScriptedResolver, "resolve",
                             lambda self, *args: resolved.append(args))
-        assert main(args + ["--out-dir", str(tmp_path / "out")]) == 4
-        assert resolved == []
-        assert store.read_text() == torn
+        # a crash mid-append, and one that cut the final newline alone: the
+        # last line still parses, and an append would run onto it
+        for cut in (20, 1):
+            torn = whole[:-cut]
+            store.write_text(torn)
+            assert main(args + ["--out-dir", str(tmp_path / "out")]) == 4
+            assert resolved == []
+            assert store.read_text() == torn
 
     @pytest.mark.parametrize("domain", ["bad..com", "a" * 64 + ".com"])
     def test_live_domain_not_a_dns_name_exits_2(self, domain, tmp_path, capsys):

@@ -33,12 +33,18 @@ V2 = VantagePoint("v2", "192.0.2.2:53", "eu")
 V3 = VantagePoint("v3", "192.0.2.3:53", "apac")
 
 
-def collect(domains, vantages, types, resolver, at=T0, previous=()):
-    """One tick's snapshots, from the (domain, vantage) pairs and the lookups
-    that run_schedule builds once per run."""
+def tick(domains, vantages, types, resolver, at=T0, previous=None):
+    """One tick, from the (domain, vantage) pairs and the lookups that
+    run_schedule builds once per run."""
     pairs = [(d, v) for d in domains for v in vantages]
     lookups = [(v, d, t) for d, v in pairs for t in types]
     return collect_snapshots(pairs, lookups, resolver, at, DELAYS, previous)
+
+
+def collect(domains, vantages, types, resolver, at=T0):
+    """One tick's snapshots."""
+    _, snapshots, _ = tick(domains, vantages, types, resolver, at)
+    return snapshots
 
 
 def snapshot(domain, vantage, minute, rrsets, status="ok", errors=(), attempts=1):
@@ -267,14 +273,14 @@ def test_simulated_ticks_leave_no_cyclic_garbage(tmp_path):
         "b.com": {"A": ["nxdomain", {"values": ["192.0.2.2"], "ttl": 60}], "TXT": []},
         "b.com@v2": {"A": [{"values": ["192.0.2.3"], "fail_count_before_success": 2}]},
     })
-    store, snapshots = SnapshotStore(tmp_path / "snaps.jsonl"), []
+    store, last = SnapshotStore(tmp_path / "snaps.jsonl"), None
     gc.collect()
     gc.disable()
     try:
         for minute in (30, 60, 90):
-            snapshots = collect(["a.com", "b.com", "gone.com"], [V1, V2], ["A", "NS", "TXT"],
-                                resolver, T0 + timedelta(minutes=minute), snapshots)
-            store.append_many(snapshots)
+            last = tick(["a.com", "b.com", "gone.com"], [V1, V2], ["A", "NS", "TXT"],
+                        resolver, T0 + timedelta(minutes=minute), last)
+            store.append_many(*last[1:])
             assert gc.collect() == 0
     finally:
         gc.enable()
@@ -366,6 +372,20 @@ class TestScheduler:
         assert taken == [start + k * interval for k in (1, 2, 3)]
         # only the lower bound: the host may be slow
         assert all(called >= at for called, at in zip(calls, taken)) and len(calls) == 3
+
+    def test_kept_snapshots_hold_only_their_fields(self, tmp_path):
+        # the retake memo lives in the last tick alone: a kept snapshot
+        # references its eight field values and its class, no outcomes or text
+        resolver, kept = ScriptedResolver(self.RESOLVER_SCRIPT), []
+        run_schedule(["a.com", "b.com", "gone.com"], [V1, V2], ("A",), DELAYS, resolver,
+                     SnapshotStore(tmp_path / "snaps.jsonl"), T0, timedelta(minutes=30),
+                     T0 + timedelta(minutes=90), kept, False)
+        assert len(kept) == 18
+        names = ("registrable", "vantage_id", "taken_at", "rrsets", "status", "attempts",
+                 "errors", "nxdomain")
+        for snap in kept:
+            referents = [r for r in gc.get_referents(snap) if r is not DnsSnapshot]
+            assert sorted(map(id, referents)) == sorted(id(getattr(snap, n)) for n in names)
 
     def test_interval_validation(self, tmp_path):
         for interval in (timedelta(0), timedelta(minutes=-1)):

@@ -138,6 +138,12 @@ MALFORMED_REPLIES = {
     "one_byte_mx_rdata": header(an=1) + question() + rr(b"\xc0\x0c", TYPE_CODES["MX"], 300, b"\x00"),
     "soa_counters_cut_short": header(an=1) + question()
     + rr(b"\xc0\x0c", TYPE_CODES["SOA"], 300, b"\xc0\x0c\xc0\x0c\x00\x00"),
+    # a TXT answer whose last byte is cut: its rdlength runs past the reply
+    "txt_rdata_past_reply": header(an=1) + question()
+    + rr(b"\xc0\x0c", TYPE_CODES["TXT"], 300, b"\x0ahelloworld")[:-1],
+    # a TXT character-string of 11 bytes in a rdata that holds 10 after its length
+    "txt_string_past_rdata": header(an=1) + question()
+    + rr(b"\xc0\x0c", TYPE_CODES["TXT"], 300, b"\x0bhelloworld"),
 }
 
 # a header with small section counts, then arbitrary bytes, so that most
@@ -158,6 +164,8 @@ class TestMalformedReply:
     @example(MALFORMED_REPLIES["answer_header_cut_short"])
     @example(MALFORMED_REPLIES["one_byte_mx_rdata"])
     @example(MALFORMED_REPLIES["soa_counters_cut_short"])
+    @example(MALFORMED_REPLIES["txt_rdata_past_reply"])
+    @example(MALFORMED_REPLIES["txt_string_past_rdata"])
     def test_only_value_error_leaves_parse_response(self, data):
         try:
             parse_response(data)

@@ -171,6 +171,13 @@ class TestSuffixRules:
         assert rules.wildcard == {"ck"}
         assert rules.exception == {"www.ck"}
 
+    def test_lines_break_only_at_newlines(self, tmp_path):
+        # U+2028 ends a line for str.splitlines, not for universal newlines;
+        # it is whitespace, so the rule is the text before it
+        p = tmp_path / "r.dat"
+        p.write_bytes("com\u2028net\r\norg\rio\n".encode("utf-8"))
+        assert load_suffix_rules(p).exact == {"com", "org", "io"}
+
     def test_empty_file(self, tmp_path):
         p = tmp_path / "r.dat"
         p.write_text("// nothing\n\n")
@@ -342,6 +349,19 @@ class TestLoadFeed:
         p = tmp_path / "f.tsv"
         p.write_text("# comment\n\n2024-06-06T00:00:00Z\thttp://y.com/\tapwg\n")
         assert len(load_feed(p, "lines").entries) == 1
+
+    def test_lines_break_only_at_newlines(self, tmp_path):
+        # a brand holding U+0085 and a URL path holding a form feed stay whole;
+        # CRLF and a lone CR end a line, as universal newlines read them
+        p = tmp_path / "f.tsv"
+        p.write_bytes("2024-06-06T00:00:00Z\thttp://x.com/a\x0cb\tapwg\r\n"
+                      "2024-06-06T00:00:00Z\thttp://y.com/\tapwg\tpay\u0085pal\r"
+                      "2024-06-06T00:00:00Z\thttp://z.com/\tapwg\n".encode("utf-8"))
+        result = load_feed(p, "lines")
+        assert result.skipped == 0
+        assert [(e.url, e.brand) for e in result.entries] == [
+            ("http://x.com/a\x0cb", None), ("http://y.com/", "pay\u0085pal"),
+            ("http://z.com/", None)]
 
     def test_all_malformed(self, tmp_path):
         p = tmp_path / "f.tsv"

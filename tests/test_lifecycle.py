@@ -238,8 +238,9 @@ class TestBlocklistLag:
         records = []
         for i, by_source in enumerate(detections):
             record = lifecycle_record(f"d{i}.com", VERDICT_MALICIOUS)
-            record.domain.first_detections = {s: ts(at) for s, at in by_source.items()}
-            records.append(record)
+            detections = {s: ts(at) for s, at in by_source.items()}
+            records.append(record._replace(
+                domain=record.domain._replace(first_detections=detections)))
         report = aggregate(records, "lag", "source", reference)
         return {row.key: row for row in report.rows}, report.ungrouped
 
