@@ -355,9 +355,5 @@ def classify(record: DomainRecord, ctx: ClassifierContext) -> ClassificationResu
     return ClassificationResult(record.registrable, frozenset(flags), verdict, evidence)
 
 
-def classify_all(records: list[DomainRecord], ctx: ClassifierContext) -> list[ClassificationResult]:
-    return [classify(record, ctx) for record in records]
-
-
 def ordered_flags(flags: frozenset[str]) -> list[str]:
     return [f for f in FLAG_ORDER if f in flags]

@@ -28,7 +28,8 @@ from collections import Counter
 from datetime import datetime, timedelta, timezone
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, TextIO, get_origin, get_type_hints
+from typing import (TYPE_CHECKING, Callable, Iterable, Iterator, Optional, TextIO, get_origin,
+                    get_type_hints)
 
 # classifier, squatgen, lifecycle and dnsmon are imported by the stages and
 # commands that use them, so a command loads only its own modules
@@ -268,11 +269,11 @@ def _fmt_days(value: Optional[float]) -> str:
 
 
 class Run:
-    """One pipeline run: the config, the output directory and every stage.
+    """One pipeline run: the config, the output directory and every input it loads.
 
-    Each stage is computed on first use and kept, so a command reads each
-    input at most once and ``report`` shares every stage among its four
-    commands. A command touches only the stages it needs.
+    Each input is loaded on first use and kept, so a command reads each
+    input at most once and ``report`` shares them between its one pass and
+    ``monitor``. A command touches only the inputs it needs.
     """
 
     def __init__(self, cfg: PipelineConfig, out_dir: Path):
@@ -316,11 +317,6 @@ class Run:
         )
 
     @cached_property
-    def results(self) -> list[classifier.ClassificationResult]:
-        from . import classifier
-        return classifier.classify_all(self.table.records, self.ctx)
-
-    @cached_property
     def registrations(self) -> tuple[dict[str, lifecycle.RegistrationEvent], int]:
         """Each domain's registration event, and the count of timestamp rows skipped."""
         from . import lifecycle
@@ -354,21 +350,27 @@ def _domain_record_json(rec: ingest.DomainRecord) -> str:
     }, sort_keys=True)
 
 
-def cmd_ingest(run: Run) -> None:
-    records = run.table.records
-    with _output(run.out_dir / "domains.jsonl") as fh:
-        fh.writelines(_domain_record_json(r) + "\n" for r in records)
+# A stage opens its row files and yields its sink, the function that takes each
+# record, its classification and its lifecycle record. When the pass ends, it renames its
+# row files into place, writes its summary files and prints its lines.
 
-    urls_by_source = run.table.urls_by_source
+
+@contextlib.contextmanager
+def _ingest_stage(run: Run) -> Iterator[Callable]:
+    tlds: set[str] = set()
     domains_by_source: Counter = Counter()
     tlds_by_source: dict[str, set] = {}
-    for rec in records:
-        for source in rec.first_detections:
-            domains_by_source[source] += 1
-            tlds_by_source.setdefault(source, set()).add(rec.public_suffix)
+    with _output(run.out_dir / "domains.jsonl") as fh:
+        def sink(rec: ingest.DomainRecord, res, life) -> None:
+            fh.write(_domain_record_json(rec) + "\n")
+            tlds.add(rec.public_suffix)
+            for source in rec.first_detections:
+                domains_by_source[source] += 1
+                tlds_by_source.setdefault(source, set()).add(rec.public_suffix)
+        yield sink
 
-    tld_count = len({r.public_suffix for r in records})
-    _print(f"{len(records)} domains, {tld_count} TLDs "
+    urls_by_source = run.table.urls_by_source
+    _print(f"{len(run.table.records)} domains, {len(tlds)} TLDs "
            f"({sum(urls_by_source.values())} URLs, {run.table.skipped_urls} skipped)")
     for source in sorted(urls_by_source):
         _print(f"  {source}: {urls_by_source[source]} URLs, "
@@ -378,27 +380,35 @@ def cmd_ingest(run: Run) -> None:
         _print(f"  {path}: {feed.skipped} malformed records skipped")
 
 
-def cmd_classify(run: Run) -> None:
+@contextlib.contextmanager
+def _classify_stage(run: Run) -> Iterator[Callable]:
     from . import classifier
-    results = run.results
-    out_dir = run.out_dir
+    # each verdict and each flag, whose names differ; only a candidate (a
+    # malicious or compromised domain) has flags
+    tally: Counter = Counter()
+    bulk_by_registrar: Counter = Counter()
+    # the CSV is entered last, so it is the first renamed into place
+    with (_output(run.out_dir / "classification.jsonl") as lines,
+          _output(run.out_dir / "classification.csv") as fh):
+        table = csv.writer(fh, lineterminator="\n")
+        table.writerow(["registrable", "verdict", "flags", "evidence"])
 
-    _write_csv(out_dir / "classification.csv", ["registrable", "verdict", "flags", "evidence"],
-               ([res.registrable, res.verdict, ";".join(classifier.ordered_flags(res.flags)),
-                 "|".join(f"{flag}={detail}" for flag, detail in res.evidence)]
-                for res in results))
-    with _output(out_dir / "classification.jsonl") as fh:
-        fh.writelines(json.dumps({
-            "registrable": res.registrable,
-            "verdict": res.verdict,
-            "flags": classifier.ordered_flags(res.flags),
-            "evidence": [list(e) for e in res.evidence],
-        }, sort_keys=True) + "\n" for res in results)
+        def sink(rec, res: classifier.ClassificationResult, life) -> None:
+            flags = classifier.ordered_flags(res.flags)
+            table.writerow([res.registrable, res.verdict, ";".join(flags),
+                            "|".join(f"{flag}={detail}" for flag, detail in res.evidence)])
+            lines.write(json.dumps({
+                "registrable": res.registrable,
+                "verdict": res.verdict,
+                "flags": flags,
+                "evidence": [list(e) for e in res.evidence],
+            }, sort_keys=True) + "\n")
+            tally.update([res.verdict, *flags])
+            if classifier.BULK_REGISTERED in res.flags:
+                bulk_by_registrar[run.ctx.bulk_membership[res.registrable].registrar] += 1
+        yield sink
 
-    candidates = [r for r in results
-                  if r.verdict in (classifier.VERDICT_MALICIOUS, classifier.VERDICT_COMPROMISED)]
-    base = len(candidates)
-    malicious = [r for r in candidates if r.verdict == classifier.VERDICT_MALICIOUS]
+    base = tally[classifier.VERDICT_MALICIOUS] + tally[classifier.VERDICT_COMPROMISED]
 
     def pct(n: int) -> str:
         return f"{100.0 * n / base:.1f}" if base else ""
@@ -406,26 +416,97 @@ def cmd_classify(run: Run) -> None:
     # allowlisted and platform-abuse domains are tallied apart from the
     # malicious/compromised percentages
     for verdict in (classifier.VERDICT_ALLOWLISTED, classifier.VERDICT_PLATFORM):
-        n = sum(1 for r in results if r.verdict == verdict)
-        _print(f"{verdict}: {n}")
-    counts = [(flag, sum(1 for r in candidates if flag in r.flags))
-              for flag in classifier.FLAG_ORDER] + [("malicious_total", len(malicious))]
+        _print(f"{verdict}: {tally[verdict]}")
+    counts = ([(flag, tally[flag]) for flag in classifier.FLAG_ORDER]
+              + [("malicious_total", tally[classifier.VERDICT_MALICIOUS])])
     _print(f"candidates after allowlist removal: {base}")
     for flag, n in counts:
         _print(f"  {flag}: {n} ({pct(n)}%)")
-    _write_csv(out_dir / "flag_summary.csv", ["flag", "domains", "pct_of_candidates"],
+    _write_csv(run.out_dir / "flag_summary.csv", ["flag", "domains", "pct_of_candidates"],
                ([flag, n, pct(n)] for flag, n in counts))
 
-    bulk_by_registrar: Counter = Counter()
-    for res in results:
-        cluster = run.ctx.bulk_membership.get(res.registrable)
-        if cluster is not None and classifier.BULK_REGISTERED in res.flags:
-            bulk_by_registrar[cluster.registrar] += 1
     total_bulk = sum(bulk_by_registrar.values())  # each ranked registrar counts at least 1
     ranked = sorted(bulk_by_registrar.items(), key=lambda kv: (-kv[1], kv[0]))
-    _write_csv(out_dir / "registrar_summary.csv", ["rank", "registrar", "domains", "share"],
+    _write_csv(run.out_dir / "registrar_summary.csv", ["rank", "registrar", "domains", "share"],
                ([rank, registrar, n, f"{100.0 * n / total_bulk:.1f}"]
                 for rank, (registrar, n) in enumerate(ranked, start=1)))
+
+
+@contextlib.contextmanager
+def _lifecycle_stage(run: Run) -> Iterator[Callable]:
+    from . import classifier, lifecycle
+    aggregates = lifecycle.Aggregates(run.cfg.reference_source)
+    with_delay = 0
+    with _output(run.out_dir / "lifecycle.csv") as fh:
+        table = csv.writer(fh, lineterminator="\n")
+        table.writerow(["registrable", "registered_at", "provenance", "deregistered_at",
+                        "detection_delay_days", "takedown_delay_days", "flags", "verdict"])
+
+        def sink(rec, res, life: lifecycle.LifecycleRecord) -> None:
+            nonlocal with_delay
+            reg, det, take = life.registration, life.detection_delay, life.takedown_delay
+            table.writerow([
+                rec.registrable,
+                format_utc(reg.registered_at) if reg else "",
+                reg.provenance if reg else "",
+                format_utc(reg.deregistered_at) if reg and reg.deregistered_at else "",
+                _fmt_days(to_days(det) if det is not None else None),
+                _fmt_days(to_days(take) if take is not None else None),
+                ";".join(classifier.ordered_flags(res.flags)),
+                res.verdict,
+            ])
+            aggregates.add(life)
+            with_delay += det is not None
+        yield sink
+
+    for metric, group in lifecycle.AGGREGATES:
+        try:
+            report = aggregates.report(metric, group)
+        except lifecycle.EmptyInput:
+            continue
+        _write_csv(run.out_dir / f"agg_{metric}_{group}.csv",
+                   ["key", "count", "mean_days", "median_days", "missing"],
+                   ([row.key, row.count, _fmt_days(row.mean_days), _fmt_days(row.median_days),
+                     row.missing] for row in report.rows))
+    _print(f"{len(run.table.records)} lifecycle records ({with_delay} with detection delay)")
+    _print(f"  {run.cfg.timestamp_sources}: {run.registrations[1]} timestamp rows skipped")
+
+
+# the inputs each stage's command has always loaded, in that order
+_INPUTS = {_ingest_stage: ["table"], _classify_stage: ["table", "ctx"],
+           _lifecycle_stage: ["registrations", "table", "ctx"]}
+
+
+def _one_pass(run: Run, *stages: Callable) -> None:
+    """Classify and join each table record once, and hand it to every stage given.
+
+    Every input is loaded before any output is opened, stage by stage in
+    the order of _INPUTS, so the first bad input is the one it has always
+    been. After the pass, the stages finish in the order given.
+    """
+    inputs = {name: getattr(run, name) for stage in stages for name in _INPUTS[stage]}
+    ctx, registrations = inputs.get("ctx"), inputs.get("registrations")
+    if ctx is not None:
+        from . import classifier
+    if registrations is not None:
+        from . import lifecycle
+    with contextlib.ExitStack() as stack:
+        # entered last to first, so that the first given is the first to finish
+        sinks = [stack.enter_context(stage(run)) for stage in reversed(stages)]
+        for rec in run.table.records:
+            res = classifier.classify(rec, ctx) if ctx is not None else None
+            life = (lifecycle.join_record(rec, res, registrations[0], run.cfg.reference_source)
+                    if registrations is not None else None)
+            for sink in sinks:
+                sink(rec, res, life)
+
+
+def cmd_ingest(run: Run) -> None:
+    _one_pass(run, _ingest_stage)
+
+
+def cmd_classify(run: Run) -> None:
+    _one_pass(run, _classify_stage)
 
 
 def cmd_monitor(run: Run, live: bool) -> None:
@@ -497,44 +578,7 @@ def cmd_monitor(run: Run, live: bool) -> None:
 
 
 def cmd_lifecycle(run: Run) -> None:
-    from . import classifier, lifecycle
-    cfg, out_dir = run.cfg, run.out_dir
-    registrations, skipped = run.registrations
-    records = lifecycle.build_lifecycle_records(
-        run.table.records, run.results, registrations, cfg.reference_source)
-
-    def rows() -> Iterator[list]:
-        for rec in records:
-            reg = rec.registration
-            yield [
-                rec.domain.registrable,
-                format_utc(reg.registered_at) if reg else "",
-                reg.provenance if reg else "",
-                format_utc(reg.deregistered_at) if reg and reg.deregistered_at else "",
-                _fmt_days(to_days(rec.detection_delay)
-                          if rec.detection_delay is not None else None),
-                _fmt_days(to_days(rec.takedown_delay)
-                          if rec.takedown_delay is not None else None),
-                ";".join(classifier.ordered_flags(rec.classification.flags)),
-                rec.classification.verdict,
-            ]
-
-    _write_csv(out_dir / "lifecycle.csv",
-               ["registrable", "registered_at", "provenance", "deregistered_at",
-                "detection_delay_days", "takedown_delay_days", "flags", "verdict"], rows())
-
-    for metric, group in lifecycle.AGGREGATES:
-        try:
-            report = lifecycle.aggregate(records, metric, group, cfg.reference_source)
-        except lifecycle.EmptyInput:
-            continue
-        _write_csv(out_dir / f"agg_{metric}_{group}.csv",
-                   ["key", "count", "mean_days", "median_days", "missing"],
-                   ([row.key, row.count, _fmt_days(row.mean_days), _fmt_days(row.median_days),
-                     row.missing] for row in report.rows))
-    _print(f"{len(records)} lifecycle records "
-           f"({sum(1 for r in records if r.detection_delay is not None)} with detection delay)")
-    _print(f"  {cfg.timestamp_sources}: {skipped} timestamp rows skipped")
+    _one_pass(run, _lifecycle_stage)
 
 
 def cmd_squatgen_dump(brand_domain: Optional[str]) -> None:
@@ -552,9 +596,7 @@ def cmd_squatgen_dump(brand_domain: Optional[str]) -> None:
 
 
 def cmd_report(run: Run) -> None:
-    cmd_ingest(run)
-    cmd_classify(run)
-    cmd_lifecycle(run)
+    _one_pass(run, _ingest_stage, _classify_stage, _lifecycle_stage)
     if run.cfg.resolver_fixture is not None:
         cmd_monitor(run, live=False)
 

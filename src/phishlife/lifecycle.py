@@ -132,104 +132,80 @@ def takedown_delay(
     return reg.deregistered_at - detections[reference_source]
 
 
-def build_lifecycle_records(
-    domain_records: list[DomainRecord],
-    classifications: list[ClassificationResult],
+def join_record(
+    domain: DomainRecord,
+    classification: ClassificationResult,
     registrations: Mapping[str, RegistrationEvent],
     reference_source: str,
-) -> list[LifecycleRecord]:
-    """Join the domain table, its classifications in table order, and registration events."""
-    records = []
-    for rec, classification in zip(domain_records, classifications, strict=True):
-        reg = registrations.get(rec.registrable)
-        det = detection_delay(reg, rec.first_detections, reference_source)
-        take = takedown_delay(reg, rec.first_detections, reference_source)
-        data_flags = set()
-        if det is not None and det < timedelta(0):
-            data_flags.add(PRE_REGISTRATION_DETECTION)
-        if take is not None and take < timedelta(0):
-            data_flags.add(DEREGISTERED_BEFORE_DETECTION)
-        records.append(LifecycleRecord(
-            domain=rec,
-            registration=reg,
-            detection_delay=det,
-            takedown_delay=take,
-            classification=classification,
-            data_flags=frozenset(data_flags),
-        ))
-    return records
+) -> LifecycleRecord:
+    """Join one domain table record with its classification and registration event."""
+    reg = registrations.get(domain.registrable)
+    det = detection_delay(reg, domain.first_detections, reference_source)
+    take = takedown_delay(reg, domain.first_detections, reference_source)
+    data_flags = set()
+    if det is not None and det < timedelta(0):
+        data_flags.add(PRE_REGISTRATION_DETECTION)
+    if take is not None and take < timedelta(0):
+        data_flags.add(DEREGISTERED_BEFORE_DETECTION)
+    return LifecycleRecord(domain, reg, det, take, classification, frozenset(data_flags))
 
 
 # each group key's values of a record
 _GROUP_VALUES = {
-    "brand": lambda record: sorted(record.domain.brands),
+    "brand": lambda record: record.domain.brands,
     "tld": lambda record: [record.domain.public_suffix],
-    "flag_category": lambda record: sorted(record.classification.flags),
+    "flag_category": lambda record: record.classification.flags,
     "verdict": lambda record: [record.classification.verdict],
-    "source": lambda record: sorted(record.domain.first_detections),
+    "source": lambda record: record.domain.first_detections,
 }
 
 
-def _metric_value(
-    record: LifecycleRecord, metric: str, group: str, reference_source: str,
-) -> Optional[float]:
-    if metric == "detection_delay":
-        return to_days(record.detection_delay) if record.detection_delay is not None else None
-    if metric == "takedown_delay":
-        return to_days(record.takedown_delay) if record.takedown_delay is not None else None
-    # lag: group is a blocklist source; value is its lag behind the reference
-    detections = record.domain.first_detections
-    if reference_source not in detections or group not in detections:
-        return None
-    return to_days(detections[group] - detections[reference_source])
+class Aggregates:
+    """Every aggregate of AGGREGATES, folded one lifecycle record at a time.
 
-
-def aggregate(
-    records: list[LifecycleRecord],
-    metric: str,
-    group_key: str,
-    reference_source: str,
-) -> AggregateReport:
-    """Group records and compute count/mean/median of a delay metric.
-
-    ``(metric, group_key)`` is one of AGGREGATES. Records lacking the
-    metric are excluded from a row's statistics but counted in its missing
-    column; records lacking the grouping attribute are tallied as
-    ungrouped. EmptyInput is raised when no record is grouped, as when
-    there are none. Medians use lower interpolation. Rows sort by count
-    descending, then key.
+    Records lacking the metric are excluded from a row's statistics but
+    counted in its missing column; records lacking the grouping attribute
+    are tallied as ungrouped. A source's lag is its detection minus the
+    reference source's, so the reference source itself is no lag group.
     """
-    values: dict[str, list[float]] = {}
-    missing: dict[str, int] = {}
-    ungrouped = 0
-    group_values = _GROUP_VALUES[group_key]
-    for record in records:
-        groups = group_values(record)
-        if metric == "lag":
-            groups = [g for g in groups if g != reference_source]
+
+    def __init__(self, reference_source: str):
+        self.reference_source = reference_source
+        # per aggregate: the ungrouped count, and each group's day values, None
+        # for a record lacking the metric
+        self._folds = {agg: [0, {}] for agg in AGGREGATES}
+
+    def add(self, record: LifecycleRecord) -> None:
+        reference, detections = self.reference_source, record.domain.first_detections
+        groups_of = {key: values(record) for key, values in _GROUP_VALUES.items()}
+        delays = {"detection_delay": record.detection_delay,
+                  "takedown_delay": record.takedown_delay}
+        days = {metric: None if d is None else to_days(d) for metric, d in delays.items()}
+        for (metric, group_key), fold in self._folds.items():
+            groups = [g for g in groups_of[group_key] if metric != "lag" or g != reference]
+            if not groups:
+                fold[0] += 1
+            for group in groups:
+                if metric != "lag":
+                    value = days[metric]
+                else:
+                    value = (to_days(detections[group] - detections[reference])
+                             if reference in detections else None)
+                fold[1].setdefault(group, []).append(value)
+
+    def report(self, metric: str, group_key: str) -> AggregateReport:
+        """The rows of one of AGGREGATES, by count descending, then key.
+
+        Medians use lower interpolation. EmptyInput is raised when no
+        record is grouped, as when none was added.
+        """
+        ungrouped, groups = self._folds[metric, group_key]
         if not groups:
-            ungrouped += 1
-            continue
-        for group in groups:
-            value = _metric_value(record, metric, group, reference_source)
-            kept = values.setdefault(group, [])
-            if value is None:
-                missing[group] = missing.get(group, 0) + 1
-            else:
-                kept.append(value)
-
-    if not values:  # every group seen has a list, if an empty one
-        raise EmptyInput(f"no record carries grouping attribute {group_key!r}")
-
-    rows = []
-    for key in values:
-        vals = sorted(values[key])
-        rows.append(AggregateRow(
-            key=key,
-            count=len(vals),
-            mean_days=fmean(vals) if vals else None,
-            median_days=float(median_low(vals)) if vals else None,
-            missing=missing.get(key, 0),
-        ))
-    rows.sort(key=lambda r: (-r.count, r.key))
-    return AggregateReport(rows=rows, ungrouped=ungrouped)
+            raise EmptyInput(f"no record carries grouping attribute {group_key!r}")
+        rows = []
+        for key, kept in groups.items():
+            vals = [v for v in kept if v is not None]
+            rows.append(AggregateRow(key, len(vals), fmean(vals) if vals else None,
+                                     median_low(vals) if vals else None, len(kept) - len(vals)))
+        rows.sort(key=lambda r: (-r.count, r.key))
+        return AggregateReport(rows, ungrouped)

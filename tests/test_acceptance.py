@@ -86,7 +86,7 @@ def test_classifier_corpus_exact_labels(corpus_table, classifier_ctx):
     with open(DATA / "corpus40_expected.csv", newline="") as fh:
         expected = {row["registrable"]: (row["verdict"], row["flags"])
                     for row in csv.DictReader(fh)}
-    results = classifier.classify_all(corpus_table.records, classifier_ctx)
+    results = [classifier.classify(r, classifier_ctx) for r in corpus_table.records]
     assert len(results) == 40
 
     for res in results:
@@ -224,9 +224,12 @@ def test_ttl_bucket_fixture():
 
 def test_lifecycle_identity_and_planted_medians(corpus_table, classifier_ctx):
     registrations, _ = lifecycle.load_timestamp_sources(DATA / "timestamp_sources.csv")
-    classifications = classifier.classify_all(corpus_table.records, classifier_ctx)
-    records = lifecycle.build_lifecycle_records(
-        corpus_table.records, classifications, registrations, "apwg")
+    records = [lifecycle.join_record(rec, classifier.classify(rec, classifier_ctx),
+                                     registrations, "apwg")
+               for rec in corpus_table.records]
+    aggregates = lifecycle.Aggregates("apwg")
+    for record in records:
+        aggregates.add(record)
 
     complete = [
         r for r in records
@@ -239,12 +242,12 @@ def test_lifecycle_identity_and_planted_medians(corpus_table, classifier_ctx):
         total = rec.registration.deregistered_at - rec.registration.registered_at
         assert rec.detection_delay + rec.takedown_delay == total  # exact identity
 
-    detection = lifecycle.aggregate(records, "detection_delay", "verdict", "apwg")
+    detection = aggregates.report("detection_delay", "verdict")
     medians = {row.key: row.median_days for row in detection.rows}
     assert medians["MaliciousRegistration"] == pytest.approx(16.3, abs=0.05)
     assert medians["Compromised"] == pytest.approx(86.0, abs=0.05)
 
-    takedown = lifecycle.aggregate(records, "takedown_delay", "verdict", "apwg")
+    takedown = aggregates.report("takedown_delay", "verdict")
     take_medians = {row.key: row.median_days for row in takedown.rows}
     assert take_medians["MaliciousRegistration"] == pytest.approx(11.5, abs=0.05)
     ok(f"delay identity exact on {len(complete)} records; planted medians 16.3/86/11.5 reproduced")

@@ -22,7 +22,6 @@ from phishlife.classifier import (
     VERDICT_MALICIOUS,
     VERDICT_PLATFORM,
     classify,
-    classify_all,
     cluster_bulk,
     is_random_looking,
     levenshtein,
@@ -515,7 +514,7 @@ class TestClassify:
         assert classify(rec, widened).verdict != VERDICT_MALICIOUS
 
     def test_corpus_invariants(self, corpus_table, classifier_ctx):
-        results = classify_all(corpus_table.records, classifier_ctx)
+        results = [classify(r, classifier_ctx) for r in corpus_table.records]
         assert len(results) == len(corpus_table.records)  # exactly one verdict each
         for res in results:
             if "random_looking" in res.flags:
@@ -532,7 +531,7 @@ class TestClassify:
                 row["registrable"]: (row["verdict"], row["flags"])
                 for row in csv.DictReader(fh)
             }
-        results = classify_all(corpus_table.records, classifier_ctx)
+        results = [classify(r, classifier_ctx) for r in corpus_table.records]
         assert len(results) == 40
         for res in results:
             want_verdict, want_flags = expected[res.registrable]
@@ -540,7 +539,7 @@ class TestClassify:
             assert ";".join(ordered_flags(res.flags)) == want_flags, res.registrable
 
     def test_overlap_exceeds_hundred_percent(self, corpus_table, classifier_ctx):
-        results = classify_all(corpus_table.records, classifier_ctx)
+        results = [classify(r, classifier_ctx) for r in corpus_table.records]
         malicious = [r for r in results if r.verdict == VERDICT_MALICIOUS]
         flag_instances = sum(len(r.flags) for r in malicious)
         assert flag_instances > len(malicious)  # Table-2-style overlap

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from phishlife import classifier, cli, dnsmon, dnswire, ingest, squatgen
+from phishlife import classifier, cli, dnsmon, dnswire, ingest, lifecycle, squatgen
 from phishlife.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -561,15 +561,19 @@ def pipeline_config(request, tmp_path) -> str:
 
 class TestOnePass:
     STAGES = [(ingest, "build_domain_table"), (ingest, "load_suffix_rules"),
-              (squatgen, "build_index"), (classifier, "cluster_bulk")]
+              (squatgen, "build_index"), (classifier, "cluster_bulk"),
+              (lifecycle, "load_timestamp_sources"), (classifier, "classify")]
 
-    def test_report_matches_separate_commands(self, pipeline_config, tmp_path):
+    def test_report_matches_separate_commands(self, pipeline_config, tmp_path, capsys):
         report, apart = tmp_path / "report", tmp_path / "apart"
         assert main(["report", "--config", pipeline_config, "--out-dir", str(report)]) == 0
+        printed = capsys.readouterr().out
         for command in ("ingest", "classify", "lifecycle", "monitor"):
             assert main([command, "--config", pipeline_config, "--out-dir", str(apart)]) == 0
         written = {p.name: p.read_bytes() for p in report.iterdir()}
         assert written == {p.name: p.read_bytes() for p in apart.iterdir()}
+        # and the same lines, in the order of the commands
+        assert printed == capsys.readouterr().out
 
     def test_report_computes_each_stage_once(self, pipeline_config, tmp_path, monkeypatch):
         calls: Counter = Counter()
@@ -579,13 +583,16 @@ class TestOnePass:
                 return _original(*args, **kwargs)
             monkeypatch.setattr(module, name, counted)
         assert main(["report", "--config", pipeline_config, "--out-dir", str(tmp_path / "out")]) == 0
-        assert calls == {name: 1 for _, name in self.STAGES}
+        # one pass classifies each table record once, for every stage
+        records = len((tmp_path / "out" / "domains.jsonl").read_text().splitlines())
+        assert calls == {name: records if name == "classify" else 1 for _, name in self.STAGES}
 
 
 @pytest.mark.parametrize("command, absent", [
     ("monitor", ["phishlife.classifier", "phishlife.lifecycle", "phishlife.squatgen"]),
     ("classify", ["phishlife.dnsmon", "phishlife.lifecycle"]),
-    ("ingest", ["phishlife.dnsmon"]),
+    ("ingest", ["phishlife.classifier", "phishlife.dnsmon", "phishlife.lifecycle",
+                "phishlife.squatgen"]),
     ("lifecycle", ["phishlife.dnsmon"]),
 ])
 def test_command_imports_only_its_own_modules(command, absent, tmp_path):
@@ -601,6 +608,26 @@ def test_command_imports_only_its_own_modules(command, absent, tmp_path):
     code, modules = json.loads(proc.stdout.splitlines()[-1])
     assert code == 0 and "phishlife.cli" in modules
     assert [m for m in absent if m in modules] == []
+
+
+MONITOR_KEYS = ["vantage_config", "resolver_fixture", "monitor_domains", "monitor_interval_minutes",
+                "monitor_duration_minutes", "monitor_start", "rrtypes"]
+
+
+@pytest.mark.parametrize("command, dropped, written", [
+    ("ingest", [k for k in json.loads((DATA / "config.json").read_text())
+                if k not in ("feeds", "suffix_rules")], ["domains.jsonl"]),
+    ("classify", ["timestamp_sources", "vantage_config", "resolver_fixture"],
+     ["classification.csv", "classification.jsonl", "flag_summary.csv", "registrar_summary.csv"]),
+    ("lifecycle", MONITOR_KEYS,
+     ["lifecycle.csv", *(f"agg_{metric}_{group}.csv" for metric, group in lifecycle.AGGREGATES)]),
+])
+def test_command_needs_only_its_own_config_keys(command, dropped, written, tmp_path, capsys):
+    # tests/data/config.json without the keys the command does not read
+    config = config_copy(tmp_path, dict.fromkeys(dropped))
+    out = tmp_path / "out"
+    assert main([command, "--config", config, "--out-dir", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(written)
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
@@ -895,6 +922,59 @@ def test_error_while_rows_are_made_leaves_no_file(tmp_path, monkeypatch):
     with pytest.raises(RuntimeError, match="row failed"):
         main(["lifecycle", "--config", CONFIG, "--out-dir", str(out)])
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, named", [("lifecycle", "timestamp sources"),
+                                             ("report", "allowlist")])
+def test_bad_input_fails_before_any_output(command, named, tmp_path, capsys):
+    # the allowlist and the timestamp sources are both missing: each command
+    # names the one it has always read first, and writes and prints nothing
+    config = config_copy(tmp_path, {"allowlist": str(tmp_path / "no-allowlist.csv"),
+                                    "timestamp_sources": str(tmp_path / "no-sources.csv")})
+    out = tmp_path / "out"
+    assert main([command, "--config", config, "--out-dir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: cannot read {named} ")
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("failure", ["row", "fsync"])
+def test_failed_report_keeps_every_earlier_output(failure, tmp_path, capsys, monkeypatch):
+    # report holds the row files of ingest, classify and lifecycle open at
+    # once. An exception from the lifecycle stage's second row (the third
+    # delay formatted), or a full disk at the first fsync, removes every temp
+    # file and leaves each output of the earlier run byte for byte
+    out = tmp_path / "out"
+    argv = ["report", "--config", CONFIG, "--out-dir", str(out)]
+    assert main(argv) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    if failure == "row":
+        calls = Counter()
+        fmt_days = cli._fmt_days
+
+        def failing(value):
+            calls["n"] += 1
+            if calls["n"] == 3:
+                row_files = ["classification.csv", "classification.jsonl", "domains.jsonl",
+                             "lifecycle.csv"]
+                assert (sorted(p.name for p in out.glob("*.tmp"))
+                        == [f"{name}.{os.getpid()}.tmp" for name in row_files])
+                raise RuntimeError("row failed")
+            return fmt_days(value)
+
+        monkeypatch.setattr(cli, "_fmt_days", failing)
+        with pytest.raises(RuntimeError, match="row failed"):
+            main(argv)
+    else:
+        def no_space(fd):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(os, "fsync", no_space)
+        capsys.readouterr()
+        assert main(argv) == 4
+        assert "domains.jsonl" in capsys.readouterr().err
+    assert not list(out.glob("*.tmp"))
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 # (command, config key, data file, field separator, fields per line, has a header row)

@@ -24,11 +24,11 @@ from phishlife.lifecycle import (
     KIND_WHOIS,
     KIND_ZONE_FIRST,
     KIND_ZONE_LAST,
+    Aggregates,
     LifecycleRecord,
     RegistrationEvent,
-    aggregate,
-    build_lifecycle_records,
     detection_delay,
+    join_record,
     load_timestamp_sources,
     takedown_delay,
 )
@@ -83,6 +83,14 @@ def lifecycle_record(registrable, verdict, detection=None, takedown=None,
         takedown_delay=timedelta(days=takedown) if takedown is not None else None,
         classification=ClassificationResult(registrable, frozenset(flags), verdict),
     )
+
+
+def fold_report(records, metric, group, reference):
+    """One aggregate's report, with ``records`` folded as the lifecycle command folds them."""
+    aggregates = Aggregates(reference)
+    for record in records:
+        aggregates.add(record)
+    return aggregates.report(metric, group)
 
 
 def merge_one(sources):
@@ -225,13 +233,13 @@ class TestDelays:
         reg = RegistrationEvent("a.com", ts("2024-01-01T00:00:00"), KIND_RDAP,
                                 deregistered_at=ts("2024-03-01T00:00:00"))
         classification = ClassificationResult("a.com", frozenset(), VERDICT_COMPROMISED)
-        (life,) = build_lifecycle_records([rec], [classification], {"a.com": reg}, "apwg")
+        life = join_record(rec, classification, {"a.com": reg}, "apwg")
         assert life.takedown_delay == timedelta(days=-1)
         assert DEREGISTERED_BEFORE_DETECTION in life.data_flags
 
 
 class TestBlocklistLag:
-    """Per-source lag behind the reference list: aggregate(records, "lag", "source", reference)."""
+    """Per-source lag behind the reference list: the ("lag", "source") aggregate."""
 
     @staticmethod
     def lag_rows(*detections, reference="apwg"):
@@ -241,7 +249,7 @@ class TestBlocklistLag:
             detections = {s: ts(at) for s, at in by_source.items()}
             records.append(record._replace(
                 domain=record.domain._replace(first_detections=detections)))
-        report = aggregate(records, "lag", "source", reference)
+        report = fold_report(records, "lag", "source", reference)
         return {row.key: row for row in report.rows}, report.ungrouped
 
     def test_phishtank_lag(self):
@@ -278,7 +286,7 @@ class TestAggregate:
             lifecycle_record(f"d{i}.com", VERDICT_MALICIOUS, detection=d)
             for i, d in enumerate([1, 1, 2, 10, 100])
         ]
-        report = aggregate(records, "detection_delay", "verdict", "apwg")
+        report = fold_report(records, "detection_delay", "verdict", "apwg")
         (row,) = report.rows
         assert row.count == 5
         assert row.mean_days == pytest.approx(22.8)
@@ -289,7 +297,7 @@ class TestAggregate:
             lifecycle_record("m.com", VERDICT_MALICIOUS, detection=16.3),
             lifecycle_record("c.com", VERDICT_COMPROMISED, detection=86),
         ]
-        report = aggregate(records, "detection_delay", "verdict", "apwg")
+        report = fold_report(records, "detection_delay", "verdict", "apwg")
         medians = {row.key: row.median_days for row in report.rows}
         assert medians[VERDICT_MALICIOUS] == pytest.approx(16.3)
         assert medians[VERDICT_COMPROMISED] == pytest.approx(86)
@@ -300,7 +308,7 @@ class TestAggregate:
             lifecycle_record("b.com", VERDICT_MALICIOUS),           # missing metric
             lifecycle_record("c.com", VERDICT_COMPROMISED),
         ]
-        report = aggregate(records, "detection_delay", "verdict", "apwg")
+        report = fold_report(records, "detection_delay", "verdict", "apwg")
         totals = sum(r.count + r.missing for r in report.rows) + report.ungrouped
         assert totals == len(records)
 
@@ -309,21 +317,21 @@ class TestAggregate:
             [lifecycle_record(f"a{i}.com", VERDICT_MALICIOUS, detection=1) for i in range(3)]
             + [lifecycle_record("z.com", VERDICT_COMPROMISED, detection=2)]
         )
-        report = aggregate(records, "detection_delay", "verdict", "apwg")
+        report = fold_report(records, "detection_delay", "verdict", "apwg")
         assert [r.key for r in report.rows] == [VERDICT_MALICIOUS, VERDICT_COMPROMISED]
 
     def test_grouping_attribute_absent(self):
         records = [lifecycle_record("a.com", VERDICT_MALICIOUS, detection=1)]
         with pytest.raises(EmptyInput):
-            aggregate(records, "detection_delay", "brand", "apwg")
+            fold_report(records, "detection_delay", "brand", "apwg")
 
     def test_empty_records(self):
         with pytest.raises(EmptyInput):
-            aggregate([], "detection_delay", "verdict", "apwg")
+            fold_report([], "detection_delay", "verdict", "apwg")
 
     def test_single_record_mean_equals_median(self):
         records = [lifecycle_record("a.com", VERDICT_MALICIOUS, detection=7.25)]
-        (row,) = aggregate(records, "detection_delay", "verdict", "apwg").rows
+        (row,) = fold_report(records, "detection_delay", "verdict", "apwg").rows
         assert row.mean_days == row.median_days == pytest.approx(7.25)
 
     def test_median_invariant_under_duplication(self):
@@ -331,8 +339,8 @@ class TestAggregate:
             lifecycle_record(f"d{i}.com", VERDICT_MALICIOUS, detection=d)
             for i, d in enumerate([1, 2, 50])
         ]
-        once = aggregate(records, "detection_delay", "verdict", "apwg").rows[0]
-        twice = aggregate(records + records, "detection_delay", "verdict", "apwg").rows[0]
+        once = fold_report(records, "detection_delay", "verdict", "apwg").rows[0]
+        twice = fold_report(records + records, "detection_delay", "verdict", "apwg").rows[0]
         assert once.median_days == twice.median_days
 
     def test_brand_grouping_multi_membership(self):
@@ -340,14 +348,14 @@ class TestAggregate:
             lifecycle_record("a.com", VERDICT_MALICIOUS, detection=3,
                              brands=("facebook", "usps")),
         ]
-        report = aggregate(records, "detection_delay", "brand", "apwg")
+        report = fold_report(records, "detection_delay", "brand", "apwg")
         assert {r.key for r in report.rows} == {"facebook", "usps"}
 
     def test_lag_by_source(self):
         record = lifecycle_record("a.com", VERDICT_MALICIOUS, sources=("apwg", "phishtank"))
         detections = record.domain.first_detections
         detections["phishtank"] = detections["apwg"] + timedelta(days=4.4)
-        report = aggregate([record], "lag", "source", "apwg")
+        report = fold_report([record], "lag", "source", "apwg")
         (row,) = report.rows
         assert row.key == "phishtank"
         assert row.median_days == pytest.approx(4.4)

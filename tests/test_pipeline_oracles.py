@@ -27,7 +27,7 @@ from phishlife.classifier import (
 )
 from phishlife.cli import main
 from phishlife.ingest import DomainRecord, FeedEntry, SuffixRules, build_domain_table, load_feed
-from phishlife.lifecycle import AGGREGATES, EmptyInput, LifecycleRecord, aggregate
+from phishlife.lifecycle import AGGREGATES, Aggregates, EmptyInput, LifecycleRecord
 
 from test_cli import config_copy
 
@@ -208,10 +208,13 @@ def aggregate_oracle(records, metric: str, group: str):
 @BOUNDED
 @given(lifecycle_records())
 def test_every_aggregate_equals_oracle(records):
+    aggregates = Aggregates(REFERENCE)
+    for record in records:
+        aggregates.add(record)
     for metric, group in AGGREGATES:
         expected = aggregate_oracle(records, metric, group)
         try:
-            report = aggregate(records, metric, group, REFERENCE)
+            report = aggregates.report(metric, group)
         except EmptyInput:
             assert expected is None, (metric, group)
             continue
