@@ -259,8 +259,8 @@ def cluster_bulk(
     min_cluster_size become clusters. Each label's candidates not yet joined
     get ``levenshtein`` as its probes find them: no pair list is built.
     """
-    if window <= timedelta(0):
-        raise ValueError("window must be positive")
+    if window < _SECOND:  # windows are whole seconds, so a shorter one has width 0
+        raise ValueError("window must be at least one second")
 
     # each bucket's window start is computed once, from its first entry
     width = int(window.total_seconds())

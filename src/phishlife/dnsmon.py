@@ -251,8 +251,44 @@ class Resolver(Protocol):
 # a compiled fixture step: "nxdomain", "servfail", or (timeouts before the
 # answer, the answer's rrset or None for an empty answer)
 Step = Union[str, tuple[int, Optional[RrSet]]]
-_UNSCRIPTED: tuple[Step, ...] = ("nxdomain",)  # the steps of a domain absent from the script
-_NO_RECORDS: tuple[Step, ...] = ((0, None),)  # of an rrtype a scripted domain lacks
+_Steps = tuple[Sequence[Step], Optional[Outcome]]  # a key's steps and their steady outcome
+
+
+def _attempt(replay: list, domain: str, rrtype: str) -> AttemptResult:
+    """One scripted attempt of a replay ``[steps, index of the step to replay,
+    timeouts given on that step so far]``, which it moves on by that attempt."""
+    steps, idx, fails = replay
+    step = steps[idx]
+    if step == "servfail":
+        return ServerFailure(domain)
+    if step == "nxdomain":
+        result: AttemptResult = NxDomain(domain)
+    else:
+        fails_needed, result = step
+        if fails < fails_needed:
+            replay[2] = fails + 1
+            return QueryTimeout(f"{domain}/{rrtype} (scripted)")
+        replay[2] = 0
+    if idx + 1 < len(steps):  # each delivered answer or nxdomain advances; the last step repeats
+        replay[1] = idx + 1
+    return result
+
+
+def _with_steady(rrtype: str, steps: Sequence[Step]) -> _Steps:
+    """The steps and their steady outcome: that of one lookup from the first
+    step if it ends there again, so that every lookup from there gives it, else None."""
+    replay, attempt = [steps, 0, 0], 1
+    while (outcome := settle(rrtype, attempt, _attempt(replay, "", rrtype))) is None:
+        attempt += 1
+    return steps, outcome if replay == [steps, 0, 0] else None
+
+
+# a domain absent from the script has no entries (a dict nothing changes), so
+# it answers by _UNSCRIPTED, nxdomain for every rrtype; _NO_RECORDS are the
+# steps of an rrtype a scripted domain lacks, and their outcome names no rrtype
+_NO_ENTRIES: dict = {}
+_UNSCRIPTED = {rrtype: _with_steady(rrtype, ("nxdomain",)) for rrtype in RRTYPES}
+_NO_RECORDS = _with_steady("A", ((0, None),))
 
 
 class ScriptedResolver:
@@ -273,8 +309,8 @@ class ScriptedResolver:
 
     def __init__(self, script: object):
         self._script = _compile_script(script)
-        # (vantage id, domain, rrtype) -> [its steps, index of the step to
-        # replay, timeouts given on that step so far, the settled outcome or None]
+        # (vantage id, domain, rrtype) -> the replay ``_attempt`` moves on, of
+        # each key a ``query`` has looked up
         self._replays: dict[tuple[str, str, str], list] = {}
 
     @classmethod
@@ -290,25 +326,19 @@ class ScriptedResolver:
         """Each lookup's outcome, one attempt after another; a scripted attempt
         takes no time, so no backoff is waited and ``delays`` goes unread.
 
-        A lookup that starts and ends on its key's last step with no timeouts
-        owed is settled: every later one replays the same attempts, so they
-        return its outcome without a query, until a direct ``query`` of the key.
+        A key with no replay is on its first step, so a lookup of a key whose
+        steps are steady gives their steady outcome with no query; every
+        other lookup replays attempt by attempt.
         """
-        query, replays = self.query, self._replays
+        query, replays, steps = self.query, self._replays, self._steps
         outcomes = []
         for vantage, domain, rrtype in lookups:
-            key = (vantage.id, domain, rrtype)
-            replay = replays.get(key)
-            if replay is not None and replay[3] is not None:
-                outcomes.append(replay[3])
-                continue
-            start = (0, 0) if replay is None else (replay[1], replay[2])
-            attempt = 1
-            while (outcome := settle(rrtype, attempt, query(vantage, domain, rrtype))) is None:
-                attempt += 1
-            replay = replays[key]
-            if start == (replay[1], replay[2]) == (len(replay[0]) - 1, 0):
-                replay[3] = outcome
+            # a key with a replay, or one whose steps are not steady, replays
+            if (vantage.id, domain, rrtype) in replays or (
+                    outcome := steps(vantage.id, domain, rrtype)[1]) is None:
+                attempt = 1
+                while (outcome := settle(rrtype, attempt, query(vantage, domain, rrtype))) is None:
+                    attempt += 1
             outcomes.append(outcome)
         return outcomes
 
@@ -317,28 +347,16 @@ class ScriptedResolver:
         key = (vantage.id, domain, rrtype)
         replay = self._replays.get(key)
         if replay is None:  # the key's first attempt
-            entry = self._script.get(f"{domain}@{vantage.id}")
-            if entry is None:  # an empty override {} still overrides
-                entry = self._script.get(domain)
-            steps = _UNSCRIPTED if entry is None else entry.get(rrtype) or _NO_RECORDS
-            replay = self._replays[key] = [steps, 0, 0, None]
-        else:  # a direct query may move a settled key off its settled state
-            replay[3] = None
-        steps, idx, fails, _ = replay
-        step = steps[idx]
-        if step == "servfail":
-            return ServerFailure(domain)
-        if step == "nxdomain":
-            result: AttemptResult = NxDomain(domain)
-        else:
-            fails_needed, result = step
-            if fails < fails_needed:
-                replay[2] = fails + 1
-                return QueryTimeout(f"{domain}/{rrtype} (scripted)")
-            replay[2] = 0
-        if idx + 1 < len(steps):  # the last step repeats
-            replay[1] = idx + 1
-        return result
+            replay = self._replays[key] = [self._steps(*key)[0], 0, 0]
+        return _attempt(replay, domain, rrtype)
+
+    def _steps(self, vantage_id: str, domain: str, rrtype: str) -> _Steps:
+        """The key's steps and their steady outcome, as ``_with_steady`` gives them."""
+        entries = self._script.get(domain, _NO_ENTRIES)
+        entry = entries.get(vantage_id)
+        if entry is None:  # an empty override {} still overrides
+            entry = entries.get(None, _UNSCRIPTED)
+        return entry.get(rrtype, _NO_RECORDS)
 
 
 def _compile_step(key: str, rrtype: str, step: object) -> Step:
@@ -355,28 +373,29 @@ def _compile_step(key: str, rrtype: str, step: object) -> Step:
     raise ValueError(f"{key}/{rrtype}: bad step {json.dumps(step)}")
 
 
-def _compile_script(script: object) -> dict[str, dict[str, list[Step]]]:
-    """The script's steps compiled for ``query``, by normalized key; another
-    shape, a domain that is not a host or two keys that normalize alike raise
-    ValueError."""
+def _compile_script(script: object) -> dict[str, dict[Optional[str], dict[str, _Steps]]]:
+    """The script's steps and their steady outcome, by normalized domain, then
+    by the key's vantage id, None for the plain domain entry; another shape, a
+    domain that is not a host or two keys that normalize alike raise ValueError."""
     if not isinstance(script, dict):
         raise ValueError("not a JSON object")
-    compiled = {}
+    compiled: dict[str, dict[Optional[str], dict[str, _Steps]]] = {}
     for key, entry in script.items():
         domain, at, vantage_id = key.partition("@")
         try:
             host = normalize_host(domain)
         except PhishlifeError as exc:
             raise ValueError(f"{key}: not a host: {exc}") from exc
-        name = key if host == domain else host + at + vantage_id
-        if name in compiled:
-            raise ValueError(f"{key}: another key also names {name}")
+        entries, vantage = compiled.setdefault(host, {}), vantage_id if at else None
+        if vantage in entries:
+            raise ValueError(f"{key}: another key also names {host}{at}{vantage_id}")
         if not (isinstance(entry, dict)
                 and all(t in RRTYPES and isinstance(s, list) for t, s in entry.items())):
             raise ValueError(f"{key}: not an object of rrtype -> list of steps, "
                              f"with rrtypes among {', '.join(RRTYPES)}")
-        compiled[name] = {rrtype: [_compile_step(key, rrtype, step) for step in steps]
-                          for rrtype, steps in entry.items()}
+        # an rrtype listed as [] is left out, so it has the steps of one the entry lacks
+        entries[vantage] = {t: _with_steady(t, [_compile_step(key, t, step) for step in steps])
+                            for t, steps in entry.items() if steps}
     return compiled
 
 
@@ -637,7 +656,8 @@ def parse_resolver_address(address: object) -> tuple[str, int]:
     The forms are ``host``, ``host:port``, a bare IPv6 address such as
     ``::1``, and ``[IPv6 address]:port``; the port defaults to 53. A
     non-string address, an empty host, a bracket without ``]:port`` after
-    the address, or a port that is not decimal digits in 0-65535 raises
+    the address, a bare host with two or more colons that is no IPv6
+    address, or a port that is not decimal digits in 0-65535 raises
     ValueError: a socket connected to an empty host reaches the local one.
     """
     if not isinstance(address, str):
@@ -650,6 +670,13 @@ def parse_resolver_address(address: object) -> tuple[str, int]:
         host, port = address.split(":")
     else:  # a bare host, or a bare IPv6 address
         host, port = address, "53"
+        if ":" in host:
+            from ipaddress import IPv6Address  # only an IPv6 address pays for the import
+            try:
+                IPv6Address(host)
+            except ValueError as exc:
+                raise ValueError(f"resolver address {address!r} has two or more colons "
+                                 f"but is no IPv6 address") from exc
     if not host:
         raise ValueError(f"resolver address {address!r} has an empty host")
     if not (port.isascii() and port.isdigit() and int(port) <= 65535):

@@ -8,7 +8,8 @@ UDP socket, so every query leaves from its own source port (RFC 5452
 section 9.2). Each attempt has one deadline, which also covers the
 non-blocking TCP exchange it falls back to when a reply is truncated. The
 backoff between attempts runs as timers on the monotonic clock, and
-``dnsmon.settle`` decides what is retried. A resolver keeps what one
+``dnsmon.settle`` decides what is retried. Each resolver's host is looked
+up once per call, not at every connect. A resolver keeps what one
 ``resolve`` learned for the next: lookups that were retried or answered
 over TCP start first, and one answered over TCP starts over TCP (RFC 7766
 section 5); its retries go UDP first.
@@ -32,7 +33,7 @@ import socket
 import struct
 import time
 from collections import deque
-from typing import Callable, Container, Iterator, Optional, Sequence
+from typing import Callable, Container, Iterator, Optional, Sequence, Union
 
 from .dnsmon import (
     MAX_TTL, AttemptResult, Lookup, NxDomain, Outcome, QueryTimeout, RrSet,
@@ -90,6 +91,8 @@ def decode_name(data: bytes, offset: int) -> tuple[str, int]:
             if hops > 64:
                 raise ValueError("pointer loop")
             continue
+        if length & 0xC0:  # 0x40-0xBF: label types that RFC 1035 section 4.1.4 reserves
+            raise ValueError(f"reserved label type {length:#04x}")
         if length == 0:
             if not jumped:
                 end = offset + 1
@@ -170,6 +173,18 @@ def _family(host: str) -> socket.AddressFamily:
     return socket.AF_INET6 if ":" in host else socket.AF_INET
 
 
+# a resolver's numeric socket address, or the text of the error its lookup raised
+Address = Union[tuple, str]
+
+
+def _sockaddr(address: tuple[str, int]) -> Address:
+    """The numeric address of a resolver's (host, port); a host name is looked up as IPv4."""
+    try:
+        return socket.getaddrinfo(*address, _family(address[0]), socket.SOCK_DGRAM)[0][4]
+    except (OSError, ValueError) as exc:  # no error is kept, so no traceback outlives the loop
+        return str(exc)
+
+
 # An exchange runs as a generator: it yields each (socket, selector event) it
 # waits for, is resumed once the event fires, and returns its result. The
 # loop registers the socket only while the generator waits on it, so the
@@ -248,6 +263,7 @@ class UdpResolver:
         lookup is finished.
         """
         ready = deque((i, 1) for i in order)  # (lookup, attempt) to start
+        addresses: dict[str, Address] = {}  # by resolver address: each is looked up once
         timers: list[tuple[float, int, int]] = []  # (due, lookup, attempt) in backoff
         flight: deque[_Attempt] = deque()  # in start order, so deadlines ascend
 
@@ -284,9 +300,12 @@ class UdpResolver:
                     while ready and len(sel.get_map()) < WINDOW:
                         i, number = ready.popleft()
                         vantage, domain, rrtype = lookups[i]
+                        address = addresses.get(vantage.resolver_address)
+                        if address is None:
+                            address = addresses[vantage.resolver_address] = _sockaddr(
+                                vantage.address)
                         request = build_query(domain, rrtype, int.from_bytes(os.urandom(2), "big"))
-                        steps = self._exchange(request, vantage.address,
-                                               number == 1 and i in tcp_first)
+                        steps = self._exchange(request, address, number == 1 and i in tcp_first)
                         att = _Attempt(i, number, steps, now + self.timeout)
                         flight.append(att)
                         advance(att)
@@ -309,9 +328,12 @@ class UdpResolver:
                 for att in flight:
                     att.steps.close()
 
-    def _exchange(self, request: bytes, address: tuple[str, int], tcp: bool) -> Exchange:
+    def _exchange(self, request: bytes, address: Address, tcp: bool) -> Exchange:
         """One attempt over UDP, then TCP if the reply is truncated, or over TCP
-        alone if ``tcp``; returns (rcode, answers, whether the reply came over TCP)."""
+        alone if ``tcp``; returns (rcode, answers, whether the reply came over TCP).
+        An address whose lookup failed fails the attempt with its error."""
+        if isinstance(address, str):
+            raise OSError(address)
         if not tcp:
             with socket.socket(_family(address[0]), socket.SOCK_DGRAM) as sock:
                 sock.setblocking(False)
@@ -328,7 +350,7 @@ class UdpResolver:
             rcode, _, answers = parse_response(reply)
         return rcode, answers, tcp
 
-    def _exchange_tcp(self, request: bytes, address: tuple[str, int]) -> Exchange:
+    def _exchange_tcp(self, request: bytes, address: tuple) -> Exchange:
         """The exchange over TCP, after a truncated reply or in its place; returns the reply."""
         with socket.socket(_family(address[0]), socket.SOCK_STREAM) as sock:
             sock.setblocking(False)

@@ -34,9 +34,6 @@ KIND_ORDER = {
     KIND_ZONE_LAST: 5,
 }
 
-PRE_REGISTRATION_DETECTION = "pre_registration_detection"
-DEREGISTERED_BEFORE_DETECTION = "deregistered_before_detection"
-
 # the (metric, group key) of each aggregate a lifecycle run writes, in order
 AGGREGATES = (
     *[("detection_delay", g) for g in ("brand", "tld", "flag_category", "verdict", "source")],
@@ -62,7 +59,6 @@ class LifecycleRecord(NamedTuple):
     detection_delay: Optional[timedelta]
     takedown_delay: Optional[timedelta]
     classification: ClassificationResult
-    data_flags: frozenset[str] = frozenset()
 
 
 class AggregateRow(NamedTuple):
@@ -139,15 +135,9 @@ def join_record(
     reference_source: str,
 ) -> LifecycleRecord:
     """Join one domain table record with its classification and registration event."""
-    reg = registrations.get(domain.registrable)
-    det = detection_delay(reg, domain.first_detections, reference_source)
-    take = takedown_delay(reg, domain.first_detections, reference_source)
-    data_flags = set()
-    if det is not None and det < timedelta(0):
-        data_flags.add(PRE_REGISTRATION_DETECTION)
-    if take is not None and take < timedelta(0):
-        data_flags.add(DEREGISTERED_BEFORE_DETECTION)
-    return LifecycleRecord(domain, reg, det, take, classification, frozenset(data_flags))
+    reg, detections = registrations.get(domain.registrable), domain.first_detections
+    return LifecycleRecord(domain, reg, detection_delay(reg, detections, reference_source),
+                           takedown_delay(reg, detections, reference_source), classification)
 
 
 # each group key's values of a record

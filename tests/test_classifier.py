@@ -314,6 +314,14 @@ class TestClusterBulk:
         assert cluster.members == {"usps-a1.top", "usps-a2.top", "usps-a3.top"}
         assert cluster.registrar == "alibaba"
 
+    @pytest.mark.parametrize("window", [timedelta(milliseconds=500), timedelta(0),
+                                        timedelta(hours=-1)])
+    def test_window_under_one_second_rejected(self, window):
+        # windows are whole seconds, so one under a second would have width 0
+        log = [log_entry("usps-a1.top", "2024-05-01T10:00:00", "alibaba")]
+        with pytest.raises(ValueError, match="at least one second"):
+            cluster_bulk(log, window, 2, 1)
+
     def test_same_names_three_days_apart(self):
         log = [
             log_entry("usps-a1.top", "2024-05-01T10:00:00", "alibaba"),

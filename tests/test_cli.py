@@ -736,6 +736,7 @@ def bad_input(changes, command="monitor", out_dir="out", *, id):
               id="resolver_port_out_of_range"),
     bad_input({"vantage_config": vantage_file(5)}, id="non_string_resolver_address"),
     bad_input({"vantage_config": vantage_file(":53")}, id="empty_resolver_host"),
+    bad_input({"vantage_config": vantage_file("1.2.3.4:53:1")}, id="colons_in_non_ipv6_host"),
     bad_input({"resolver_fixture": ("fixture.json", '{"flux.top": {')},
               id="malformed_resolver_fixture"),
     bad_input({"resolver_fixture": ("fixture.json", '{"flux.top": {"A": [5]}}')},

@@ -230,8 +230,9 @@ def test_steps_compiled_once():
 
 
 class TestSettledLookups:
-    """A lookup that starts and ends on its last step with no timeouts owed
-    is settled: later lookups of the key return its outcome with no query."""
+    """A key whose steps are steady, one lookup from the first step ending
+    there again, gives its steady outcome with no query while it has no
+    replay; every other lookup replays attempt by attempt."""
 
     def queries_per_tick(self, steps, ticks):
         """The queries each of ``ticks`` lookups of a.com/A makes."""
@@ -251,17 +252,34 @@ class TestSettledLookups:
         return counts
 
     @pytest.mark.parametrize("steps, counts", [
-        ([{"values": ["192.0.2.1"], "fail_count_before_success": 2}], [3, 0, 0]),
-        (["servfail"], [5, 0, 0]),
-        (["nxdomain"], [1, 0, 0]),
-        ([], [1, 0, 0]),  # an empty answer
-        ([{"values": ["192.0.2.1"]}, "nxdomain", {"values": ["192.0.2.2"]}], [1, 1, 1, 0]),
-        # five timeouts or more carry over into the next lookup, so the key never settles
+        ([{"values": ["192.0.2.1"], "fail_count_before_success": 2}], [0, 0, 0]),
+        (["servfail"], [0, 0, 0]),
+        (["nxdomain"], [0, 0, 0]),
+        ([], [0, 0, 0]),  # an empty answer
+        # a key off its first step replays every lookup, also on its last step
+        ([{"values": ["192.0.2.1"]}, "nxdomain", {"values": ["192.0.2.2"]}], [1, 1, 1, 1]),
+        # five timeouts or more carry over into the next lookup, so the key is not steady
         ([{"values": ["192.0.2.1"], "fail_count_before_success": 5}], [5, 1, 5, 1]),
         ([{"values": ["192.0.2.1"], "fail_count_before_success": 7}], [5, 3, 5, 3]),
     ])
     def test_queries_per_tick(self, steps, counts):
         assert self.queries_per_tick(steps, len(counts)) == counts
+
+    def test_replays_held_only_for_keys_off_their_first_step(self, tmp_path):
+        resolver = ScriptedResolver({
+            "a.com": {"A": [{"values": ["192.0.2.1"], "fail_count_before_success": 2}],
+                      "NS": ["nxdomain", {"values": ["ns1.a.com"]}],
+                      "TXT": ["servfail", "nxdomain"]},
+            "b.com": {"A": [{"values": ["192.0.2.2"], "fail_count_before_success": 6}],
+                      "NS": []},
+            "b.com@v2": {"A": ["nxdomain"]},
+        })
+        run_schedule(["a.com", "b.com", "gone.com"], [V1, V2], ("A", "NS", "TXT"), DELAYS,
+                     resolver, SnapshotStore(tmp_path / "snaps.jsonl"), T0,
+                     timedelta(minutes=30), T0 + timedelta(minutes=90), [], False)
+        resolver.query(V2, "gone.com", "A")  # a direct query gives a steady key a replay
+        assert set(resolver._replays) == {("v1", "a.com", "NS"), ("v2", "a.com", "NS"),
+                                          ("v1", "b.com", "A"), ("v2", "gone.com", "A")}
 
 
 def test_simulated_ticks_leave_no_cyclic_garbage(tmp_path):
@@ -407,8 +425,10 @@ def test_resolver_address_forms(address, expected):
     assert parse_resolver_address(address) == expected
 
 
+# a bare host with two or more colons must be an IPv6 address
 @pytest.mark.parametrize("address", ["[::1]", "[::1]5353", "[::1]:", "[::1]:port", "[::1]:70000",
-                                     "192.0.2.1:", "192.0.2.1:-1", "", ":53", "[]:53"])
+                                     "192.0.2.1:", "192.0.2.1:-1", "", ":53", "[]:53",
+                                     "1.2.3.4:53:1", "a:b:c"])
 def test_bad_resolver_address_rejected(address):
     with pytest.raises(ValueError):
         parse_resolver_address(address)

@@ -144,6 +144,9 @@ MALFORMED_REPLIES = {
     # a TXT character-string of 11 bytes in a rdata that holds 10 after its length
     "txt_string_past_rdata": header(an=1) + question()
     + rr(b"\xc0\x0c", TYPE_CODES["TXT"], 300, b"\x0bhelloworld"),
+    # a length byte 0x40: a label type that RFC 1035 reserves, not a 64-byte label
+    "reserved_label_type": header(an=1) + question()
+    + rr(b"\x40" + b"a" * 64 + b"\x00", TYPE_CODES["A"], 300, bytes([192, 0, 2, 1])),
 }
 
 # a header with small section counts, then arbitrary bytes, so that most
@@ -166,6 +169,7 @@ class TestMalformedReply:
     @example(MALFORMED_REPLIES["soa_counters_cut_short"])
     @example(MALFORMED_REPLIES["txt_rdata_past_reply"])
     @example(MALFORMED_REPLIES["txt_string_past_rdata"])
+    @example(MALFORMED_REPLIES["reserved_label_type"])
     def test_only_value_error_leaves_parse_response(self, data):
         try:
             parse_response(data)
@@ -487,6 +491,32 @@ class TestLiveTick:
         assert outcome.attempts == 2 and outcome.rrset.values == ("192.0.2.3",)
         assert len(arrivals) == 2
         assert arrivals[1] - arrivals[0] >= 0.3  # only the lower bound: the host may be slow
+
+    def test_host_name_looked_up_once_per_resolve(self, monkeypatch):
+        looked_up: Counter = Counter()
+        getaddrinfo = socket.getaddrinfo
+
+        def counted(host, *args):
+            looked_up[host] += 1
+            if host == "unresolvable.test":
+                raise socket.gaierror(socket.EAI_NONAME, "Name or service not known")
+            return getaddrinfo(host, *args)
+        with LoopbackServer(on_udp=planted(Counter()),
+                            on_tcp=lambda q: a_reply(q, ANSWERS["tc.example"])) as server:
+            named = VantagePoint("v2", f"localhost:{server.port}", "")
+            unresolvable = VantagePoint("v3", f"unresolvable.test:{server.port}", "")
+            names = ("servfail.example", "tc.example", "plain.example")
+            lookups = [(v, name, "A") for v in (server.vantage, named, unresolvable)
+                       for name in names]
+            monkeypatch.setattr(socket, "getaddrinfo", counted)
+            resolver = UdpResolver(timeout=2)
+            for _ in range(2):  # the second call starts tc.example over TCP
+                outcomes = resolver.resolve(lookups, [0.01] * 4)
+                answers = [(o.rrset and o.rrset.values, o.error) for o in outcomes]
+                assert answers == 2 * [((ANSWERS[name],), None) for name in names] + 3 * [
+                    (None, "A:servfail")]
+        # once per vantage per call, though servfail.example is retried
+        assert looked_up == {"127.0.0.1": 2, "localhost": 2, "unresolvable.test": 2}
 
     def test_each_address_parsed_once(self, tmp_path, monkeypatch):
         parsed: Counter = Counter()

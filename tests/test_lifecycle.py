@@ -15,7 +15,6 @@ from phishlife.classifier import (
 )
 from phishlife.ingest import DomainRecord
 from phishlife.lifecycle import (
-    DEREGISTERED_BEFORE_DETECTION,
     EmptyInput,
     KIND_CT,
     KIND_ORDER,
@@ -228,14 +227,13 @@ class TestDelays:
         reg = RegistrationEvent("a.com", ts("2024-01-01T00:00:00"), KIND_RDAP)
         assert takedown_delay(reg, {"apwg": ts("2024-03-01T00:00:00")}, "apwg") is None
 
-    def test_negative_takedown_flagged_in_records(self, rules):
+    def test_negative_takedown_kept_in_records(self, rules):
         rec = domain_record("a.com", {"apwg": ts("2024-03-02T00:00:00")})
         reg = RegistrationEvent("a.com", ts("2024-01-01T00:00:00"), KIND_RDAP,
                                 deregistered_at=ts("2024-03-01T00:00:00"))
         classification = ClassificationResult("a.com", frozenset(), VERDICT_COMPROMISED)
         life = join_record(rec, classification, {"a.com": reg}, "apwg")
         assert life.takedown_delay == timedelta(days=-1)
-        assert DEREGISTERED_BEFORE_DETECTION in life.data_flags
 
 
 class TestBlocklistLag:
