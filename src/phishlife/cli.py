@@ -162,7 +162,10 @@ def load_config(path: Optional[str], args: argparse.Namespace) -> PipelineConfig
         unknown = sorted(set(raw) - set(_FIELD_TYPES))
         if unknown:
             raise ConfigError(f"unknown config keys in {path}: {', '.join(unknown)}")
-        _apply(cfg, raw, cfg_path.parent)
+        try:
+            _apply(cfg, raw, cfg_path.parent)
+        except RecursionError as exc:  # a bad value nested too deep for its message to quote it
+            raise ConfigError(f"malformed config {path}: {exc}") from exc
     _apply(cfg, vars(args), Path("."))
     _validate_params(cfg)
     return cfg

@@ -20,15 +20,15 @@ never the tick's whole text. No tick leaves a reference cycle:
 from __future__ import annotations
 
 import json
+import reprlib
 import time as _time
 from datetime import datetime, timedelta, timezone
-from functools import cached_property
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Optional, Protocol, Sequence, Union
 
 from .errors import RRTYPES, IoFailure, PhishlifeError, StoreFailure
-from .ingest import normalize_host, read_json
+from .ingest import normalize_host, read_json, strings, typed
 from .timeutil import fmean, format_utc, median_low, parse_utc
 
 MAX_TTL = 2**31 - 1
@@ -54,29 +54,10 @@ class NoObservations(PhishlifeError):
     """No Ok snapshot with TTL observations was supplied."""
 
 
-# a class, not a NamedTuple, as it keeps its parsed address; equal and hashed by
-# its three fields
-class VantagePoint:
-    def __init__(self, id: str, resolver_address: str, region_label: str):
-        self.id, self.resolver_address, self.region_label = id, resolver_address, region_label
-
-    def __repr__(self) -> str:
-        return (f"VantagePoint(id={self.id!r}, resolver_address={self.resolver_address!r}, "
-                f"region_label={self.region_label!r})")
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not VantagePoint:
-            return NotImplemented
-        return ((self.id, self.resolver_address, self.region_label)
-                == (other.id, other.resolver_address, other.region_label))
-
-    def __hash__(self) -> int:
-        return hash((self.id, self.resolver_address, self.region_label))
-
-    @cached_property
-    def address(self) -> tuple[str, int]:
-        """The resolver's (host, port), parsed on first use; a bad address raises ValueError."""
-        return parse_resolver_address(self.resolver_address)
+class VantagePoint(NamedTuple):
+    id: str
+    resolver_address: str  # as ``parse_resolver_address`` reads it
+    region_label: str
 
 
 # a class, not a NamedTuple, as it caches its JSON text, which equality leaves
@@ -134,35 +115,21 @@ class DnsSnapshot:
     @classmethod
     def from_json(cls, line: str) -> "DnsSnapshot":
         """A store line's snapshot; a line of another shape or field type raises
-        KeyError, TypeError or ValueError."""
+        KeyError, TypeError or ValueError, and a too deeply nested one RecursionError."""
         obj = json.loads(line)
         return cls(
-            registrable=_typed(obj["registrable"], str),
-            vantage_id=_typed(obj["vantage_id"], str),
-            taken_at=parse_utc(_typed(obj["taken_at"], str)),
+            registrable=typed(obj["registrable"], str),
+            vantage_id=typed(obj["vantage_id"], str),
+            taken_at=parse_utc(typed(obj["taken_at"], str)),
             rrsets=tuple(
-                RrSet(r["rrtype"], _strings(r["values"]), _typed(r["ttl"], int))
-                for r in _typed(obj["rrsets"], list)
+                RrSet(r["rrtype"], strings(r["values"]), typed(r["ttl"], int))
+                for r in typed(obj["rrsets"], list)
             ),
-            status=_typed(obj["status"], str),
-            attempts=_typed(obj["attempts"], int),
-            errors=_strings(obj.get("errors", [])),
-            nxdomain=_typed(obj.get("nxdomain", False), bool),
+            status=typed(obj["status"], str),
+            attempts=typed(obj["attempts"], int),
+            errors=strings(obj.get("errors", [])),
+            nxdomain=typed(obj.get("nxdomain", False), bool),
         )
-
-
-def _typed(value: object, kind: type) -> object:
-    """``value`` if its type is exactly ``kind``, else TypeError; JSON true is no int."""
-    if type(value) is not kind:
-        raise TypeError(f"{value!r} is not of type {kind.__name__}")
-    return value
-
-
-def _strings(value: object) -> tuple[str, ...]:
-    """A JSON list of strings as a tuple; any other value raises TypeError."""
-    if not (type(value) is list and all(type(v) is str for v in value)):
-        raise TypeError(f"{value!r} is not a list of strings")
-    return tuple(value)
 
 
 def _line(snap: DnsSnapshot) -> tuple[str, str]:
@@ -319,7 +286,7 @@ class ScriptedResolver:
         script = read_json(path, "resolver fixture")
         try:
             return cls(script)
-        except ValueError as exc:
+        except (RecursionError, ValueError) as exc:  # RecursionError: a step too deep to quote
             raise IoFailure(f"malformed resolver fixture {path}: {exc}") from exc
 
     def resolve(self, lookups: Sequence[Lookup], delays: Sequence[float]) -> list[Outcome]:
@@ -364,12 +331,15 @@ def _compile_step(key: str, rrtype: str, step: object) -> Step:
     if step in ("nxdomain", "servfail"):
         return str(step)
     if isinstance(step, dict):
-        values, ttl = step.get("values", []), step.get("ttl", 0)
-        fails = step.get("fail_count_before_success", 0)
-        # a count is a non-negative int; JSON true and false load as bool, an int subclass
-        if (isinstance(values, list) and all([isinstance(v, str) for v in values])
-                and type(ttl) is int and type(fails) is int and 0 <= ttl <= MAX_TTL and fails >= 0):
-            return fails, RrSet(rrtype, tuple(values), ttl) if values else None
+        try:
+            values = strings(step.get("values", []))
+            ttl = typed(step.get("ttl", 0), int)
+            fails = typed(step.get("fail_count_before_success", 0), int)
+        except TypeError:
+            pass
+        else:
+            if 0 <= ttl <= MAX_TTL and fails >= 0:
+                return fails, RrSet(rrtype, values, ttl) if values else None
     raise ValueError(f"{key}/{rrtype}: bad step {json.dumps(step)}")
 
 
@@ -496,7 +466,7 @@ class SnapshotStore:
             return []
         except OSError as exc:
             raise StoreFailure(f"cannot read {self.path}: {exc}") from exc
-        except (KeyError, TypeError, ValueError) as exc:  # a torn or foreign line
+        except (KeyError, RecursionError, TypeError, ValueError) as exc:  # a torn or foreign line
             raise StoreFailure(f"malformed snapshot in {self.path}: {exc!r}") from exc
         if last[-1] != "\n":  # an append would run its first line onto this one
             raise StoreFailure(f"torn last line in {self.path}: it ends without a newline")
@@ -660,8 +630,8 @@ def parse_resolver_address(address: object) -> tuple[str, int]:
     address, or a port that is not decimal digits in 0-65535 raises
     ValueError: a socket connected to an empty host reaches the local one.
     """
-    if not isinstance(address, str):
-        raise ValueError(f"resolver address {address!r} is not a string")
+    if not isinstance(address, str):  # reprlib, as a deeply nested value's repr would overflow
+        raise ValueError(f"resolver address {reprlib.repr(address)} is not a string")
     if address.startswith("["):
         host, close, port = address[1:].partition("]:")
         if not close:
@@ -687,8 +657,9 @@ def parse_resolver_address(address: object) -> tuple[str, int]:
 def load_vantages(path: str | Path) -> list[VantagePoint]:
     """Load vantage points from a JSON array of {id, resolver_address, region_label}.
 
-    An unreadable or malformed file, an empty list, a non-string id or
-    region_label, a bad resolver address or a repeated id raises IoFailure.
+    An unreadable or malformed file, an empty list, an id, resolver_address
+    or region_label that ``typed`` rejects as a string, a bad resolver address
+    or a repeated id raises IoFailure.
     """
     raw = read_json(path, "vantages")
     try:
@@ -698,9 +669,9 @@ def load_vantages(path: str | Path) -> list[VantagePoint]:
             for v in raw
         ]
         for v in vantages:
-            v.address  # parsed once here, and kept for the live resolver
-            if not (isinstance(v.id, str) and isinstance(v.region_label, str)):
-                raise ValueError(f"id and region_label of {v} must be strings")
+            parse_resolver_address(v.resolver_address)
+            for value in v:
+                typed(value, str)
     except (KeyError, TypeError, ValueError) as exc:
         raise IoFailure(f"malformed vantages {path}: {exc}") from exc
     if not vantages:

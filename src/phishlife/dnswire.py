@@ -8,11 +8,11 @@ UDP socket, so every query leaves from its own source port (RFC 5452
 section 9.2). Each attempt has one deadline, which also covers the
 non-blocking TCP exchange it falls back to when a reply is truncated. The
 backoff between attempts runs as timers on the monotonic clock, and
-``dnsmon.settle`` decides what is retried. Each resolver's host is looked
-up once per call, not at every connect. A resolver keeps what one
-``resolve`` learned for the next: lookups that were retried or answered
-over TCP start first, and one answered over TCP starts over TCP (RFC 7766
-section 5); its retries go UDP first.
+``dnsmon.settle`` decides what is retried. Each resolver's address is
+parsed, and its host looked up, once per call, not at every connect. A
+resolver keeps what one ``resolve`` learned for the next: lookups that
+were retried or answered over TCP start first, and one answered over TCP
+starts over TCP (RFC 7766 section 5); its retries go UDP first.
 
 A reply is accepted only from the resolver's address and only if it
 carries the query's id and question (RFC 5452 section 9.1); other
@@ -37,7 +37,7 @@ from typing import Callable, Container, Iterator, Optional, Sequence, Union
 
 from .dnsmon import (
     MAX_TTL, AttemptResult, Lookup, NxDomain, Outcome, QueryTimeout, RrSet,
-    ServerFailure, VantagePoint, settle,
+    ServerFailure, VantagePoint, parse_resolver_address, settle,
 )
 from .errors import TYPE_CODES
 
@@ -177,10 +177,12 @@ def _family(host: str) -> socket.AddressFamily:
 Address = Union[tuple, str]
 
 
-def _sockaddr(address: tuple[str, int]) -> Address:
-    """The numeric address of a resolver's (host, port); a host name is looked up as IPv4."""
+def _sockaddr(resolver_address: str) -> Address:
+    """The numeric address of a ``resolver_address``, which raises ValueError if it
+    does not parse; a host name is looked up as IPv4."""
+    host, port = parse_resolver_address(resolver_address)
     try:
-        return socket.getaddrinfo(*address, _family(address[0]), socket.SOCK_DGRAM)[0][4]
+        return socket.getaddrinfo(host, port, _family(host), socket.SOCK_DGRAM)[0][4]
     except (OSError, ValueError) as exc:  # no error is kept, so no traceback outlives the loop
         return str(exc)
 
@@ -263,7 +265,7 @@ class UdpResolver:
         lookup is finished.
         """
         ready = deque((i, 1) for i in order)  # (lookup, attempt) to start
-        addresses: dict[str, Address] = {}  # by resolver address: each is looked up once
+        addresses: dict[str, Address] = {}  # by resolver address, each parsed and looked up once
         timers: list[tuple[float, int, int]] = []  # (due, lookup, attempt) in backoff
         flight: deque[_Attempt] = deque()  # in start order, so deadlines ascend
 
@@ -303,7 +305,7 @@ class UdpResolver:
                         address = addresses.get(vantage.resolver_address)
                         if address is None:
                             address = addresses[vantage.resolver_address] = _sockaddr(
-                                vantage.address)
+                                vantage.resolver_address)
                         request = build_query(domain, rrtype, int.from_bytes(os.urandom(2), "big"))
                         steps = self._exchange(request, address, number == 1 and i in tcp_first)
                         att = _Attempt(i, number, steps, now + self.timeout)

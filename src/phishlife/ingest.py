@@ -11,9 +11,10 @@ import csv
 import io
 import json
 import re
+import reprlib
 from datetime import datetime
 from pathlib import Path
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Any, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import IoFailure, PhishlifeError
 from .timeutil import parse_utc
@@ -184,12 +185,38 @@ def read_lines(path: str | Path, what: str) -> list[str]:
 
 
 def read_json(path: str | Path, what: str) -> object:
-    """Read and decode a JSON input file; invalid JSON raises IoFailure."""
+    """Read and decode a JSON input file; invalid or too deeply nested JSON raises IoFailure."""
     text = read_input(path, what)
     try:
         return json.loads(text)
-    except ValueError as exc:
+    except (RecursionError, ValueError) as exc:
         raise IoFailure(f"malformed {what} {path}: {exc}") from exc
+
+
+# The one rule for what a decoded JSON value may be: its type is exactly the
+# one asked for, so JSON true is no int, and a string encodes as UTF-8, which
+# one with a lone surrogate escape such as "\ud800" does not. A value that
+# breaks it raises TypeError, whose message shows the value as reprlib
+# shortens it, so that a long or deeply nested value gives a short message.
+
+def typed(value: object, kind: type) -> Any:
+    """``value`` if it is of type ``kind`` by the rule above, else TypeError."""
+    if type(value) is not kind:
+        raise TypeError(f"{reprlib.repr(value)} is not of type {kind.__name__}")
+    if kind is str and not value.isascii():  # an ASCII string costs one C call
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            raise TypeError(f"{reprlib.repr(value)} is not UTF-8 text") from None
+    return value
+
+
+def strings(value: object) -> tuple[str, ...]:
+    """A JSON list of strings, each checked as ``typed`` checks one, as a tuple; else TypeError."""
+    for item in typed(value, list):
+        if type(item) is not str or not item.isascii():  # typed's own fast path, inlined
+            typed(item, str)
+    return tuple(value)
 
 
 def read_csv(path: str | Path, header: Sequence[str], what: str) -> list[dict[str, str]]:
@@ -298,23 +325,21 @@ def _entry_from_obj(obj: object) -> FeedEntry:
     """One feed record of either format; ``url``, ``source`` and ``brand`` are stripped."""
     if not isinstance(obj, dict):
         raise ValueError("feed record is not an object")
-    url, source, at, brand = (obj.get(k) for k in ("url", "source", "detected_at", "brand"))
-    if not all(isinstance(v, str) for v in (url, source, at)):
-        raise ValueError("url, source and detected_at must be strings")
-    if not isinstance(brand, (str, type(None))):
-        raise ValueError("brand must be a string or null")
+    url, source, at = [typed(obj.get(k), str) for k in ("url", "source", "detected_at")]
+    brand = obj.get("brand")
     url, source = url.strip(), source.strip()
     if not (url and source):
         raise ValueError("empty url or source field")
     return FeedEntry(url=url, detected_at=parse_utc(at), source=source,
-                     brand=(brand or "").strip() or None)
+                     brand=None if brand is None else typed(brand, str).strip() or None)
 
 
 def load_feed(path: str | Path, format: str = "lines") -> FeedLoadResult:
     """Load a feed file in ``lines`` (tab-separated) or ``json`` format.
 
     Malformed records are skipped and counted, not fatal; a file whose
-    records all fail raises AllRecordsMalformed.
+    records all fail raises AllRecordsMalformed, and a JSON file that
+    ``read_json`` cannot decode raises IoFailure.
     """
     if format not in ("lines", "json"):
         raise ValueError(f"unknown feed format {format!r}")
@@ -322,19 +347,16 @@ def load_feed(path: str | Path, format: str = "lines") -> FeedLoadResult:
         records: list = read_lines(path, "feed")
         parse = _entry_from_line
     else:
-        try:
-            records = json.loads(read_input(path, "feed"))
-            if not isinstance(records, list):
-                raise ValueError("top-level JSON value is not an array")
-        except ValueError as exc:
-            raise AllRecordsMalformed(f"{path}: {exc}") from exc
+        records = read_json(path, "feed")
+        if not isinstance(records, list):
+            raise AllRecordsMalformed(f"{path}: top-level JSON value is not an array")
         parse = _entry_from_obj
     entries: list[FeedEntry] = []
     skipped = 0
     for record in records:
         try:
             entries.append(parse(record))
-        except ValueError:
+        except (TypeError, ValueError):
             skipped += 1
     if skipped and not entries:
         raise AllRecordsMalformed(f"all {skipped} records in {path} are malformed")

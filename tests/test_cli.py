@@ -362,6 +362,31 @@ class TestMonitorCommand:
             assert resolved == []
             assert store.read_text() == torn
 
+    @pytest.mark.parametrize("last_line", [
+        pytest.param(lambda line: "[" * 1000 + "]" * 1000, id="too_deep"),
+        pytest.param(lambda line: line.replace('"vantage_id": "', '"vantage_id": "\\ud800'),
+                     id="lone_surrogate"),
+    ])
+    def test_undecodable_store_line_fails_before_any_query(self, last_line, tmp_path,
+                                                          monkeypatch, capsys):
+        store = tmp_path / "snaps.jsonl"
+        args = ["monitor", "--config", CONFIG, "--snapshot-store", str(store)]
+        assert main(args + ["--out-dir", str(tmp_path / "first")]) == 0
+        *lines, last = store.read_text().splitlines()
+        assert last_line(last) != last
+        bad = "".join(line + "\n" for line in (*lines, last_line(last)))
+        store.write_text(bad)
+        resolved = []
+        monkeypatch.setattr(dnsmon.ScriptedResolver, "resolve",
+                            lambda self, *args: resolved.append(args))
+        capsys.readouterr()
+        assert main(args + ["--out-dir", str(tmp_path / "out")]) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("store failure: malformed snapshot in ")
+        assert err.count("\n") == 1
+        assert resolved == []
+        assert store.read_text() == bad
+
     @pytest.mark.parametrize("domain", ["bad..com", "a" * 64 + ".com"])
     def test_live_domain_not_a_dns_name_exits_2(self, domain, tmp_path, capsys):
         config = config_copy(tmp_path, {
@@ -801,6 +826,43 @@ def test_json_feed_without_a_record_exits_2(text, tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1 and "feed.json" in err, err
 
 
+# (command, config changes, and the (file, text) written beside the config),
+# with NEST where the nested value goes
+NESTED_INPUTS = {
+    "config_value": ("ingest", {"max_edit_distance": "NEST"}, None),
+    "feed_entry": ("ingest", {"feeds": ["NEST"]}, None),
+    "feed_url": ("ingest", {"feeds": ["feed.json"]},
+                 ("feed.json", '[{"url": NEST, "detected_at": "2024-06-01", "source": "a"}]')),
+    "fixture_step": ("monitor", {"resolver_fixture": "fixture.json"},
+                     ("fixture.json", '{"a.com": {"A": [NEST]}}')),
+    "vantage_id": ("monitor", {"vantage_config": "vantages.json"},
+                   ("vantages.json", '[{"id": NEST, "resolver_address": "::1"}]')),
+    "resolver_address": ("monitor", {"vantage_config": "vantages.json"},
+                         ("vantages.json", '[{"id": "v", "resolver_address": NEST}]')),
+}
+
+
+@pytest.mark.parametrize("case", NESTED_INPUTS)
+def test_value_nested_near_the_decoder_limit_exits_2(case, tmp_path, capsys):
+    # json.loads decodes a value nested a little less deep than its limit,
+    # which a message that quotes the value in full would nest past; at each
+    # depth around that limit, decoding or checking the value fails with
+    # exit 2 and one line
+    command, changes, written = NESTED_INPUTS[case]
+    config = Path(config_copy(tmp_path, changes))
+    template = config.read_text()
+    for depth in range(900, 1001):
+        nest = "[" * depth + "]" * depth
+        config.write_text(template.replace('"NEST"', nest))
+        if written:
+            name, text = written
+            (tmp_path / name).write_text(text.replace("NEST", nest))
+        code = main([command, "--config", str(config), "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2, depth
+        assert err.startswith("error: ") and err.count("\n") == 1, (depth, err)
+
+
 # blank lines and comment lines, indented ones too, as a line file may hold them
 COMMENT_LINES = ["", "# a comment", "   ", "  # an indented note", "\t# a tabbed note"]
 
@@ -982,9 +1044,13 @@ def test_failed_report_keeps_every_earlier_output(failure, tmp_path, capsys, mon
 MUTATED_INPUTS = [
     ("lifecycle", "timestamp_sources", "timestamp_sources.csv", b",", 3, True),
     ("ingest", "feeds", "corpus40_feed.tsv", b"\t", 4, False),
-    # the monitor's inputs; a JSON line's fields split at commas, a domain's at dots
+    # a JSON line's fields split at commas
+    ("ingest", "feeds", "feed_b.json", b",", 3, False),
+    # the monitor's inputs; a domain's fields split at dots, and the prior
+    # snapshot store is the one a monitor run on tests/data writes
     ("monitor", "resolver_fixture", "resolver_fixture.json", b",", 3, False),
     ("monitor", "vantage_config", "vantages.json", b",", 3, False),
+    ("monitor", "snapshot_store", "snapshots.jsonl", b",", 3, False),
     ("monitor", "monitor_domains", "monitor_domains.txt", b".", 2, False),
     # classify's reference data; a suffix rule's fields split at dots, and a word is one field
     ("classify", "suffix_rules", "suffixes.dat", b".", 2, False),
@@ -996,6 +1062,10 @@ MUTATED_INPUTS = [
 
 # what a JSON value's type is swapped for: one value of each JSON type
 JSON_VALUES = [None, True, 7, 2.5, "x", [], {}]
+# a value json.loads cannot decode, as Python nests no deeper than about 1,000 calls
+DEEP = b"[" * 1000 + b"]" * 1000
+# a string in place of a value, that the JSON text of the document then holds as DEEP
+DEEP_MARK = "\0deep\0"
 
 
 def json_values(value, path=()):
@@ -1014,30 +1084,55 @@ def json_replaced(doc, path, new):
     return doc
 
 
+def json_text(doc) -> bytes:
+    """``doc`` as JSON, with DEEP where it holds DEEP_MARK; a lone surrogate is escaped."""
+    return json.dumps(doc).encode().replace(json.dumps(DEEP_MARK).encode(), DEEP)
+
+
 @st.composite
-def mutated(draw, data: bytes, sep: bytes, fields: int, header: bool, is_json: bool) -> bytes:
+def json_mutated(draw, doc, kind: str, whole: bool):
+    """``doc`` with one value mutated as ``kind`` says, as JSON text; ``whole``
+    makes a deep_nest replace the whole document."""
+    path, old = draw(st.sampled_from([
+        (path, value) for path, value in json_values(doc)
+        if kind == "type_swap" or kind == "deep_nest" and not (whole and path)
+        or kind == "lone_surrogate" and isinstance(value, str)
+        or kind in ("empty", "drop_field") and isinstance(value, (list, dict)) and value]))
+    if kind == "drop_field":
+        del old[draw(st.sampled_from(list(old) if isinstance(old, dict) else range(len(old))))]
+        return json_text(doc)
+    if kind == "type_swap":
+        new = draw(st.sampled_from([v for v in JSON_VALUES if type(v) is not type(old)]))
+    elif kind == "lone_surrogate":
+        at = draw(st.integers(0, len(old)))
+        new = old[:at] + "\ud800" + old[at:]
+    else:
+        new = DEEP_MARK if kind == "deep_nest" else type(old)()
+    return json_text(json_replaced(doc, path, new))
+
+
+@st.composite
+def mutated(draw, data: bytes, sep: bytes, fields: int, header: bool, json_kind: str) -> bytes:
     """``data`` with one drawn mutation.
 
     A feed has no header row, so swapping two header names swaps those two
     fields on every line, which is what a swapped header would mean. A JSON
-    document may also have one value swapped for a value of another type,
-    one array or object emptied, or one key of an object or element of an
-    array dropped.
+    document (``json_kind`` "document"), or one line of a JSON-lines file
+    ("lines"), may also have one value swapped for a value of another type,
+    one array or object emptied, one key of an object or element of an array
+    dropped, one value replaced by an array nested 1,000 deep, or one string
+    given a lone surrogate. In a JSON-lines file the deep array replaces a line.
     """
-    json_kinds = ["type_swap", "empty", "drop_field"]
+    json_kinds = ["type_swap", "empty", "drop_field", "deep_nest", "lone_surrogate"]
     kind = draw(st.sampled_from(["truncate", "non_utf8", "nul", "drop_column", "crlf"]
-                                + ["swap_header"] * (fields > 1) + json_kinds * is_json))
+                                + ["swap_header"] * (fields > 1) + json_kinds * bool(json_kind)))
     if kind in json_kinds:
-        doc = json.loads(data)
-        path, old = draw(st.sampled_from([
-            (path, value) for path, value in json_values(doc)
-            if kind == "type_swap" or isinstance(value, (list, dict)) and value]))
-        if kind == "drop_field":
-            del old[draw(st.sampled_from(list(old) if isinstance(old, dict) else range(len(old))))]
-            return json.dumps(doc).encode()
-        new = (draw(st.sampled_from([v for v in JSON_VALUES if type(v) is not type(old)]))
-               if kind == "type_swap" else type(old)())
-        return json.dumps(json_replaced(doc, path, new)).encode()
+        if json_kind == "document":
+            return draw(json_mutated(json.loads(data), kind, False))
+        lines = data.split(b"\n")
+        at = draw(st.sampled_from([k for k, line in enumerate(lines) if line]))
+        lines[at] = draw(json_mutated(json.loads(lines[at]), kind, True))
+        return b"\n".join(lines)
     at = draw(st.integers(0, len(data)))
     if kind == "truncate":
         return data[:at]
@@ -1057,32 +1152,47 @@ def mutated(draw, data: bytes, sep: bytes, fields: int, header: bool, is_json: b
     return b"\n".join(sep.join(line) for line in lines)
 
 
+def input_bytes(name: str) -> bytes:
+    """A data file's bytes; the snapshot store is written by a monitor run on tests/data."""
+    if name != "snapshots.jsonl":
+        return (DATA / name).read_bytes()
+    with tempfile.TemporaryDirectory() as tmp:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["monitor", "--config", CONFIG, "--out-dir", tmp]) == 0
+        return (Path(tmp) / name).read_bytes()
+
+
 @pytest.mark.parametrize("command,key,name,sep,fields,header", MUTATED_INPUTS,
                          ids=[m[2] for m in MUTATED_INPUTS])
 def test_mutated_input_keeps_exit_code_contract(command, key, name, sep, fields, header,
                                                 monkeypatch):
     # each example runs main in-process, under the row's command and then
     # under report, which reads every input, each into an out-dir of its
-    # own: it returns 0, 2 or 3, writes at most one stderr line and lets no
-    # exception out. Outputs are not fsynced: removing fsynced files took
-    # about 0.3 s an example on ext4, and what this test checks does not
-    # depend on durability.
+    # own: it returns 0, 2 or 3, or 4 for a bad snapshot store, writes at
+    # most one stderr line and lets no exception out. Stdout is a strict
+    # UTF-8 stream, as a console's or a pipe's is, so printing a string
+    # that cannot be encoded fails. Outputs are not fsynced: removing
+    # fsynced files took about 0.3 s an example on ext4, and what this test
+    # checks does not depend on durability.
     monkeypatch.setattr(os, "fsync", lambda fd: None)
-    data = (DATA / name).read_bytes()
+    data = input_bytes(name)
+    json_kind = {".json": "document", ".jsonl": "lines"}.get(Path(name).suffix, "")
+    codes = (0, 2, 3, 4) if key == "snapshot_store" else (0, 2, 3)
 
     @settings(max_examples=40, derandomize=True, deadline=None)
-    @given(mutated(data, sep, fields, header, name.endswith(".json")))
+    @given(mutated(data, sep, fields, header, json_kind))
     def check(text):
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
             (tmp / name).write_bytes(text)
             config = config_copy(tmp, {key: [str(tmp / name)] if key == "feeds" else name})
             for run in (command, "report"):
-                out, err = io.StringIO(), io.StringIO()
+                out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
                 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                     code = main([run, "--config", config, "--out-dir", str(tmp / run)])
-                assert code in (0, 2, 3), run
+                out.flush()
+                assert code in codes, run
                 assert err.getvalue().count("\n") <= 1, (run, err.getvalue())
-                assert "Traceback" not in out.getvalue() + err.getvalue()
+                assert "Traceback" not in out.buffer.getvalue().decode() + err.getvalue()
 
     check()

@@ -179,6 +179,8 @@ class TestRetryContract:
     pytest.param({"a.com": {"A": [{"values": ["x"], "ttl": "60"}]}}, id="ttl_string"),
     pytest.param({"a.com": {"A": [{"fail_count_before_success": -1}]}}, id="negative_fails"),
     pytest.param({"a.com": {"A": [{"fail_count_before_success": True}]}}, id="bool_fails"),
+    pytest.param({"a.com": {"A": [{"values": ["\ud800"]}, "nxdomain"]}}, id="value_lone_surrogate"),
+    pytest.param({"a.com": {"A": ["nx\ud800domain"]}}, id="step_lone_surrogate"),
     pytest.param({"a.com": {"FOO": []}}, id="key_not_an_rrtype"),
     pytest.param({"a.com": {"a": [{"values": ["192.0.2.1"]}]}}, id="lower_case_rrtype"),
     pytest.param({"bad..com": {}}, id="key_not_a_host"),
@@ -423,6 +425,35 @@ class TestScheduler:
 ])
 def test_resolver_address_forms(address, expected):
     assert parse_resolver_address(address) == expected
+
+
+def test_vantage_point_is_a_tuple_of_its_fields():
+    assert V1 == ("v1", "192.0.2.1:53", "us") and hash(V1) == hash(("v1", "192.0.2.1:53", "us"))
+    assert repr(V1) == "VantagePoint(id='v1', resolver_address='192.0.2.1:53', region_label='us')"
+
+
+def test_vantages_load(tmp_path):
+    path = tmp_path / "vantages.json"
+    path.write_text(json.dumps([{"id": "v1", "resolver_address": "192.0.2.1:53", "region_label": "us"},
+                                {"id": "v2", "resolver_address": "[::1]:5353"}]))
+    assert dnsmon.load_vantages(path) == [V1, VantagePoint("v2", "[::1]:5353", "")]
+
+
+@pytest.mark.parametrize("vantage", [
+    pytest.param({"id": 1}, id="int_id"),
+    pytest.param({"id": True}, id="bool_id"),
+    pytest.param({"region_label": None}, id="null_region_label"),
+    pytest.param({"id": "\ud800"}, id="lone_surrogate_id"),
+    pytest.param({"region_label": "us\udc00"}, id="lone_surrogate_region_label"),
+    pytest.param({"resolver_address": "192.0.2.1\ud800"}, id="lone_surrogate_address"),
+    pytest.param({"resolver_address": ["192.0.2.1"]}, id="list_address"),
+    pytest.param({"resolver_address": "192.0.2.1:port"}, id="bad_port"),
+])
+def test_vantage_values_checked_on_load(vantage, tmp_path):
+    path = tmp_path / "vantages.json"
+    path.write_text(json.dumps([{"id": "v1", "resolver_address": "192.0.2.1"} | vantage]))
+    with pytest.raises(IoFailure, match="malformed vantages"):
+        dnsmon.load_vantages(path)
 
 
 # a bare host with two or more colons must be an IPv6 address

@@ -525,7 +525,7 @@ class TestLiveTick:
             parsed[address] += 1
             return parse_resolver_address(address)
         monkeypatch.setattr(dnsmon, "parse_resolver_address", counted)
-        monkeypatch.setattr(dnswire, "parse_resolver_address", counted, raising=False)
+        monkeypatch.setattr(dnswire, "parse_resolver_address", counted)
         with LoopbackServer(on_udp=planted(Counter())) as one, \
                 LoopbackServer(on_udp=planted(Counter())) as two:
             path = tmp_path / "vantages.json"
@@ -533,12 +533,14 @@ class TestLiveTick:
                 {"id": v.id + str(n), "resolver_address": v.resolver_address}
                 for n, v in enumerate([one.vantage, two.vantage])]))
             vantages = dnsmon.load_vantages(path)
+            assert parsed == {v.resolver_address: 1 for v in vantages}
             lookups = [(v, name, "A") for v in vantages
                        for name in ("servfail.example", "plain.example")]
             outcomes = UdpResolver(timeout=2).resolve(lookups, [0.01] * 4)
-        # servfail.example takes a second attempt from each vantage
+        # servfail.example takes a second attempt from each vantage, yet the
+        # resolve call parses each address once more, not once per attempt
         assert [o.attempts for o in outcomes] == [2, 1, 2, 1]
-        assert parsed == {v.resolver_address: 1 for v in vantages}
+        assert parsed == {v.resolver_address: 2 for v in vantages}
 
 
 class Recorded:

@@ -23,7 +23,10 @@ from phishlife.ingest import (
     load_suffix_rules,
     normalize_host,
     parse_url,
+    read_json,
     split_registrable,
+    strings,
+    typed,
 )
 
 UTC = timezone.utc
@@ -381,6 +384,9 @@ class TestLoadFeed:
         pytest.param("detected_at", 20240606, id="int_detected_at"),
         pytest.param("brand", 5, id="int_brand"),
         pytest.param("brand", {}, id="object_brand"),
+        pytest.param("source", "ap\ud800", id="lone_surrogate_source"),
+        pytest.param("brand", "\ud800", id="lone_surrogate_brand"),
+        pytest.param("url", [[[]]], id="nested_url"),
     ])
     def test_json_record_of_wrong_type_skipped(self, tmp_path, field, value):
         good = {"url": "http://x.com/", "detected_at": "2024-06-06T00:00:00Z", "source": "apwg"}
@@ -392,6 +398,14 @@ class TestLoadFeed:
     def test_missing_file(self, tmp_path):
         with pytest.raises(IoFailure):
             load_feed(tmp_path / "absent.tsv", "lines")
+
+    @pytest.mark.parametrize("text", ['[{"url": ', "[" * 1000 + "]" * 1000])
+    def test_undecodable_json_feed(self, tmp_path, text):
+        # invalid or too deeply nested JSON, decoded by read_json
+        p = tmp_path / "f.json"
+        p.write_text(text)
+        with pytest.raises(IoFailure, match=f"^malformed feed {re.escape(str(p))}: "):
+            load_feed(p, "json")
 
     def test_lines_and_json_load_alike(self, tmp_path):
         # padded fields, a blank brand, no brand, and a url of only spaces
@@ -414,6 +428,56 @@ class TestLoadFeed:
             entry("http://c.net/y", "2024-06-03T00:00:00", "apwg"),
         ]
         assert result.skipped == 1
+
+
+class TestJsonValueRule:
+    @pytest.mark.parametrize("value, kind", [
+        ("x", str), ("pay\u0085pal", str), ("\u00e9\U0001f600", str), ("", str), (0, int),
+        (-7, int), (True, bool), ([], list), ([1, "x"], list), ({}, dict),
+    ])
+    def test_accepts_its_own_type(self, value, kind):
+        assert typed(value, kind) is value
+
+    @pytest.mark.parametrize("value, kind", [
+        pytest.param(True, int, id="true_as_int"),
+        pytest.param(False, int, id="false_as_int"),
+        pytest.param(1, bool, id="int_as_bool"),
+        pytest.param(1.0, int, id="float_as_int"),
+        pytest.param(None, str, id="null_as_str"),
+        pytest.param("\ud800", str, id="lone_surrogate"),
+        pytest.param("ap\udfffwg", str, id="lone_low_surrogate"),
+        pytest.param(("x",), list, id="tuple_as_list"),
+    ])
+    def test_rejects_any_other(self, value, kind):
+        with pytest.raises(TypeError):
+            typed(value, kind)
+
+    def test_strings(self):
+        assert strings(["a", "pay\u0085pal"]) == ("a", "pay\u0085pal")
+        assert strings([]) == ()
+        for value in (["a", 5], ["a", "\ud800"], ("a",), "a", None, [["a"]]):
+            with pytest.raises(TypeError):
+                strings(value)
+
+    def test_message_of_a_deep_value_is_short(self):
+        deep = json.loads("[" * 900 + "]" * 900)
+        with pytest.raises(TypeError) as info:
+            typed(deep, str)
+        assert len(str(info.value)) < 100
+
+    @pytest.mark.parametrize("text", ['{"a": ', "[" * 1000 + "]" * 1000, '"\xff"'])
+    def test_read_json_rejects_undecodable(self, tmp_path, text):
+        p = tmp_path / "x.json"
+        p.write_bytes(text.encode("latin-1"))
+        with pytest.raises(IoFailure):
+            read_json(p, "input")
+
+    def test_read_json_keeps_lone_surrogate_for_the_rule(self, tmp_path):
+        # a lone surrogate escape is valid JSON; the rule rejects the string it decodes to
+        p = tmp_path / "x.json"
+        p.write_text('["\\ud800"]')
+        with pytest.raises(TypeError):
+            strings(read_json(p, "input"))
 
 
 COM_RULES = SuffixRules(frozenset({"com"}), frozenset(), frozenset())
